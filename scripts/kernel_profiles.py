@@ -21,7 +21,7 @@ import numpy as np
 from dunklriesz.hermite import build_basis
 from dunklriesz.kernels import heat_kernel, heat_kernel_classical, riesz_kernel_many
 from dunklriesz.reflection import root_system, weight
-from dunklriesz.verify import VerifyConfig, _hormander_quad
+from dunklriesz.verify import VerifyConfig, hormander_integral
 from dunklriesz.kernels import DEFAULT_CONFIG
 
 
@@ -63,8 +63,8 @@ def main():
         wr = csv.writer(fh)
         wr.writerow(["delta", "integral_direct", "integral_transposed"])
         for delta in np.geomspace(1e-3, 1.0, 16):
-            I1, _ = _hormander_quad(basis, 1.0, 1.0 + float(delta), cfg, DEFAULT_CONFIG, False)
-            I2, _ = _hormander_quad(basis, 1.0, 1.0 + float(delta), cfg, DEFAULT_CONFIG, True)
+            I1, _ = hormander_integral(basis, 1.0, 1.0 + float(delta), cfg, DEFAULT_CONFIG, False)
+            I2, _ = hormander_integral(basis, 1.0, 1.0 + float(delta), cfg, DEFAULT_CONFIG, True)
             wr.writerow([delta, I1, I2])
 
     print(f"profiles written to {args.out_dir}/")

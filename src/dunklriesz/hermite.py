@@ -126,9 +126,6 @@ class HermiteBasis:
     def size(self) -> int:
         return len(self.indices)
 
-    def order_of(self, n) -> int:
-        return sum(n)
-
     def position(self, n) -> int:
         n = tuple(n)
         if n not in self.index_pos:

@@ -48,7 +48,7 @@ from scipy.integrate import quad
 from scipy.special import gammaln, ive
 from numpy.polynomial.legendre import leggauss
 
-from .hermite import HermiteBasis
+from .hermite import HermiteBasis, QuadratureNonConvergence
 from .reflection import min_orbit_distance, orbit_distances
 
 
@@ -66,10 +66,6 @@ class WrongGroup(ValueError):
 
 class OrbitTooClose(ValueError):
     """Riesz kernel requested below the orbit separation floor."""
-
-
-class QuadratureNonConvergence(ArithmeticError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -274,13 +270,6 @@ class Z2Evaluator:
         self.c_kappa = c_kappa
         self.gamma = gamma
 
-    @staticmethod
-    def from_basis(basis: HermiteBasis) -> "Z2Evaluator":
-        kappas = basis.rs.axis_kappas()
-        if kappas is None:
-            raise WrongGroup("Z2Evaluator requires a Z2^d system")
-        return Z2Evaluator(kappas, basis.c_kappa, basis.gamma)
-
     def log_E(self, X, Y):
         X = np.asarray(X, dtype=float)
         Y = np.asarray(Y, dtype=float)
@@ -324,17 +313,20 @@ class Z2Evaluator:
         q = np.sum(X * X, axis=-1) + np.sum(Y * Y, axis=-1)
         return -c * q + self.log_E(2.0 * c * Y, X)
 
-    def riesz_bracket(self, t, X, Y, j):
-        s = math.sinh(2.0 * t)
-        c = math.cosh(2.0 * t) / s
-        return (1.0 - c) * np.asarray(X)[..., j] + np.asarray(Y)[..., j] / s
-
     def riesz_integrand(self, t, X, Y, j):
         """h_t(x,y) = k_t(x,y) [ (1 - coth 2t) x_j + y_j / sinh 2t ]."""
-        return self.heat(t, X, Y) * self.riesz_bracket(t, X, Y, j)
+        return self.heat(t, X, Y) * _riesz_bracket(t, X, Y, j)
 
 
-def _evaluator(basis: HermiteBasis) -> Z2Evaluator | None:
+def _riesz_bracket(t, X, Y, j):
+    """(1 - coth 2t) x_j + y_j / sinh 2t, the factor of k_t in the Riesz integrand."""
+    s = math.sinh(2.0 * t)
+    c = math.cosh(2.0 * t) / s
+    return (1.0 - c) * np.asarray(X)[..., j] + np.asarray(Y)[..., j] / s
+
+
+def z2_evaluator(basis: HermiteBasis) -> Z2Evaluator | None:
+    """The basis's closed-form Z2^d evaluator (cached), or None off Z2^d."""
     if "z2eval" not in basis._cache:
         kappas = basis.rs.axis_kappas()
         basis._cache["z2eval"] = (
@@ -359,7 +351,7 @@ def heat_kernel(
     """
     if t <= 0:
         raise ValueError("heat kernel needs t > 0")
-    ev = _evaluator(basis)
+    ev = z2_evaluator(basis)
     if ev is not None:
         val = ev.heat(t, x, y)
     else:
@@ -458,12 +450,6 @@ def gaussian_translate(basis_or_rs, c: float, x, y, cfg: KernelConfig = DEFAULT_
 # Riesz kernel
 
 
-def _bracket_general(t, x, y, j):
-    s = math.sinh(2.0 * t)
-    c = math.cosh(2.0 * t) / s
-    return (1.0 - c) * x[..., j] + y[..., j] / s
-
-
 def riesz_kernel(basis: HermiteBasis, j: int, x, y, cfg: KernelConfig = DEFAULT_CONFIG) -> float:
     """K_j(x, y) by adaptive quadrature of the subordination time integral.
 
@@ -476,12 +462,12 @@ def riesz_kernel(basis: HermiteBasis, j: int, x, y, cfg: KernelConfig = DEFAULT_
     md = min_orbit_distance(basis.rs.group, x, y)
     if md <= cfg.separation_floor:
         raise OrbitTooClose(f"orbit distance {md:.2e} below floor {cfg.separation_floor:.2e}")
-    ev = _evaluator(basis)
+    ev = z2_evaluator(basis)
     if ev is not None:
         integrand = lambda t: float(ev.riesz_integrand(t, x, y, j - 1))
     else:
         integrand = lambda t: heat_kernel(basis, t, x, y, cfg) * float(
-            _bracket_general(t, x, y, j - 1)
+            _riesz_bracket(t, x, y, j - 1)
         )
 
     # t in (0, 1]: substitute t = u^2 so dt/sqrt(t) = 2 du
@@ -510,7 +496,7 @@ def riesz_kernel(basis: HermiteBasis, j: int, x, y, cfg: KernelConfig = DEFAULT_
     return total
 
 
-def _panel_nodes(breaks, n_nodes):
+def panel_nodes(breaks, n_nodes):
     """Gauss-Legendre nodes/weights tiled over consecutive panels."""
     xs, ws = leggauss(n_nodes)
     nodes, weights = [], []
@@ -530,7 +516,7 @@ def riesz_kernel_many(
     endpoint); cross-checked against the adaptive scalar route in the tests.
     Z2^d systems only.
     """
-    ev = _evaluator(basis)
+    ev = z2_evaluator(basis)
     if ev is None:
         raise WrongGroup("riesz_kernel_many requires a Z2^d system")
     X = np.asarray(X, dtype=float)
@@ -548,7 +534,7 @@ def riesz_kernel_many(
         breaks.append(b)
         b *= 2.0
     breaks.append(u_hi)
-    un, uw = _panel_nodes(np.array(breaks), cfg.u_panel_nodes)
+    un, uw = panel_nodes(np.array(breaks), cfg.u_panel_nodes)
 
     t_max = cfg.t_split + 60.0 / (2.0 * ev.gamma + ev.d + 2.0)
     tb = [cfg.t_split]
@@ -557,7 +543,7 @@ def riesz_kernel_many(
         tb.append(b)
         b *= 2.0
     tb.append(t_max)
-    tn, tw = _panel_nodes(np.array(tb), cfg.tail_panel_nodes)
+    tn, tw = panel_nodes(np.array(tb), cfg.tail_panel_nodes)
 
     out = np.zeros(X.shape[:-1])
     for u, w in zip(un, uw):

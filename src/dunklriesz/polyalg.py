@@ -282,7 +282,6 @@ def divide_linear(p: Polynomial, coeffs, exact: bool, rel_tol: float = 1e-9):
     out = Polynomial.zero(d)
     xpiv = Polynomial.variable(pivot + 1, d, _one_like(cp))
     for k, q in quot_slices.items():
-        mono = Polynomial.monomial(_unit(d, pivot), _one_like(cp)) if k == 1 else None
         term = q
         for _ in range(k):
             term = term * xpiv

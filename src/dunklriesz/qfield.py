@@ -214,5 +214,3 @@ def _coerce(value):
 ZERO = Surd()
 ONE = Surd.of(1)
 SQRT2 = Surd.sqrt_int(2)
-SQRT3 = Surd.sqrt_int(3)
-SQRT6 = Surd.sqrt_int(6)

@@ -309,8 +309,9 @@ def _normalize_multiplicity(values, n_roots: int, orbits):
     return mult, exact
 
 
-def _validate(rs: RootSystem):
-    roots = rs.positive_roots
+def _validate_roots(roots: np.ndarray):
+    """Norm, reducedness and closure tests; cheap, so they run before the
+    group is generated (a non-closed set would fill the BFS up to its cap)."""
     norms = np.einsum("ij,ij->i", roots, roots)
     if not np.allclose(norms, 2.0, atol=ROOT_NORM_TOL * 10):
         raise InvalidRootSystem("roots must satisfy |alpha|^2 = 2")
@@ -327,7 +328,10 @@ def _validate(rs: RootSystem):
             img = reflect(a, b)
             if np.min(np.linalg.norm(full - img, axis=1)) > 1e-8:
                 raise InvalidRootSystem("root set not closed under its reflections")
-    # multiplicity constant on orbits
+
+
+def _validate_multiplicity(rs: RootSystem):
+    """Multiplicities must be constant on each G-orbit of roots."""
     for orbit in rs.orbits:
         vals = rs.multiplicity[list(orbit)]
         if np.ptp(vals) > 1e-12:
@@ -384,10 +388,11 @@ def root_system(
             raise InvalidRootSystem(f"unknown catalogue name {name!r}")
 
     d = roots.shape[1]
-    gens = np.stack([reflection_matrix(a) for a in roots])
-    # provisional group (float only) just to compute orbits
-    provisional = RootSystem(dim=d, positive_roots=roots, multiplicity=np.zeros(len(roots)))
-    orbits = _compute_orbits(roots, generate_group(provisional).matrices)
+    _validate_roots(roots)
+    # the group depends on the roots only; multiplicities need its orbits
+    group = generate_group(RootSystem(
+        dim=d, positive_roots=roots, multiplicity=np.zeros(len(roots)), exact_roots=exact))
+    orbits = _compute_orbits(roots, group.matrices)
     mult, mult_exact = _normalize_multiplicity(multiplicity, roots.shape[0], orbits)
     rs = RootSystem(
         dim=d,
@@ -397,6 +402,7 @@ def root_system(
         exact_roots=exact,
         multiplicity_exact=mult_exact,
         orbits=orbits,
+        _group=group,
     )
-    _validate(rs)
+    _validate_multiplicity(rs)
     return rs

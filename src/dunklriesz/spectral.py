@@ -37,6 +37,15 @@ class MomentMatrixSingular(ArithmeticError):
     """Moment determinant vanished; impossible for kappa >= 0."""
 
 
+class AdjointMismatch(ArithmeticError):
+    """Exact delta_j and delta_j^* entries disagree at one index pair."""
+
+    def __init__(self, m, n, S_low, S_raise):
+        super().__init__(f"delta_j / delta_j^* entries differ at m={m}, n={n}: "
+                         f"{S_low!r} != {S_raise!r}")
+        self.m, self.n, self.S_low, self.S_raise = m, n, S_low, S_raise
+
+
 @dataclass
 class QuadratureRule:
     """Nodes/weights targeting integrands against w_kappa(x) e^{-|x|^2} dx."""
@@ -292,8 +301,9 @@ def operator_norm(M: OperatorMatrix | np.ndarray, tol: float = 1e-10, max_iter: 
 def exact_adjoint_residual(basis: HermiteBasis, j: int):
     """Exact-field check that delta_j and delta_j^* are mutual adjoints.
 
-    Returns the number of entry pairs compared; raises AssertionError with
-    the offending indices when the exact identity fails.  Exact bases only.
+    Returns the number of entry pairs compared; raises AdjointMismatch with
+    the offending indices and values when the exact identity fails.  Exact
+    bases only.
     """
     if not basis.exact:
         raise ValueError("exact adjoint check requires an exact basis")
@@ -321,6 +331,7 @@ def exact_adjoint_residual(basis: HermiteBasis, j: int):
             S_low = alg.apply_poly_operator(basis.psi_exact[row], Qlow).constant_term()
             # raising on column m: S_raise[n, m] = [psi_n, e^{Lap/4}(2 x_j H_m - T_j H_m)]
             S_raise = alg.apply_poly_operator(basis.psi_exact[col], qraise(row)).constant_term()
-            assert S_low == S_raise, (m, n, S_low, S_raise)
+            if S_low != S_raise:
+                raise AdjointMismatch(m, n, S_low, S_raise)
             checked += 1
     return checked

@@ -18,6 +18,7 @@ Conventions
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 import math
@@ -25,7 +26,6 @@ import time
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 from scipy.special import logsumexp
 
 from .hermite import HermiteBasis, build_basis, hermite_functions_1d
@@ -38,8 +38,10 @@ from .kernels import (
     heat_kernel_classical,
     heat_kernel_series,
     log_dunkl_kernel_1d,
+    panel_nodes,
     riesz_kernel,
     riesz_kernel_many,
+    z2_evaluator,
 )
 from .polyalg import get_algebra
 from .qfield import Surd
@@ -49,10 +51,6 @@ from .spectral import delta_matrix, operator_norm, riesz_matrix
 
 class SupportOverlap(ValueError):
     """Test function support meets the orbit of an evaluation point."""
-
-
-class MonteCarloVarianceTooHigh(ArithmeticError):
-    pass
 
 
 @dataclass
@@ -113,9 +111,9 @@ class VerifyConfig:
 DEFAULT_VERIFY = VerifyConfig()
 
 
-@dataclass
+@dataclass(kw_only=True)
 class CheckResult:
-    name: str
+    name: str = ""               # set by the check runner
     status: str                  # "pass" | "fail" | "skip"
     config: dict = field(default_factory=dict)
     constants: dict = field(default_factory=dict)
@@ -184,17 +182,61 @@ def _summary(basis: HermiteBasis) -> dict:
 
 
 # ---------------------------------------------------------------------------
+# check runner
+
+# Structure a check can require of the basis, by the name it declares.
+_REQUIREMENTS = {
+    "z2": lambda basis: z2_evaluator(basis) is not None,
+    "z2_1d": lambda basis: basis.rs.dim == 1 and z2_evaluator(basis) is not None,
+    "degree_12": lambda basis: basis.N >= 12,
+}
+
+
+def _check(**needs):
+    """Make `body(basis, cfg, kernel_cfg) -> CheckResult` a named check.
+
+    `needs` maps requirement names (keys of `_REQUIREMENTS`), in the order
+    they are tested, to the note of the skip result returned when the basis
+    lacks that structure.  The runner names the result after the check, puts
+    the basis summary in front of the body's own config entries and stamps
+    the seed and the wall time.
+    """
+
+    def wrap(body):
+        name = body.__name__.removeprefix("check_")
+
+        @functools.wraps(body)
+        def check(basis: HermiteBasis, cfg: VerifyConfig = DEFAULT_VERIFY,
+                  kernel_cfg: KernelConfig = DEFAULT_CONFIG) -> CheckResult:
+            for need, note in needs.items():
+                if not _REQUIREMENTS[need](basis):
+                    return CheckResult(name=name, status="skip", config=_summary(basis),
+                                       notes=note, seed=cfg.seed)
+            t0 = time.perf_counter()
+            result = body(basis, cfg, kernel_cfg)
+            result.name = name
+            result.config = {**_summary(basis), **result.config}
+            result.seed = cfg.seed
+            result.runtime_ms = 1e3 * (time.perf_counter() - t0)
+            return result
+
+        return check
+
+    return wrap
+
+
+# ---------------------------------------------------------------------------
 # identity checks
 
 
-def check_eigen(basis: HermiteBasis, cfg: VerifyConfig = DEFAULT_VERIFY) -> CheckResult:
+@_check()
+def check_eigen(basis, cfg, kernel_cfg):
     """Oscillator eigenvalue identity on every H_n up to truncation.
 
     Exact bases: the residual polynomial must vanish identically (zero
     residual in the surd field).  Float bases: coefficient residual < 1e-10
     relative to the largest coefficient.
     """
-    t0 = time.perf_counter()
     alg = get_algebra(basis.rs, basis.exact)
     worst = 0.0
     exact_failures = 0
@@ -215,18 +257,16 @@ def check_eigen(basis: HermiteBasis, cfg: VerifyConfig = DEFAULT_VERIFY) -> Chec
             worst = max(worst, r)
     ok = exact_failures == 0 if basis.exact else worst < 1e-10
     return CheckResult(
-        name="eigen",
         status="pass" if ok else "fail",
-        config=_summary(basis),
         residuals={"max_residual": worst, "exact_failures": exact_failures},
         samples=basis.size,
-        seed=cfg.seed,
-        runtime_ms=1e3 * (time.perf_counter() - t0),
         notes="zero-residual in exact arithmetic" if basis.exact else "float basis",
     )
 
 
-def check_mehler(basis: HermiteBasis, cfg: VerifyConfig = DEFAULT_VERIFY) -> CheckResult:
+@_check(z2="independent evaluator needs Z2^d",
+        degree_12="truncation below the N >= 12 contract")
+def check_mehler(basis, cfg, kernel_cfg):
     """Truncated Mehler sum against the closed form, on a (r, x, y) grid.
 
     Needs an independent kernel evaluator, so the group must be Z2^d.  The
@@ -234,18 +274,7 @@ def check_mehler(basis: HermiteBasis, cfg: VerifyConfig = DEFAULT_VERIFY) -> Che
     pass level `mehler_tol` is meaningful only with N large enough for the
     largest r in the grid (r = 0.5 needs N >= 24 for 1e-6).
     """
-    t0 = time.perf_counter()
-    kappas = basis.rs.axis_kappas()
-    if kappas is None:
-        return CheckResult(
-            name="mehler", status="skip", config=_summary(basis),
-            notes="independent evaluator needs Z2^d", seed=cfg.seed,
-        )
-    if basis.N < 12:
-        return CheckResult(
-            name="mehler", status="skip", config=_summary(basis),
-            notes="truncation below the N >= 12 contract", seed=cfg.seed,
-        )
+    kappas = z2_evaluator(basis).kappas
     d = basis.rs.dim
     pts = np.linspace(-1.0, 1.0, cfg.mehler_grid_points if d == 1 else 5)
     grids = np.meshgrid(*([pts] * d), indexing="ij")
@@ -273,27 +302,19 @@ def check_mehler(basis: HermiteBasis, cfg: VerifyConfig = DEFAULT_VERIFY) -> Che
         worst = max(worst, float(np.max(rel)))
         count += rel.size
     return CheckResult(
-        name="mehler",
         status="pass" if worst < cfg.mehler_tol else "fail",
-        config={**_summary(basis), "r_values": list(cfg.mehler_r_values)},
+        config={"r_values": list(cfg.mehler_r_values)},
         residuals={"max_rel_err": worst, "tolerance": cfg.mehler_tol},
         samples=count,
-        seed=cfg.seed,
-        runtime_ms=1e3 * (time.perf_counter() - t0),
     )
 
 
-def check_heat(basis: HermiteBasis, cfg: VerifyConfig = DEFAULT_VERIFY) -> CheckResult:
+@_check(z2="series oracle needs Z2^d")
+def check_heat(basis, cfg, kernel_cfg):
     """Heat kernel: closed form vs spectral series; classical reduction;
     symmetry; and the printed-constant discrepancy (must be off by exactly
     2^(gamma + d/2) and must fail the series comparison)."""
-    t0 = time.perf_counter()
-    kappas = basis.rs.axis_kappas()
-    if kappas is None:
-        return CheckResult(
-            name="heat", status="skip", config=_summary(basis),
-            notes="series oracle needs Z2^d", seed=cfg.seed,
-        )
+    kappas = z2_evaluator(basis).kappas
     rng = np.random.default_rng([cfg.seed, 1])
     d = basis.rs.dim
     X = rng.uniform(-1.5, 1.5, (cfg.heat_pairs, d))
@@ -329,9 +350,8 @@ def check_heat(basis: HermiteBasis, cfg: VerifyConfig = DEFAULT_VERIFY) -> Check
         and printed_min_err > cfg.heat_tol  # the printed constant MUST fail
     )
     return CheckResult(
-        name="heat",
         status="pass" if ok else "fail",
-        config={**_summary(basis), "t_values": list(cfg.heat_t_values)},
+        config={"t_values": list(cfg.heat_t_values)},
         residuals={
             "series_vs_closed": worst_series,
             "classical_reduction": worst_classical,
@@ -341,8 +361,6 @@ def check_heat(basis: HermiteBasis, cfg: VerifyConfig = DEFAULT_VERIFY) -> Check
             "printed_expected_rel_err": expected_gap,
         },
         samples=len(cfg.heat_t_values) * cfg.heat_pairs,
-        seed=cfg.seed,
-        runtime_ms=1e3 * (time.perf_counter() - t0),
     )
 
 
@@ -388,87 +406,78 @@ def _ridge_pairs(basis, box, s, t, refine):
     return Xr, Yr
 
 
-def _log_k0(t, X, Y):
-    d = X.shape[-1]
-    sp = np.sum((X + Y) ** 2, -1)
-    sm = np.sum((X - Y) ** 2, -1)
-    return -d / 2.0 * math.log(2.0 * math.pi * math.sinh(2.0 * t)) - 0.25 * (
-        math.tanh(t) * sp + sm / math.tanh(t)
-    )
+def _cross(A, B):
+    """max over (i, j) of A_j + B_i (both in log scale)."""
+    return np.max(A[..., None, :] + B[..., :, None], axis=(-2, -1))
 
 
-def _dlog_k0_dy(t, X, Y, i):
-    return -0.5 * (
-        math.tanh(t) * (Y[..., i] + X[..., i]) + (Y[..., i] - X[..., i]) / math.tanh(t)
-    )
+# Kernel pieces shared by the lemma ratios, as functions of a LemmaPieces p;
+# log_k0 and dl0 are the classical (kappa = 0) kernel and d/dy of its log.
+_PIECES = {
+    "sm": lambda p: np.sum((p.X - p.Y) ** 2, -1),
+    "ylog": lambda p: np.log(np.abs(p.Y)),
+    "ymax": lambda p: np.max(p.ylog, -1),
+    "dxy": lambda p: np.log(np.abs(p.X - p.Y)),
+    "log_k0": lambda p: -p.d / 2.0 * math.log(2.0 * math.pi * math.sinh(2.0 * p.t))
+    - 0.25 * (math.tanh(p.t) * np.sum((p.X + p.Y) ** 2, -1) + p.sm / math.tanh(p.t)),
+    "dl0": lambda p: np.log(np.abs(
+        -0.5 * (math.tanh(p.t) * (p.Y + p.X) + (p.Y - p.X) / math.tanh(p.t)))),
+    "base0": lambda p: p.log_k0 + p.a * p.sm / p.t,
+    "log_heat": lambda p: p.ev.log_heat(p.t, p.X, p.Y),
+    "dl": lambda p: np.log(np.stack(
+        [np.abs(p.ev.dlog_heat_dy(p.t, p.X, p.Y, i)) for i in range(p.d)], -1)),
+    "base1": lambda p: p.log_heat - p.ev.log_gaussian_translate(p.b / p.t, p.X, p.Y),
+    "tau_b": lambda p: p.ev.log_gaussian_translate(p.b, p.X, p.Y),
+    "tau_sum": lambda p: logsumexp(np.stack(
+        [p.ev.log_gaussian_translate(p.c / p.t, Xc, p.Y)
+         for Xc in [p.X] + [reflect(alpha, p.X) for alpha in p.roots]]), axis=0),
+}
 
 
-def _lemma_ratio_functions(basis: HermiteBasis, cfg: VerifyConfig):
-    """The 14 inequalities as vectorized log(LHS/RHS) functions of (t, X, Y).
-
-    Keys ending in _small are stated for 0 < t <= 1, _large for t > 1.
+class LemmaPieces:
+    """The `_PIECES` at one (t, X, Y), each computed the first time a ratio
+    asks for it and then kept: one object serves every ratio of a grid pass,
+    and a single-ratio evaluation computes only the pieces that ratio uses.
     """
-    ev = Z2Evaluator.from_basis(basis)
-    d = basis.rs.dim
-    gam = basis.gamma
-    a, b, c = cfg.a_const, cfg.b_const, cfg.c_const
-    roots = basis.rs.positive_roots
 
-    def dl0(t, X, Y):
-        return np.stack([np.abs(_dlog_k0_dy(t, X, Y, i)) for i in range(d)], -1)
+    def __init__(self, basis: HermiteBasis, cfg: VerifyConfig, t, X, Y):
+        self.t, self.X, self.Y, self.lt = t, X, Y, math.log(t)
+        self.ev, self.roots = z2_evaluator(basis), basis.rs.positive_roots
+        self.d, self.gam = basis.rs.dim, basis.gamma
+        self.a, self.b, self.c = cfg.a_const, cfg.b_const, cfg.c_const
 
-    def dl(t, X, Y):
-        return np.stack([np.abs(ev.dlog_heat_dy(t, X, Y, i)) for i in range(d)], -1)
-
-    def ydamp(Y):
-        return np.max(np.log(np.abs(Y)), -1)
-
-    def cross(A, B):
-        # max over (i, j) of log|A_j| + log|B_i|
-        return np.max(A[..., None, :] + B[..., :, None], axis=(-2, -1))
-
-    def base0(t, X, Y):
-        return _log_k0(t, X, Y) + a * np.sum((X - Y) ** 2, -1) / t
-
-    def base1(t, X, Y):
-        return ev.log_heat(t, X, Y) - ev.log_gaussian_translate(b / t, X, Y)
-
-    def tau_sum(t, X, Y):
-        refl = [X] + [reflect(alpha, X) for alpha in roots]
-        return logsumexp(
-            np.stack([ev.log_gaussian_translate(c / t, Xc, Y) for Xc in refl]), axis=0
-        )
-
-    fns = {
-        "classical_small_i": lambda t, X, Y: base0(t, X, Y) + d / 2.0 * math.log(t),
-        "classical_small_ii": lambda t, X, Y: ydamp(Y) + base0(t, X, Y) + (d + 1) / 2.0 * math.log(t),
-        "classical_small_iii": lambda t, X, Y: np.max(np.log(dl0(t, X, Y)), -1)
-        + base0(t, X, Y) + (d + 1) / 2.0 * math.log(t),
-        "classical_small_iv": lambda t, X, Y: cross(np.log(np.abs(Y)), np.log(dl0(t, X, Y)))
-        + base0(t, X, Y) + (d / 2.0 + 1.0) * math.log(t),
-        "dunkl_small_i": lambda t, X, Y: base1(t, X, Y) + (gam + d / 2.0) * math.log(t),
-        "dunkl_small_ii": lambda t, X, Y: ydamp(Y) + base1(t, X, Y) + (gam + (d + 1) / 2.0) * math.log(t),
-        "dunkl_small_iii": lambda t, X, Y: np.max(np.log(dl(t, X, Y)), -1)
-        + base1(t, X, Y) + (gam + (d + 1) / 2.0) * math.log(t),
-        "dunkl_small_iv": lambda t, X, Y: cross(np.log(np.abs(Y)), np.log(dl(t, X, Y)))
-        + base1(t, X, Y) + (gam + d / 2.0 + 1.0) * math.log(t),
-        "reflected_small_i": lambda t, X, Y: np.max(np.log(np.abs(X - Y)), -1)
-        + ev.log_heat(t, X, Y) - tau_sum(t, X, Y) + (gam + d / 2.0 - 0.5) * math.log(t),
-        "reflected_small_ii": lambda t, X, Y: cross(np.log(np.abs(X - Y)), np.log(dl(t, X, Y)))
-        + ev.log_heat(t, X, Y) - tau_sum(t, X, Y) + (gam + d / 2.0) * math.log(t),
-        "classical_large_v": lambda t, X, Y: _log_k0(t, X, Y) + d * t + a * np.sum((X - Y) ** 2, -1),
-        "classical_large_vi": lambda t, X, Y: ydamp(Y) + _log_k0(t, X, Y) + d * t + a * np.sum((X - Y) ** 2, -1),
-        "dunkl_large_v": lambda t, X, Y: ev.log_heat(t, X, Y)
-        - ev.log_gaussian_translate(b, X, Y) + (2.0 * gam + d) * t,
-        "dunkl_large_vi": lambda t, X, Y: ydamp(Y) + ev.log_heat(t, X, Y)
-        - ev.log_gaussian_translate(b, X, Y) + (2.0 * gam + d) * t,
-    }
-    return fns
+    def __getattr__(self, name):  # reached only for a piece not yet computed
+        if name not in _PIECES:
+            raise AttributeError(name)
+        value = self.__dict__[name] = _PIECES[name](self)
+        return value
 
 
-def _polish_sup(fn, seeds, t_bounds, box_limit):
-    """Local maximization of a log-ratio from grid seeds (Nelder-Mead on
-    (log t, x, y) with a fence at the t-range and a generous spatial box).
+# The 14 inequalities as log(LHS/RHS) of a LemmaPieces object; names ending
+# in _small are stated for 0 < t <= 1, _large for t > 1.
+LEMMA_RATIOS = {
+    "classical_small_i": lambda p: p.base0 + p.d / 2.0 * p.lt,
+    "classical_small_ii": lambda p: p.ymax + p.base0 + (p.d + 1) / 2.0 * p.lt,
+    "classical_small_iii": lambda p: np.max(p.dl0, -1) + p.base0 + (p.d + 1) / 2.0 * p.lt,
+    "classical_small_iv": lambda p: _cross(p.ylog, p.dl0) + p.base0 + (p.d / 2.0 + 1.0) * p.lt,
+    "dunkl_small_i": lambda p: p.base1 + (p.gam + p.d / 2.0) * p.lt,
+    "dunkl_small_ii": lambda p: p.ymax + p.base1 + (p.gam + (p.d + 1) / 2.0) * p.lt,
+    "dunkl_small_iii": lambda p: np.max(p.dl, -1) + p.base1 + (p.gam + (p.d + 1) / 2.0) * p.lt,
+    "dunkl_small_iv": lambda p: _cross(p.ylog, p.dl) + p.base1 + (p.gam + p.d / 2.0 + 1.0) * p.lt,
+    "reflected_small_i": lambda p: np.max(p.dxy, -1) + p.log_heat - p.tau_sum
+    + (p.gam + p.d / 2.0 - 0.5) * p.lt,
+    "reflected_small_ii": lambda p: _cross(p.dxy, p.dl) + p.log_heat - p.tau_sum
+    + (p.gam + p.d / 2.0) * p.lt,
+    "classical_large_v": lambda p: p.log_k0 + p.d * p.t + p.a * p.sm,
+    "classical_large_vi": lambda p: p.ymax + p.log_k0 + p.d * p.t + p.a * p.sm,
+    "dunkl_large_v": lambda p: p.log_heat - p.tau_b + (2.0 * p.gam + p.d) * p.t,
+    "dunkl_large_vi": lambda p: p.ymax + p.log_heat - p.tau_b + (2.0 * p.gam + p.d) * p.t,
+}
+
+
+def _polish_sup(basis, cfg, ratio, seeds, t_bounds):
+    """Local maximization of a lemma log-ratio from grid seeds (Nelder-Mead
+    on (log t, x, y) with a fence at the t-range and a generous spatial box).
 
     The grids locate the basin; polishing removes resolution bias so the
     refinement comparison tests basin discovery, not grid spacing.
@@ -476,6 +485,7 @@ def _polish_sup(fn, seeds, t_bounds, box_limit):
     from scipy.optimize import minimize
 
     lo, hi = math.log(t_bounds[0]), math.log(t_bounds[1])
+    box_limit = 2.0 * cfg.fit_box
     best = -math.inf
     for t0, x0, y0 in seeds:
         z0 = np.concatenate([[math.log(t0)], x0, y0])
@@ -485,7 +495,8 @@ def _polish_sup(fn, seeds, t_bounds, box_limit):
             if not (lo <= z[0] <= hi) or np.any(np.abs(z[1:]) > box_limit):
                 return 1e9
             with np.errstate(divide="ignore", invalid="ignore"):
-                val = fn(math.exp(z[0]), z[1 : 1 + d][None, :], z[1 + d :][None, :])
+                val = ratio(LemmaPieces(basis, cfg, math.exp(z[0]), z[1 : 1 + d][None, :],
+                                        z[1 + d :][None, :]))
             v = float(val[0])
             return 1e9 if not np.isfinite(v) else -v
 
@@ -504,88 +515,41 @@ def _lemma_bound_fits(basis: HermiteBasis, cfg: VerifyConfig, refine: int) -> di
     from the best grid seeds (the grids find the basin; polishing removes
     resolution bias so refinement tests basin discovery, not spacing).
     """
-    ev = Z2Evaluator.from_basis(basis)
-    d = basis.rs.dim
-    gam = basis.gamma
-    a, b, c = cfg.a_const, cfg.b_const, cfg.c_const
-    roots = basis.rs.positive_roots
-    fns = _lemma_ratio_functions(basis, cfg)
     ts, tl, X0, Y0, box, s = _fit_grids(basis, cfg, refine)
-    best: dict[str, list] = {name: [] for name in fns}
+    best: dict[str, list] = {name: [] for name in LEMMA_RATIOS}
 
-    def record(name, vals, t, X, Y):
-        i = int(np.argmax(vals))
-        best[name].append((float(vals[i]), t, X[i].copy(), Y[i].copy()))
+    def scan(t, X, Y, small):
+        pieces = LemmaPieces(basis, cfg, t, X, Y)
+        for name, ratio in LEMMA_RATIOS.items():
+            if ("_small_" in name) == small:
+                vals = ratio(pieces)
+                i = int(np.argmax(vals))
+                best[name].append((float(vals[i]), t, X[i].copy(), Y[i].copy()))
 
     with np.errstate(divide="ignore"):
         for t in ts:
             Xr, Yr = _ridge_pairs(basis, box, s, t, refine)
-            X = np.vstack([X0, Xr])
-            Y = np.vstack([Y0, Yr])
-            lt = math.log(t)
-            sm = np.sum((X - Y) ** 2, -1)
-            ylog = np.log(np.abs(Y))
-            ymax = np.max(ylog, -1)
-            lk0 = _log_k0(t, X, Y)
-            dl0 = np.log(np.stack([np.abs(_dlog_k0_dy(t, X, Y, i)) for i in range(d)], -1))
-            base0 = lk0 + a * sm / t
-            record("classical_small_i", base0 + d / 2.0 * lt, t, X, Y)
-            record("classical_small_ii", ymax + base0 + (d + 1) / 2.0 * lt, t, X, Y)
-            record("classical_small_iii", np.max(dl0, -1) + base0 + (d + 1) / 2.0 * lt, t, X, Y)
-            cross0 = np.max(ylog[..., None, :] + dl0[..., :, None], axis=(-2, -1))
-            record("classical_small_iv", cross0 + base0 + (d / 2.0 + 1.0) * lt, t, X, Y)
-            lk = ev.log_heat(t, X, Y)
-            dl = np.log(np.stack([np.abs(ev.dlog_heat_dy(t, X, Y, i)) for i in range(d)], -1))
-            base1 = lk - ev.log_gaussian_translate(b / t, X, Y)
-            record("dunkl_small_i", base1 + (gam + d / 2.0) * lt, t, X, Y)
-            record("dunkl_small_ii", ymax + base1 + (gam + (d + 1) / 2.0) * lt, t, X, Y)
-            record("dunkl_small_iii", np.max(dl, -1) + base1 + (gam + (d + 1) / 2.0) * lt, t, X, Y)
-            cross1 = np.max(ylog[..., None, :] + dl[..., :, None], axis=(-2, -1))
-            record("dunkl_small_iv", cross1 + base1 + (gam + d / 2.0 + 1.0) * lt, t, X, Y)
-            refl = [X] + [reflect(alpha, X) for alpha in roots]
-            tau_sum = logsumexp(
-                np.stack([ev.log_gaussian_translate(c / t, Xc, Y) for Xc in refl]), axis=0
-            )
-            dxy = np.log(np.abs(X - Y))
-            record(
-                "reflected_small_i",
-                np.max(dxy, -1) + lk - tau_sum + (gam + d / 2.0 - 0.5) * lt, t, X, Y,
-            )
-            cross2 = np.max(dxy[..., None, :] + dl[..., :, None], axis=(-2, -1))
-            record("reflected_small_ii", cross2 + lk - tau_sum + (gam + d / 2.0) * lt, t, X, Y)
+            scan(t, np.vstack([X0, Xr]), np.vstack([Y0, Yr]), small=True)
         for t in tl:
-            sm = np.sum((X0 - Y0) ** 2, -1)
-            ymax = np.max(np.log(np.abs(Y0)), -1)
-            lk0 = _log_k0(t, X0, Y0)
-            record("classical_large_v", lk0 + d * t + a * sm, t, X0, Y0)
-            record("classical_large_vi", ymax + lk0 + d * t + a * sm, t, X0, Y0)
-            lk = ev.log_heat(t, X0, Y0)
-            tau = ev.log_gaussian_translate(b, X0, Y0)
-            record("dunkl_large_v", lk - tau + (2.0 * gam + d) * t, t, X0, Y0)
-            record("dunkl_large_vi", ymax + lk - tau + (2.0 * gam + d) * t, t, X0, Y0)
+            scan(t, X0, Y0, small=False)
     out = {}
     for name, rows in best.items():
         rows.sort(key=lambda r: -r[0])
         seeds = [(t, x, y) for _, t, x, y in rows[:3]]
         t_bounds = (cfg.fit_t_min / 10.0, 1.0) if "_small_" in name else (1.0, 8.0)
-        polished = _polish_sup(fns[name], seeds, t_bounds, 2.0 * cfg.fit_box)
+        polished = _polish_sup(basis, cfg, LEMMA_RATIOS[name], seeds, t_bounds)
         out[name] = math.exp(max(polished, rows[0][0]))
     return out
 
 
-def check_lemma_bounds(basis: HermiteBasis, cfg: VerifyConfig = DEFAULT_VERIFY) -> CheckResult:
+@_check(z2="closed-form kernels need Z2^d")
+def check_lemma_bounds(basis, cfg, kernel_cfg):
     """All 14 kernel inequalities via the constant-fit stability protocol.
 
     Six classical bounds, six Dunkl bounds with the Gaussian-translation right
     side, two reflected-center-sum bounds; a = b = 1/8, c = 1/16.  Pass means
     every C_fit grows < fit_growth_tol under 2x grid refinement.
     """
-    t0 = time.perf_counter()
-    if basis.rs.axis_kappas() is None:
-        return CheckResult(
-            name="lemma_bounds", status="skip", config=_summary(basis),
-            notes="closed-form kernels need Z2^d", seed=cfg.seed,
-        )
     coarse = _lemma_bound_fits(basis, cfg, 1)
     fine = _lemma_bound_fits(basis, cfg, 2)
     growth = {k: fine[k] / coarse[k] - 1.0 for k in coarse}
@@ -593,29 +557,21 @@ def check_lemma_bounds(basis: HermiteBasis, cfg: VerifyConfig = DEFAULT_VERIFY) 
         g < cfg.fit_growth_tol for g in growth.values()
     )
     return CheckResult(
-        name="lemma_bounds",
         status="pass" if ok else "fail",
-        config={**_summary(basis), "a": cfg.a_const, "b": cfg.b_const, "c": cfg.c_const},
+        config={"a": cfg.a_const, "b": cfg.b_const, "c": cfg.c_const},
         constants={f"C_{k}": v for k, v in fine.items()},
         residuals={f"growth_{k}": g for k, g in growth.items()},
         samples=14,
-        seed=cfg.seed,
-        runtime_ms=1e3 * (time.perf_counter() - t0),
     )
 
 
-def check_kernel_decay(basis: HermiteBasis, cfg: VerifyConfig = DEFAULT_VERIFY, kernel_cfg: KernelConfig = DEFAULT_CONFIG) -> CheckResult:
+@_check(z2_1d="fast vectorized kernel route needs d=1 Z2")
+def check_kernel_decay(basis, cfg, kernel_cfg):
     """|K_j| * (orbit distance)^(2 gamma + d) bounded, stable under refinement.
 
     Log-spaced separations in [0.1, 10] along both orbit directions; also
     reports how many near-orbit requests were refused by the separation floor.
     """
-    t0 = time.perf_counter()
-    if basis.rs.axis_kappas() is None or basis.rs.dim != 1:
-        return CheckResult(
-            name="kernel_decay", status="skip", config=_summary(basis),
-            notes="fast vectorized kernel route needs d=1 Z2", seed=cfg.seed,
-        )
     power = 2.0 * basis.gamma + basis.rs.dim
 
     def cfit(n_sep):
@@ -641,14 +597,11 @@ def check_kernel_decay(basis: HermiteBasis, cfg: VerifyConfig = DEFAULT_VERIFY, 
         floor_refused = True
     ok = np.isfinite(fine) and growth < cfg.fit_growth_tol and floor_refused
     return CheckResult(
-        name="kernel_decay",
         status="pass" if ok else "fail",
-        config={**_summary(basis), "separations": "geomspace(0.1, 10)"},
+        config={"separations": "geomspace(0.1, 10)"},
         constants={"C_decay": fine},
         residuals={"growth": growth, "floor_refused": floor_refused},
         samples=2 * cfg.decay_separations * 2 * len(cfg.decay_base_points),
-        seed=cfg.seed,
-        runtime_ms=1e3 * (time.perf_counter() - t0),
     )
 
 
@@ -684,28 +637,31 @@ def _region_segments(y: float, delta: float, R: float):
     return segs, [e for h in holes for e in h]
 
 
-def _hormander_quad(basis, y, y0, cfg, kernel_cfg, transposed):
-    """Deterministic panel quadrature of int |K(.,y)-K(.,y0)| w dx."""
+def _kernel_difference(basis, y, y0, X, kernel_cfg, transposed):
+    """|K(x, y) - K(x, y0)| w(x) at the nodes X (K(y, x) when transposed)."""
+
+    def K(pole):
+        P = np.array([[pole]])
+        return riesz_kernel_many(basis, 1, *((P, X) if transposed else (X, P)), kernel_cfg)
+
+    return np.abs(K(y) - K(y0)) * weight(basis.rs, X)
+
+
+def hormander_integral(basis, y, y0, cfg, kernel_cfg, transposed):
+    """Deterministic panel quadrature of int |K(.,y)-K(.,y0)| w dx over
+    {min(|x-y|, |x+y|) > 2|y0-y|}, or of the transposed kernel difference.
+
+    Returns the value and the number of quadrature nodes.  d=1 Z2 only.
+    """
     delta = abs(y0 - y)
     R = abs(y) + cfg.horm_radius
     segs, edges = _region_segments(y, delta, R)
-    xg, wg = leggauss(16)
-    nodes, wts = [], []
-    for a, c in segs:
-        brks = _refined_breaks(a, c, edges, max(delta / 4.0, 1e-3))
-        mid = 0.5 * (brks[:-1] + brks[1:])
-        half = 0.5 * (brks[1:] - brks[:-1])
-        nodes.append((mid[:, None] + half[:, None] * xg[None, :]).ravel())
-        wts.append((half[:, None] * wg[None, :]).ravel())
+    nodes, wts = zip(*(
+        panel_nodes(_refined_breaks(a, c, edges, max(delta / 4.0, 1e-3)), 16) for a, c in segs
+    ))
     X = np.concatenate(nodes)[:, None]
     W = np.concatenate(wts)
-    if transposed:
-        K1 = riesz_kernel_many(basis, 1, np.array([[y]]), X, kernel_cfg)
-        K2 = riesz_kernel_many(basis, 1, np.array([[y0]]), X, kernel_cfg)
-    else:
-        K1 = riesz_kernel_many(basis, 1, X, np.array([[y]]), kernel_cfg)
-        K2 = riesz_kernel_many(basis, 1, X, np.array([[y0]]), kernel_cfg)
-    vals = np.abs(K1 - K2) * weight(basis.rs, X)
+    vals = _kernel_difference(basis, y, y0, X, kernel_cfg, transposed)
     return float(np.sum(W * vals)), X.size
 
 
@@ -723,29 +679,17 @@ def _hormander_mc(basis, y, y0, cfg, kernel_cfg, transposed, rng):
     u = rng.random(n)
     if abs(p - 1.0) < 1e-12:
         s = lo * (L / lo) ** u
-        dens = 1.0 / (s * math.log(L / lo))
     else:
         q = 1.0 - p
         s = (lo**q + u * (L**q - lo**q)) ** (1.0 / q)
-        dens = abs(q) / abs(L**q - lo**q) * s ** (-p)
     center = np.where(rng.random(n) < 0.5, y, -y)
     side = np.where(rng.random(n) < 0.5, 1.0, -1.0)
     x = center + side * s
     # mixture density over the two centers (both sides fold into |x -+ y|)
     d1, d2 = np.abs(x - y), np.abs(x + y)
-    pdf = 0.25 * (
-        np.where((d1 >= lo) & (d1 <= L), _pow_density(d1, p, lo, L), 0.0)
-        + np.where((d2 >= lo) & (d2 <= L), _pow_density(d2, p, lo, L), 0.0)
-    )
+    pdf = 0.25 * (_pow_density(d1, p, lo, L) + _pow_density(d2, p, lo, L))
     inside = np.minimum(d1, d2) > lo
-    X = x[:, None]
-    if transposed:
-        K1 = riesz_kernel_many(basis, 1, np.array([[y]]), X, kernel_cfg)
-        K2 = riesz_kernel_many(basis, 1, np.array([[y0]]), X, kernel_cfg)
-    else:
-        K1 = riesz_kernel_many(basis, 1, X, np.array([[y]]), kernel_cfg)
-        K2 = riesz_kernel_many(basis, 1, X, np.array([[y0]]), kernel_cfg)
-    f = np.abs(K1 - K2) * weight(basis.rs, X) * inside
+    f = _kernel_difference(basis, y, y0, x[:, None], kernel_cfg, transposed) * inside
     vals = np.where(pdf > 0, f / np.where(pdf > 0, pdf, 1.0), 0.0)
     est = float(np.mean(vals))
     se = float(np.std(vals, ddof=1) / math.sqrt(n))
@@ -753,13 +697,17 @@ def _hormander_mc(basis, y, y0, cfg, kernel_cfg, transposed, rng):
 
 
 def _pow_density(s, p, lo, L):
+    """Density ~ s^-p normalized on [lo, L], zero outside."""
     if abs(p - 1.0) < 1e-12:
-        return 1.0 / (s * math.log(L / lo))
-    q = 1.0 - p
-    return abs(q) / abs(L**q - lo**q) * s ** (-p)
+        dens = 1.0 / (s * math.log(L / lo))
+    else:
+        q = 1.0 - p
+        dens = abs(q) / abs(L**q - lo**q) * s ** (-p)
+    return np.where((s >= lo) & (s <= L), dens, 0.0)
 
 
-def check_hormander(basis: HermiteBasis, cfg: VerifyConfig = DEFAULT_VERIFY, kernel_cfg: KernelConfig = DEFAULT_CONFIG) -> CheckResult:
+@_check(z2_1d="needs d=1 Z2")
+def check_hormander(basis, cfg, kernel_cfg):
     """Hormander-type conditions for K_j and its transpose.
 
     For each separation delta the integral over {min_g |g.x - y| > 2 delta}
@@ -772,12 +720,6 @@ def check_hormander(basis: HermiteBasis, cfg: VerifyConfig = DEFAULT_VERIFY, ker
     moderate delta the integrals are still climbing toward their supremum
     and the slope criterion is meaningless.
     """
-    t0 = time.perf_counter()
-    if basis.rs.axis_kappas() is None or basis.rs.dim != 1:
-        return CheckResult(
-            name="hormander", status="skip", config=_summary(basis),
-            notes="needs d=1 Z2", seed=cfg.seed,
-        )
     rng = np.random.default_rng([cfg.seed, 3])
     y = cfg.horm_y_base
     deltas = np.asarray(cfg.horm_separations, dtype=float)
@@ -787,7 +729,7 @@ def check_hormander(basis: HermiteBasis, cfg: VerifyConfig = DEFAULT_VERIFY, ker
     npts = 0
     for transposed, label in ((False, "direct"), (True, "transposed")):
         for delta in deltas:
-            I, used = _hormander_quad(basis, y, y + delta, cfg, kernel_cfg, transposed)
+            I, used = hormander_integral(basis, y, y + delta, cfg, kernel_cfg, transposed)
             est, se = _hormander_mc(basis, y, y + delta, cfg, kernel_cfg, transposed, rng)
             if se > cfg.horm_se_frac * est:
                 se_ok = False
@@ -804,9 +746,8 @@ def check_hormander(basis: HermiteBasis, cfg: VerifyConfig = DEFAULT_VERIFY, ker
         slopes[label] = slope
     ok = se_ok and mc_consistent and all(s <= cfg.horm_slope_tol for s in slopes.values())
     return CheckResult(
-        name="hormander",
         status="pass" if ok else "fail",
-        config={**_summary(basis), "separations": deltas.tolist(), "y": y},
+        config={"separations": deltas.tolist(), "y": y},
         constants={
             "slope_direct": slopes["direct"],
             "slope_transposed": slopes["transposed"],
@@ -820,8 +761,6 @@ def check_hormander(basis: HermiteBasis, cfg: VerifyConfig = DEFAULT_VERIFY, ker
             "table_transposed": [list(r) for r in rows["transposed"]],
         },
         samples=npts,
-        seed=cfg.seed,
-        runtime_ms=1e3 * (time.perf_counter() - t0),
     )
 
 
@@ -829,10 +768,10 @@ def check_hormander(basis: HermiteBasis, cfg: VerifyConfig = DEFAULT_VERIFY, ker
 # operator checks
 
 
-def check_riesz_l2(basis: HermiteBasis, cfg: VerifyConfig = DEFAULT_VERIFY) -> CheckResult:
+@_check()
+def check_riesz_l2(basis, cfg, kernel_cfg):
     """Riesz transform L2 package: norm <= sqrt(2), adjointness, and the
     two-term inequality |R v|^2 + |R* v|^2 <= 2 |v|^2 on safe shells."""
-    t0 = time.perf_counter()
     d = basis.rs.dim
     safe = basis.N - 1
     worst_norm = 0.0
@@ -865,14 +804,10 @@ def check_riesz_l2(basis: HermiteBasis, cfg: VerifyConfig = DEFAULT_VERIFY) -> C
         and worst_pair <= 2.0 + cfg.riesz_norm_tol
     )
     return CheckResult(
-        name="riesz_l2",
         status="pass" if ok else "fail",
-        config=_summary(basis),
         constants={"max_norm": worst_norm, "max_pair_sum": worst_pair},
         residuals={"adjoint_residual": worst_adj},
         samples=d * cfg.norm_vectors,
-        seed=cfg.seed,
-        runtime_ms=1e3 * (time.perf_counter() - t0),
     )
 
 
@@ -884,7 +819,17 @@ def _bump(y, lo, hi):
     return out
 
 
-def check_integral_representation(basis: HermiteBasis, cfg: VerifyConfig = DEFAULT_VERIFY, kernel_cfg: KernelConfig = DEFAULT_CONFIG) -> CheckResult:
+def _riesz_1d(kap, coeffs):
+    """Rank-one Riesz transform on Hermite coefficients f_0..f_n: entry n-1 of
+    the result is lambda_n^(-1/2) sqrt(2(n + 2 kappa [n odd])) f_n."""
+    n = np.arange(len(coeffs))
+    ladder = np.sqrt(2.0 * (n + 2.0 * kap * (n % 2)))
+    lam = 2.0 * n + 2.0 * kap + 1.0
+    return lam[1:] ** -0.5 * coeffs[1:] * ladder[1:]
+
+
+@_check(z2_1d="needs d=1 Z2")
+def check_integral_representation(basis, cfg, kernel_cfg):
     """Spectral route vs kernel quadrature for a bump supported off the orbit.
 
     d=1 Z2 only.  The spectral route uses the per-degree ladder action (the
@@ -895,35 +840,23 @@ def check_integral_representation(basis: HermiteBasis, cfg: VerifyConfig = DEFAU
     far beyond any polynomial-basis truncation.  Also reports the agreement
     at the basis truncation for reference.
     """
-    t0 = time.perf_counter()
-    kappas = basis.rs.axis_kappas()
-    if kappas is None or basis.rs.dim != 1:
-        return CheckResult(
-            name="integral_representation", status="skip", config=_summary(basis),
-            notes="needs d=1 Z2", seed=cfg.seed,
-        )
-    kap = float(kappas[0])
+    kap = float(z2_evaluator(basis).kappas[0])
     lo, hi = cfg.io_support
     for x in cfg.io_points:
         if min(abs(x - lo), abs(x + hi)) < 1e-12 or (lo <= abs(x) <= hi):
             raise SupportOverlap(f"orbit of x={x} meets supp f = [{lo}, {hi}]")
-    xg, wg = leggauss(cfg.io_quad_points)
-    yq = 0.5 * (lo + hi) + 0.5 * (hi - lo) * xg
-    wq = 0.5 * (hi - lo) * wg
+    yq, wq = panel_nodes([lo, hi], cfg.io_quad_points)
     wk = weight(basis.rs, yq[:, None])
     fv = _bump(yq, lo, hi)
     NMAX = cfg.io_degree
     hv = hermite_functions_1d(kap, NMAX, yq)
-    coeffs = hv @ (wq * fv * wk)
-    n_arr = np.arange(NMAX + 1)
-    ladder = np.sqrt(2.0 * (n_arr + 2.0 * kap * (n_arr % 2)))
-    lam = 2.0 * n_arr + 2.0 * kap + 1.0
+    Rf = _riesz_1d(kap, hv @ (wq * fv * wk))
     worst = 0.0
     worst_at_basis_n = 0.0
     per_point = {}
     for x in cfg.io_points:
         hx = hermite_functions_1d(kap, NMAX, np.array([x]))[:, 0]
-        terms = lam[1:] ** -0.5 * coeffs[1:] * ladder[1:] * hx[:-1]
+        terms = Rf * hx[:-1]
         spectral = float(np.sum(terms))
         spectral_basis = float(np.sum(terms[: basis.N]))
         Kv = riesz_kernel_many(basis, 1, np.array([[x]]), yq[:, None], kernel_cfg)
@@ -940,46 +873,33 @@ def check_integral_representation(basis: HermiteBasis, cfg: VerifyConfig = DEFAU
         }
     ok = worst < cfg.io_tol
     return CheckResult(
-        name="integral_representation",
         status="pass" if ok else "fail",
-        config={**_summary(basis), "io_degree": NMAX, "points": list(cfg.io_points)},
+        config={"io_degree": NMAX, "points": list(cfg.io_points)},
         residuals={
             "max_rel_err": worst,
             "rel_err_at_basis_truncation": worst_at_basis_n,
             **per_point,
         },
         samples=len(cfg.io_points),
-        seed=cfg.seed,
-        runtime_ms=1e3 * (time.perf_counter() - t0),
     )
 
 
-def check_lp_empirical(basis: HermiteBasis, cfg: VerifyConfig = DEFAULT_VERIFY) -> CheckResult:
+@_check(z2_1d="needs d=1 Z2")
+def check_lp_empirical(basis, cfg, kernel_cfg):
     """SOFT EVIDENCE for Lp boundedness: |R f|_p / |f|_p over random
     band-limited f.  Not a proof and explicitly labeled as such; at p = 2 the
     max ratio must respect the sqrt(2) bound up to quadrature slack."""
-    t0 = time.perf_counter()
-    kappas = basis.rs.axis_kappas()
-    if kappas is None or basis.rs.dim != 1:
-        return CheckResult(
-            name="lp_empirical", status="skip", config=_summary(basis),
-            notes="needs d=1 Z2", seed=cfg.seed,
-        )
-    kap = float(kappas[0])
+    kap = float(z2_evaluator(basis).kappas[0])
     deg = min(cfg.lp_degree, basis.N - 1)
     rng = np.random.default_rng([cfg.seed, 5])
     xs = np.linspace(-cfg.lp_grid_half_width, cfg.lp_grid_half_width, cfg.lp_grid_points)
     wk = weight(basis.rs, xs[:, None])
     hv = hermite_functions_1d(kap, deg + 1, xs)
-    n_arr = np.arange(deg + 1)
-    ladder = np.sqrt(2.0 * (n_arr + 2.0 * kap * (n_arr % 2)))
-    lam = 2.0 * n_arr + 2.0 * kap + 1.0
     ratios = {p: [] for p in cfg.lp_exponents}
     for _ in range(cfg.lp_samples):
         v = rng.normal(size=deg + 1)
         f = v @ hv[: deg + 1]
-        rv = lam[1:] ** -0.5 * v[1:] * ladder[1:]
-        Rf = rv @ hv[: deg]
+        Rf = _riesz_1d(kap, v) @ hv[: deg]
         for p in cfg.lp_exponents:
             nf = np.trapezoid(np.abs(f) ** p * wk, xs) ** (1.0 / p)
             nrf = np.trapezoid(np.abs(Rf) ** p * wk, xs) ** (1.0 / p)
@@ -995,13 +915,10 @@ def check_lp_empirical(basis: HermiteBasis, cfg: VerifyConfig = DEFAULT_VERIFY) 
     if stats["p=2.0_max"] > math.sqrt(2.0) + cfg.lp_p2_slack:
         ok = False
     return CheckResult(
-        name="lp_empirical",
         status="pass" if ok else "fail",
-        config={**_summary(basis), "exponents": list(cfg.lp_exponents), "degree": deg},
+        config={"exponents": list(cfg.lp_exponents), "degree": deg},
         constants=stats,
         samples=cfg.lp_samples * len(cfg.lp_exponents),
-        seed=cfg.seed,
-        runtime_ms=1e3 * (time.perf_counter() - t0),
         notes="SOFT EVIDENCE: Lp boundedness is not numerically provable",
     )
 
@@ -1032,13 +949,7 @@ def run_checks(
     unknown = [n for n in names if n not in ALL_CHECKS]
     if unknown:
         raise ValueError(f"unknown checks: {unknown}")
-    results = []
-    for name in names:
-        fn = ALL_CHECKS[name]
-        if name in ("kernel_decay", "hormander", "integral_representation"):
-            results.append(fn(basis, cfg, kernel_cfg))
-        else:
-            results.append(fn(basis, cfg))
+    results = [ALL_CHECKS[name](basis, cfg, kernel_cfg) for name in names]
     return VerificationReport(
         checks=results,
         config={**_summary(basis), "seed": cfg.seed, "checks": names},

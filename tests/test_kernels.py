@@ -11,7 +11,6 @@ from dunklriesz.kernels import (
     SeriesNonConvergence,
     TruncationTooCoarse,
     WrongGroup,
-    Z2Evaluator,
     dlog_dunkl_kernel_1d,
     dunkl_kernel,
     dunkl_kernel_1d,
@@ -24,6 +23,7 @@ from dunklriesz.kernels import (
     log_dunkl_kernel_1d,
     riesz_kernel,
     riesz_kernel_many,
+    z2_evaluator,
 )
 from dunklriesz.reflection import min_orbit_distance, root_system
 
@@ -303,7 +303,7 @@ def test_riesz_coarse_quadrature_oracle(z2_half_basis8):
     adaptive quadrature of the same integrand (different substitution)."""
     from scipy.integrate import quad
 
-    ev = Z2Evaluator.from_basis(z2_half_basis8)
+    ev = z2_evaluator(z2_half_basis8)
     x, y = np.array([1.0]), np.array([2.5])
 
     def integrand(t):

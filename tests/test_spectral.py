@@ -7,8 +7,10 @@ from hypothesis import given, settings, strategies as st
 
 from dunklriesz.hermite import build_basis
 from dunklriesz.kernels import heat_kernel
+from dunklriesz.qfield import Surd
 from dunklriesz.reflection import root_system, weight
 from dunklriesz.spectral import (
+    AdjointMismatch,
     OperatorMatrix,
     OrderTooSmall,
     SpectralVector,
@@ -199,6 +201,16 @@ def test_adjointness(z2_half_basis8):
     rows = [i for i, n in enumerate(z2_half_basis8.indices) if sum(n) <= z2_half_basis8.N - 1]
     assert np.max(np.abs(D.values - Dr.values.T)[rows, :]) < 1e-13
     assert exact_adjoint_residual(z2_half_basis8, 1) > 0
+
+
+def test_exact_adjoint_mismatch_raises(z2_half):
+    b = build_basis(z2_half, 3)
+    b.psi_exact[1] = b.psi_exact[1].scale(Surd.of(2))
+    with pytest.raises(AdjointMismatch) as info:
+        exact_adjoint_residual(b, 1)
+    err = info.value
+    assert (err.m, err.n) == ((0,), (1,))
+    assert err.S_raise == err.S_low * Surd.of(2)
 
 
 def test_oscillator_reconstruction(z2_half_basis8):

@@ -10,6 +10,8 @@ from dunklriesz.hermite import build_basis
 from dunklriesz.reflection import root_system
 from dunklriesz.verify import (
     ALL_CHECKS,
+    LEMMA_RATIOS,
+    LemmaPieces,
     VerifyConfig,
     check_eigen,
     check_heat,
@@ -49,9 +51,60 @@ def test_check_eigen_float_mode():
     assert 0 <= r.residuals["max_residual"] < 1e-10
 
 
-def test_check_mehler_skip_non_z2(a2_one):
-    r = check_mehler(build_basis(a2_one, 2), FAST)
+@pytest.fixture(scope="module")
+def a2_basis2(a2_one):
+    return build_basis(a2_one, 2)
+
+
+# the structural skips on a group that is not Z2^d, with each check's note
+A2_SKIP_NOTES = {
+    "mehler": "independent evaluator needs Z2^d",
+    "heat": "series oracle needs Z2^d",
+    "lemma_bounds": "closed-form kernels need Z2^d",
+    "kernel_decay": "fast vectorized kernel route needs d=1 Z2",
+    "hormander": "needs d=1 Z2",
+    "integral_representation": "needs d=1 Z2",
+    "lp_empirical": "needs d=1 Z2",
+}
+
+
+@pytest.mark.parametrize("name", list(A2_SKIP_NOTES))
+def test_check_skip_non_z2(a2_basis2, name):
+    r = ALL_CHECKS[name](a2_basis2, FAST)
     assert r.status == "skip"
+    assert r.notes == A2_SKIP_NOTES[name]
+    assert r.seed == FAST.seed
+    assert r.config == {"group": "a2", "dim": 2, "kappa": [1.0, 1.0, 1.0],
+                        "degree": 2, "exact": True}
+
+
+def test_check_mehler_skip_below_degree_12(z2_half_basis8):
+    r = check_mehler(z2_half_basis8, FAST)
+    assert (r.status, r.notes) == ("skip", "truncation below the N >= 12 contract")
+
+
+@pytest.fixture(scope="module")
+def lemma_points(z2_half_basis8, z2sq_ones):
+    rng = np.random.default_rng(7)
+    out = []
+    for basis in (z2_half_basis8, build_basis(z2sq_ones, 2)):
+        d = basis.rs.dim
+        out.append((basis, rng.uniform(-2.0, 2.0, (16, d)), rng.uniform(-2.0, 2.0, (16, d))))
+    return out
+
+
+@pytest.mark.parametrize("name", list(LEMMA_RATIOS))
+def test_lemma_ratio_shared_pieces_match_fresh(lemma_points, name):
+    """A pieces object that already served the other 13 ratios gives the
+    same value, bit for bit, as a fresh one."""
+    t = 0.3 if "_small_" in name else 2.0
+    for basis, X, Y in lemma_points:
+        shared = LemmaPieces(basis, FAST, t, X, Y)
+        for other, ratio in LEMMA_RATIOS.items():
+            if other != name:
+                ratio(shared)
+        fresh = LemmaPieces(basis, FAST, t, X, Y)
+        np.testing.assert_array_equal(LEMMA_RATIOS[name](shared), LEMMA_RATIOS[name](fresh))
 
 
 def test_check_mehler_n12_fails_at_half(z2_half):
