@@ -1,8 +1,9 @@
 """Command-line front end: build/cache bases, evaluate kernels on point
 files, and run verification suites.
 
-Exit codes: 0 success, 1 at least one check failed, 2 configuration or I/O
-error.  Reports are deterministic given (config, seed); see VerifyConfig.
+Exit codes: 0 success, 1 at least one check failed, 2 configuration, I/O or
+typed numerical error (e.g. a Mehler truncation too coarse for its tail).
+Reports are deterministic given (config, seed); see VerifyConfig.
 """
 
 from __future__ import annotations
@@ -27,10 +28,13 @@ from .kernels import (
     DEFAULT_CONFIG,
     KernelConfig,
     OrbitTooClose,
+    SeriesNonConvergence,
+    TruncationTooCoarse,
     dunkl_kernel,
     heat_kernel,
     riesz_kernel,
 )
+from .polyalg import NonzeroRemainder
 from .reflection import InvalidRootSystem, root_system
 from .verify import DEFAULT_VERIFY, ALL_CHECKS, VerifyConfig, run_checks
 
@@ -154,13 +158,14 @@ def _cache_key(cfg) -> str:
 def _get_basis(cfg, basis_file=None):
     if basis_file:
         return hermite.load_basis(basis_file)
-    cache_dir = cfg.get("cache_dir")
+    rs = _build_root_system(cfg)
+    exact = {"auto": rs.exact_capable, "exact": True, "float": False}[cfg.get("arithmetic", "auto")]
+    # a basis file holds float coefficients only, so only float builds are cached
+    cache_dir = None if exact else cfg.get("cache_dir")
     if cache_dir:
         path = os.path.join(cache_dir, f"basis-{_cache_key(cfg)}.json")
         if os.path.exists(path):
             return hermite.load_basis(path)
-    rs = _build_root_system(cfg)
-    exact = {"auto": None, "exact": True, "float": False}[cfg.get("arithmetic", "auto")]
     basis = hermite.build_basis(rs, cfg["degree"], exact=exact)
     if cache_dir:
         os.makedirs(cache_dir, exist_ok=True)
@@ -310,7 +315,17 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.fn(args)
-    except (ConfigError, InvalidRootSystem, hermite.BasisChecksum) as exc:
+    except (
+        ConfigError,
+        InvalidRootSystem,
+        hermite.BasisChecksum,
+        # a numerical route the configuration asked for cannot deliver
+        NonzeroRemainder,
+        TruncationTooCoarse,
+        hermite.QuadratureNonConvergence,
+        hermite.GramSingular,
+        SeriesNonConvergence,
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

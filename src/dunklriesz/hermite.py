@@ -21,6 +21,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -468,8 +469,16 @@ def _poly_from_dict(dim: int, d: dict) -> Polynomial:
 
 
 def save_basis(basis: HermiteBasis, path: str):
-    with open(path, "w") as fh:
-        json.dump(basis_to_dict(basis), fh, sort_keys=True, indent=1)
+    """Write the basis file through a temporary file in the same directory,
+    so a concurrent reader sees the old file or the whole new one."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w") as fh:
+            json.dump(basis_to_dict(basis), fh, sort_keys=True, indent=1)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 def load_basis(path: str) -> HermiteBasis:

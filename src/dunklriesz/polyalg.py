@@ -6,9 +6,11 @@ typed: qfield.Surd in exact mode, floats otherwise.  The Dunkl operator
     T_j p = d p/dx_j + sum_{alpha in R+} kappa(alpha) alpha_j
             (p - p o sigma_alpha) / <x, alpha>
 
-is implemented with exact division of the numerator by the linear form
-<x, alpha> (the numerator vanishes on the mirror, so the division is exact;
-a nonzero remainder signals a bug, never valid input).
+is linear, so it is applied monomial by monomial: each divided difference
+(x^e - x^e o sigma_alpha) / <x, alpha> is an exact division of the numerator
+by the linear form <x, alpha> (the numerator vanishes on the mirror; a
+nonzero remainder signals a bug, never valid input), made once per monomial
+and root.
 """
 
 from __future__ import annotations
@@ -298,8 +300,10 @@ def _invert(c, exact: bool):
 class DunklAlgebra:
     """Dunkl operator calculus bound to one root system.
 
-    Caches reflection pullbacks of monomials per root, which dominates the
-    cost of repeated T_j applications on graded bases.
+    T_j is linear, so it is applied as the sparse sum of its values on the
+    monomials of p.  Each monomial's divided difference D_i(x^e) is computed
+    once per root and T_j(x^e) once per axis; repeated T_j applications on
+    graded bases then cost only coefficient arithmetic.
     """
 
     def __init__(self, rs: RootSystem, exact: bool | None = None):
@@ -307,7 +311,8 @@ class DunklAlgebra:
             exact = rs.exact_capable
         if exact and not rs.exact_capable:
             raise ValueError("root system has no exact coordinates/multiplicities")
-        self.rs = rs
+        # no reference back to rs: get_algebra stores this object in rs._cache,
+        # and a cycle would keep both caches alive until a full gc pass
         self.exact = exact
         self.dim = rs.dim
         if exact:
@@ -320,7 +325,8 @@ class DunklAlgebra:
             self.kappas = [float(k) for k in rs.multiplicity]
             self.sigmas = [tuple(tuple(row) for row in reflection_matrix(a)) for a in rs.positive_roots]
             self.one = 1.0
-        self._pullback_cache: list[dict] = [dict() for _ in self.alphas]
+        self._divided: list[dict] = [dict() for _ in self.alphas]  # root i: e -> D_i(x^e)
+        self._dunkl_mono: list[dict] = [dict() for _ in range(self.dim)]  # axis j-1: e -> T_j(x^e)
 
     # -- constructors in the right coefficient ring -------------------------
 
@@ -340,32 +346,45 @@ class DunklAlgebra:
 
     # -- operators -----------------------------------------------------------
 
-    def reflect_pullback(self, i: int, p: Polynomial) -> Polynomial:
-        """p o sigma_{alpha_i}, with per-monomial caching."""
-        cache = self._pullback_cache[i]
-        rows = self.sigmas[i]
-        out = Polynomial.zero(self.dim)
-        for e, c in p.terms.items():
-            if e not in cache:
-                cache[e] = Polynomial.monomial(e, self.one).compose_linear(rows)
-            out = out + cache[e].scale(c)
-        return out
+    def _divided_monomial(self, i: int, e: tuple) -> Polynomial:
+        """D_i(x^e) = (x^e - x^e o sigma_i) / <x, alpha_i>, computed once.
+
+        The float remainder test of divide_linear is thus taken against a
+        monomial's own numerator, not against that of a whole polynomial,
+        which is pure rounding noise when the polynomial is sigma-symmetric.
+        """
+        cache = self._divided[i]
+        if e not in cache:
+            mono = Polynomial.monomial(e, self.one)
+            num = mono - mono.compose_linear(self.sigmas[i])
+            cache[e] = num if num.is_zero() else divide_linear(num, self.alphas[i], self.exact)
+        return cache[e]
+
+    def _dunkl_monomial(self, j: int, e: tuple) -> Polynomial:
+        """T_j(x^e) = d x^e / dx_j + sum_i kappa_i alpha_ij D_i(x^e), computed once."""
+        cache = self._dunkl_mono[j - 1]
+        if e not in cache:
+            out = Polynomial.monomial(e, self.one).partial_derivative(j)
+            for i, alpha in enumerate(self.alphas):
+                aj = alpha[j - 1]
+                if _is_zero(aj) or _is_zero(self.kappas[i]):
+                    continue
+                out = out + self._divided_monomial(i, e).scale(self.kappas[i] * aj)
+            cache[e] = out
+        return cache[e]
 
     def divided_difference(self, p: Polynomial, i: int) -> Polynomial:
-        """(p - p o sigma_alpha) / <x, alpha> for positive root i; exact."""
-        num = p - self.reflect_pullback(i, p)
-        if num.is_zero():
-            return num
-        return divide_linear(num, self.alphas[i], self.exact)
+        """(p - p o sigma_alpha) / <x, alpha> for positive root i."""
+        out = Polynomial.zero(self.dim)
+        for e, c in p.terms.items():
+            out = out + self._divided_monomial(i, e).scale(c)
+        return out
 
     def dunkl(self, j: int, p: Polynomial) -> Polynomial:
         """T_j p (1-based axis j); degree-lowering on homogeneous input."""
-        out = p.partial_derivative(j)
-        for i, alpha in enumerate(self.alphas):
-            aj = alpha[j - 1]
-            if _is_zero(aj) or _is_zero(self.kappas[i]):
-                continue
-            out = out + self.divided_difference(p, i).scale(self.kappas[i] * aj)
+        out = Polynomial.zero(self.dim)
+        for e, c in p.terms.items():
+            out = out + self._dunkl_monomial(j, e).scale(c)
         return out
 
     def laplacian(self, p: Polynomial) -> Polynomial:

@@ -112,6 +112,14 @@ class Surd:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
+        # a rational factor only scales the other's coefficients; this gives
+        # the same terms, in the same order, as the general product below
+        if len(other.terms) == 1 and 1 in other.terms:
+            r = other.terms[1]
+            return Surd({m: c * r for m, c in self.terms.items()})
+        if len(self.terms) == 1 and 1 in self.terms:
+            r = self.terms[1]
+            return Surd({m: r * c for m, c in other.terms.items()})
         terms: dict = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():

@@ -100,7 +100,19 @@ class RootSystem:
         return self._group
 
     def axis_kappas(self):
-        """Per-axis multiplicities when this is a Z2^d system, else None."""
+        """Per-axis multiplicities when this is a Z2^d system, else None.
+
+        Detected once per system; the array is read-only because every
+        caller shares it.
+        """
+        if "axis_kappas" not in self._cache:
+            kappas = self._detect_axis_kappas()
+            if kappas is not None:
+                kappas.flags.writeable = False
+            self._cache["axis_kappas"] = kappas
+        return self._cache["axis_kappas"]
+
+    def _detect_axis_kappas(self):
         if self.num_roots != self.dim:
             return None
         kappas = np.zeros(self.dim)

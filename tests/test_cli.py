@@ -155,7 +155,7 @@ def test_config_root_system_block_explicit(tmp_path):
 
 def test_basis_cache_round_trip(tmp_path):
     cfg = {"group": "z2", "kappa": 1.0, "degree": 6, "cache_dir": "cache",
-           "checks": ["eigen"]}
+           "arithmetic": "float", "checks": ["eigen"]}
     (tmp_path / "cfg.json").write_text(json.dumps(cfg))
     assert run(["verify", "--config", "cfg.json", "--out", "r1"], tmp_path) == 0
     cached = os.listdir(tmp_path / "cache")
@@ -176,3 +176,37 @@ def test_reports_reproducible(tmp_path):
             c.pop("runtime_ms")
         return rep
     assert strip(a) == strip(b)
+
+
+def test_basis_float_only_group_i2_5(tmp_path, capsys):
+    code = run(["basis", "--group", "i2(5)", "--kappa", "1", "--degree", "6",
+                "--out", "b.json"], tmp_path)
+    assert code == 0
+    assert "arithmetic=float" in capsys.readouterr().out
+
+
+def test_cache_hit_keeps_exact_report(tmp_path):
+    """Exact builds bypass the float-only basis cache, so a second run reports
+    the same exact result instead of a float basis read back from disk."""
+    cfg = {"group": "a2", "kappa": 1, "degree": 6, "cache_dir": "cache",
+           "checks": ["eigen", "riesz_l2"]}
+    (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+    reports = []
+    for out in ("r1", "r2"):
+        assert run(["verify", "--config", "cfg.json", "--out", out], tmp_path) == 0
+        rep = json.loads((tmp_path / f"{out}.json").read_text())
+        for c in rep["checks"]:
+            c.pop("runtime_ms")
+        reports.append(json.dumps(rep, sort_keys=True))
+    assert reports[0] == reports[1]
+    assert json.loads(reports[1])["config"]["exact"] is True
+
+
+def test_numerical_error_exits_2(tmp_path, capsys):
+    # the default Mehler r cap of 0.5 cannot meet the 1e-6 tail at N = 8
+    (tmp_path / "pts.csv").write_text("0.3,0.2,0.1,-0.4\n")
+    code = run(["eval", "--group", "a2", "--kappa", "1", "--degree", "8",
+                "--what", "dunkl-kernel", "--points", "pts.csv", "--out", "dk.csv"], tmp_path)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err

@@ -206,3 +206,26 @@ def test_float_mode_basis_i2_5():
         resid = alg.conjugated_oscillator(b.H[i]) - b.H[i].scale(2 * sum(n) + 2 * b.gamma + 2)
         worst = max((abs(c) for c in resid.terms.values()), default=0.0)
         assert worst < 1e-10
+
+
+@pytest.mark.parametrize("group,kappa", [
+    ("z2", Fraction(1, 2)),
+    ("z2^2", [1, 1]),
+    ("z2^3", [Fraction(1, 2), 1, 2]),
+    ("a2", 1),
+    ("b2", [1, 2]),
+    ("i2(3)", Fraction(1, 2)),
+    ("i2(4)", [Fraction(1, 2), 2]),
+    ("i2(6)", [1, 1]),
+])
+def test_float_basis_matches_exact(group, kappa):
+    """Every catalogue group with exact coordinates builds in float arithmetic
+    too, and its H_n agree with the exact ones to 1e-12 relative."""
+    rs = root_system(group, multiplicity=kappa)
+    exact = build_basis(rs, 8, exact=True)
+    flt = build_basis(rs, 8, exact=False)
+    assert exact.indices == flt.indices
+    for he, hf in zip(exact.H, flt.H):
+        scale = max(abs(c) for c in he.terms.values())
+        diff = max(abs(he.terms.get(e, 0.0) - hf.terms.get(e, 0.0)) for e in set(he.terms) | set(hf.terms))
+        assert diff <= 1e-12 * scale

@@ -205,3 +205,61 @@ def test_float_mode_matches_exact():
     out_f = alg_f.conjugated_oscillator(p_f)
     for e, c in out_e.terms.items():
         assert out_f.terms[e] == pytest.approx(float(c), rel=1e-12)
+
+
+EXACT_CATALOGUE = [
+    ("z2", Fraction(1, 2)),
+    ("z2^2", [1, Fraction(3, 2)]),
+    ("z2^3", [Fraction(1, 2), 1, 2]),
+    ("a2", 1),
+    ("b2", [1, 2]),
+    ("i2(3)", Fraction(1, 2)),
+    ("i2(4)", [Fraction(1, 2), 2]),
+    ("i2(6)", [1, Fraction(1, 3)]),
+]
+
+
+def _random_poly(alg, rng, max_degree=8, n_terms=6):
+    terms = {}
+    for _ in range(n_terms):
+        deg = int(rng.integers(0, max_degree + 1))
+        cuts = np.sort(rng.integers(0, deg + 1, alg.dim - 1))
+        e = tuple(int(v) for v in np.diff(np.concatenate([[0], cuts, [deg]])))
+        terms[e] = Fraction(int(rng.integers(-9, 10)), int(rng.integers(1, 5)))
+    return Polynomial(alg.dim, {e: Surd.of(c) for e, c in terms.items() if c})
+
+
+def _dunkl_uncached(alg, j, p):
+    """T_j p by dividing the whole numerator p - p o sigma_i for each root."""
+    out = p.partial_derivative(j)
+    for alpha, kappa, sigma in zip(alg.alphas, alg.kappas, alg.sigmas):
+        num = p - p.compose_linear(sigma)
+        if num.is_zero() or not kappa or not alpha[j - 1]:
+            continue
+        out = out + divide_linear(num, alpha, exact=True).scale(kappa * alpha[j - 1])
+    return out
+
+
+@pytest.mark.parametrize("group,kappa", EXACT_CATALOGUE)
+def test_cached_dunkl_matches_whole_polynomial_division(group, kappa):
+    rs = root_system(group, multiplicity=kappa)
+    alg = get_algebra(rs, exact=True)
+    rng = np.random.default_rng(2012)
+    for _ in range(4):
+        p = _random_poly(alg, rng)
+        for j in range(1, rs.dim + 1):
+            assert alg.dunkl(j, p) == _dunkl_uncached(alg, j, p)
+
+
+def test_exact_and_float_algebras_keep_separate_caches():
+    rs = root_system("a2", multiplicity=1)
+    alg_e = get_algebra(rs, exact=True)
+    alg_f = get_algebra(rs, exact=False)
+    assert alg_e is not alg_f and get_algebra(rs) is alg_e
+    p = alg_e.monomial((3, 1))
+    out_e = alg_e.dunkl(1, p)
+    out_f = alg_f.dunkl(1, p.to_float())
+    assert all(isinstance(c, Surd) for c in out_e.terms.values())
+    assert all(isinstance(c, float) for c in out_f.terms.values())
+    for e, c in out_e.terms.items():
+        assert out_f.terms[e] == pytest.approx(float(c), rel=1e-13)

@@ -58,3 +58,26 @@ def test_ring_axioms(x, y, z):
 def test_division_round_trip(x):
     if x:
         assert (x * x) / x == x
+
+
+def _mul_reference(x, y):
+    """The general term-by-term product, without the rational-factor path."""
+    terms = {}
+    for m1, c1 in x.terms.items():
+        for m2, c2 in y.terms.items():
+            g = math.gcd(m1, m2)
+            key = (m1 // g) * (m2 // g)
+            c3 = terms.get(key, 0) + c1 * c2 * g
+            if c3:
+                terms[key] = c3
+            else:
+                terms.pop(key, None)
+    return terms
+
+
+@given(surds(), rationals)
+def test_rational_factor_product_matches_reference(x, r):
+    """Same coefficients in the same key order, which float(Surd) sums in."""
+    q = Surd.of(r)
+    assert list((x * q).terms.items()) == list(_mul_reference(x, q).items())
+    assert list((q * x).terms.items()) == list(_mul_reference(q, x).items())

@@ -188,3 +188,12 @@ def test_group_cap():
     rs = root_system("i2(6)", multiplicity=1)
     with pytest.raises(NonClosedSystem):
         generate_group(rs, cap=5)
+
+
+def test_axis_kappas_detected_once():
+    rs = root_system("z2^2", multiplicity=[0.5, 2.0])
+    k = rs.axis_kappas()
+    assert k.tolist() == [0.5, 2.0] and rs.axis_kappas() is k
+    with pytest.raises(ValueError):
+        k[0] = 1.0
+    assert root_system("a2", multiplicity=1).axis_kappas() is None
