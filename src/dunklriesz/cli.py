@@ -34,7 +34,7 @@ from .kernels import (
     heat_kernel,
     riesz_kernel,
 )
-from .polyalg import NonzeroRemainder
+from .polyalg import NoExactCoordinates, NonzeroRemainder
 from .reflection import InvalidRootSystem, root_system
 from .verify import DEFAULT_VERIFY, ALL_CHECKS, VerifyConfig, run_checks
 
@@ -279,7 +279,7 @@ def cmd_verify(args) -> int:
     return 0 if report.all_passed else 1
 
 
-def main(argv=None) -> int:
+def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="dunklriesz",
         description="Dunkl-Hermite spectral systems, heat kernels, and Riesz "
@@ -297,29 +297,37 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("basis", help="build and serialize a Hermite basis")
     common(p)
-    p.set_defaults(fn=cmd_basis)
 
     p = sub.add_parser("eval", help="evaluate kernels on a CSV of points")
     common(p)
     p.add_argument("--what", required=True, choices=["dunkl-kernel", "heat-kernel", "riesz-kernel"])
     p.add_argument("--points", required=True, help="CSV of point tuples")
     p.add_argument("--basis-file", help="use a serialized basis instead of building")
-    p.set_defaults(fn=cmd_eval)
 
     p = sub.add_parser("verify", help="run verification checks and write reports")
     common(p)
     p.add_argument("--checks", help="comma-separated check names (default: all)")
     p.add_argument("--basis-file", help="use a serialized basis instead of building")
-    p.set_defaults(fn=cmd_verify)
+    return ap
 
-    args = ap.parse_args(argv)
+
+# built once: argparse objects reference each other, so a parser per call
+# would leave cyclic garbage behind every in-process main()
+_PARSER = _build_parser()
+
+
+def main(argv=None) -> int:
+    args = _PARSER.parse_args(argv)
+    # looked up on each call, so a wrapper bound over a cmd_* name takes effect
+    command = {"basis": cmd_basis, "eval": cmd_eval, "verify": cmd_verify}[args.command]
     try:
-        return args.fn(args)
+        return command(args)
     except (
         ConfigError,
         InvalidRootSystem,
         hermite.BasisChecksum,
         # a numerical route the configuration asked for cannot deliver
+        NoExactCoordinates,
         NonzeroRemainder,
         TruncationTooCoarse,
         hermite.QuadratureNonConvergence,

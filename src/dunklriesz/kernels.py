@@ -9,10 +9,13 @@ Evaluator dispatch
       E(w) = Gamma(k+1/2) (|w|/2)^(1/2-k) [ I_{k-1/2}(|w|) + sgn(w) I_{k+1/2}(|w|) ],
 
   which is evaluated in log scale through exponentially scaled Bessel
-  functions (scipy.special.ive).  This stays finite and fully accurate for
-  the arguments ~ x*y/sinh(2t) -> +-infinity that the Riesz time integral
-  produces; the spec'd power-series recursion (dunkl_kernel_1d) is kept as
-  the independent cross-check.
+  functions: scipy.special.i0e/i1e at kappa = 1/2 (order nu = 0), where the
+  Cephes Chebyshev routines are about ten times faster, and
+  scipy.special.ive for every other kappa; past |w| = 1e5 the two-term
+  large-argument asymptotics take over.  This stays finite and fully
+  accurate for the arguments ~ x*y/sinh(2t) -> +-infinity that the Riesz
+  time integral produces; the spec'd power-series recursion
+  (dunkl_kernel_1d) is kept as the independent cross-check.
 * any other reflection group: Mehler inversion through a built Hermite basis.
 
 Heat kernel
@@ -45,7 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.special import gammaln, ive
+from scipy.special import gammaln, i0e, i1e, ive
 from numpy.polynomial.legendre import leggauss
 
 from .hermite import HermiteBasis, QuadratureNonConvergence
@@ -123,33 +126,44 @@ def _a1(nu):
     return (4.0 * nu * nu - 1.0) / 8.0
 
 
-def _a2(nu):
-    return (4.0 * nu * nu - 1.0) * (4.0 * nu * nu - 9.0) / 128.0
+def _bessel_pair(nu: float, x):
+    """(e^{-x} I_nu(x), e^{-x} I_{nu+1}(x)) for x >= 0.
+
+    At nu = 0 (kappa = 1/2) scipy's Cephes Chebyshev routines i0e/i1e give the
+    pair about ten times faster than ive, to within a few ulp of it; every
+    other order goes through ive.
+    """
+    if nu == 0.0:
+        return i0e(x), i1e(x)
+    return ive(nu, x), ive(nu + 1, x)
 
 
 def _log_bracket(nu: float, x: np.ndarray, sign: np.ndarray) -> np.ndarray:
     """log( e^{-x} [ I_nu(x) + sign I_{nu+1}(x) ] ), robust for any x > 0.
 
-    Below the switch, scipy.special.ive is accurate and the bracket is within
-    float range.  Above it the two-term uniform asymptotics are at machine
-    precision; the minus branch cancels at leading order and starts at
-    (nu + 1/2)/x, so its log is assembled analytically (the raw value can
-    underflow long before the log does).
+    `sign` has the shape of `x`.  Up to the switch the bracket is within float
+    range and comes from the scaled Bessel pair: i0e/i1e at nu = 0, ive for
+    every other order.  Past it, and only on those elements, the two-term
+    uniform asymptotics are at machine precision; the minus branch cancels at
+    leading order and starts at (nu + 1/2)/x, so its log is assembled
+    analytically (the raw value can underflow long before the log does).
     """
-    xs = np.where(x > _ASYMPT_SWITCH, 1.0, x)
-    direct = np.log(ive(nu, xs) + sign * ive(nu + 1, xs))
-    xb = np.where(x > _ASYMPT_SWITCH, x, _ASYMPT_SWITCH)
-    base = -0.5 * np.log(2.0 * math.pi * xb)
-    plus = base + math.log(2.0) + np.log1p(-(_a1(nu) + _a1(nu + 1)) / (2.0 * xb))
-    c2 = (2 * nu + 1.0) * (2 * nu - 1.0) * (2 * nu + 3.0) / 32.0
-    minus = (
-        base
-        + math.log(nu + 0.5)
-        - np.log(xb)
-        + np.log1p(-c2 / ((nu + 0.5) * xb))
-    )
-    asym = np.where(sign > 0, plus, minus)
-    return np.where(x > _ASYMPT_SWITCH, asym, direct)
+    big = x > _ASYMPT_SWITCH
+    i0, i1 = _bessel_pair(nu, np.where(big, 1.0, x))
+    out = np.asarray(np.log(i0 + sign * i1))
+    if big.any():
+        xb = x[big]
+        base = -0.5 * np.log(2.0 * math.pi * xb)
+        plus = base + math.log(2.0) + np.log1p(-(_a1(nu) + _a1(nu + 1)) / (2.0 * xb))
+        c2 = (2 * nu + 1.0) * (2 * nu - 1.0) * (2 * nu + 3.0) / 32.0
+        minus = (
+            base
+            + math.log(nu + 0.5)
+            - np.log(xb)
+            + np.log1p(-c2 / ((nu + 0.5) * xb))
+        )
+        out[big] = np.where(sign[big] > 0, plus, minus)
+    return out
 
 
 def log_dunkl_kernel_1d(kappa: float, w) -> np.ndarray:
@@ -191,8 +205,7 @@ def dlog_dunkl_kernel_1d(kappa: float, w) -> np.ndarray:
     mid = ~small & ~big
     safe = np.where(mid, aw, 1.0)
     sign = np.sign(np.where(w == 0, 1.0, w))
-    i0 = ive(nu, safe)
-    i1 = ive(nu + 1, safe)
+    i0, i1 = _bessel_pair(nu, safe)
     ratio = sign * i1 / (i0 + sign * i1)               # g/(f+g)
     out = 1.0 - 2.0 * kappa * ratio / np.where(mid, w, 1.0)
     wb = np.where(big, w, 1.0)

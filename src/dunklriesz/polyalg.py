@@ -32,6 +32,11 @@ class NonzeroRemainder(ArithmeticError):
     """Division by a mirror linear form left a remainder; arithmetic bug."""
 
 
+class NoExactCoordinates(ValueError):
+    """Exact arithmetic requested on a root system without exact coordinates
+    or multiplicities (e.g. i2(5)); build it in float arithmetic instead."""
+
+
 NEG_INF = float("-inf")
 
 
@@ -310,7 +315,10 @@ class DunklAlgebra:
         if exact is None:
             exact = rs.exact_capable
         if exact and not rs.exact_capable:
-            raise ValueError("root system has no exact coordinates/multiplicities")
+            raise NoExactCoordinates(
+                f"root system {rs.name} has no exact coordinates/multiplicities; "
+                "use float arithmetic"
+            )
         # no reference back to rs: get_algebra stores this object in rs._cache,
         # and a cycle would keep both caches alive until a full gc pass
         self.exact = exact

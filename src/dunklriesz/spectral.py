@@ -216,8 +216,12 @@ def delta_matrix(basis: HermiteBasis, j: int, variant: str = "lower") -> Operato
     if variant not in ("lower", "raise"):
         raise ValueError("variant must be 'lower' or 'raise'")
     key = ("delta", j, variant)
+    label = f"delta{'*' if variant == 'raise' else ''}_{j}"
+    # the cache keeps the values only: an OperatorMatrix points back to the
+    # basis, and a cycle would keep the basis alive until a full gc pass
     if key in basis._cache:
-        return basis._cache[key]
+        M, leaky = basis._cache[key]
+        return OperatorMatrix(basis, M, label=label, leaky_top_shell=leaky)
     exact = basis.exact
     alg = get_algebra(basis.rs, exact)
     size = basis.size
@@ -260,9 +264,8 @@ def delta_matrix(basis: HermiteBasis, j: int, variant: str = "lower") -> Operato
                 S = alg.apply_poly_operator(basis.phi[row], Q, cache).constant_term()
                 entry = factor * 2.0 ** -sum(m) * float(S)
             M[row, col] = entry
-    out = OperatorMatrix(basis, M, label=f"delta{'*' if variant == 'raise' else ''}_{j}", leaky_top_shell=leaky)
-    basis._cache[key] = out
-    return out
+    basis._cache[key] = (M, leaky)
+    return OperatorMatrix(basis, M, label=label, leaky_top_shell=leaky)
 
 
 def riesz_matrix(basis: HermiteBasis, j: int, adjoint: bool = False) -> OperatorMatrix:

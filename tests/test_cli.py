@@ -1,4 +1,5 @@
 import csv
+import gc
 import json
 import math
 import os
@@ -210,3 +211,49 @@ def test_numerical_error_exits_2(tmp_path, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+DOCUMENTED_GROUPS = {
+    "z2": {"group": "z2"},
+    "z2^2": {"group": "z2^2"},
+    "a2": {"group": "a2"},
+    "b2": {"group": "b2", "kappa": [1, 2]},
+    "i2(5)": {"group": "i2(5)"},
+    "i2(6)": {"group": "i2(6)"},
+    "explicit": {"roots": [[1.0, 0.0], [0.0, 1.0]]},
+}
+# no exact coordinates: i2(5) has cos(pi/5) roots, explicit roots are floats
+NO_EXACT = {"i2(5)", "explicit"}
+
+
+@pytest.mark.parametrize("arithmetic", ["exact", "float"])
+@pytest.mark.parametrize("name", sorted(DOCUMENTED_GROUPS))
+def test_documented_group_builds_or_exits_2(tmp_path, capsys, name, arithmetic):
+    cfg = {"kappa": 1, "degree": 2, "arithmetic": arithmetic, **DOCUMENTED_GROUPS[name]}
+    (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+    code = run(["basis", "--config", "cfg.json", "--out", "b.json"], tmp_path)
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    if arithmetic == "exact" and name in NO_EXACT:
+        assert code == 2
+        assert err.startswith("error: ") and "no exact coordinates" in err
+    else:
+        assert code == 0 and err == ""
+
+
+def test_in_process_verify_leaves_no_cyclic_basis(tmp_path):
+    """The basis, its root system, the algebra and the delta matrices are freed
+    by reference counting when main() returns, not left to the cyclic gc."""
+    gc.collect()
+    gc.disable()
+    try:
+        assert run(["verify", "--group", "a2", "--kappa", "1", "--degree", "4",
+                    "--out", "rep"], tmp_path) == 0
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        gc.collect()
+        leaked = {type(o).__name__ for o in gc.garbage}
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        gc.enable()
+    assert not leaked & {"HermiteBasis", "RootSystem", "DunklAlgebra", "OperatorMatrix"}

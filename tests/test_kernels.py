@@ -3,7 +3,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.special import i0e, i1e, ive
 
+from dunklriesz import kernels
 from dunklriesz.hermite import build_basis
 from dunklriesz.kernels import (
     KernelConfig,
@@ -85,6 +87,85 @@ def test_dlog_matches_numerical_derivative():
                 - float(log_dunkl_kernel_1d(kappa, w - h))
             ) / (2 * h)
             assert float(dlog_dunkl_kernel_1d(kappa, w)) == pytest.approx(num, rel=1e-5, abs=1e-7)
+
+
+def test_bessel_pair_order_zero_matches_ive():
+    x = np.geomspace(1e-8, 1e5, 20001)
+    i0, i1 = kernels._bessel_pair(0.0, x)
+    assert np.array_equal(i0, i0e(x)) and np.array_equal(i1, i1e(x))
+    assert np.max(np.abs(i0 / ive(0.0, x) - 1.0)) <= 1e-14
+    assert np.max(np.abs(i1 / ive(1.0, x) - 1.0)) <= 1e-14
+
+
+@pytest.fixture(scope="module")
+def half_kappa_reference():
+    """log E and E'/E at kappa = 1/2 from mpmath's 0F1 form,
+    E(w) = 0F1(; b; w^2/4) + (w / 2b) 0F1(; b + 1; w^2/4) with b = kappa + 1/2."""
+    mp = pytest.importorskip("mpmath")
+    g = np.geomspace(1e-6, 9.9e4, 1000)
+    w = np.concatenate([g, -g])
+    log_e, dlog_e = [], []
+    with mp.workdps(30):
+        b = mp.mpf(1)
+        for wi in w:
+            v = mp.mpf(wi)
+            z = v * v / 4
+            f0, f1, f2 = mp.hyp0f1(b, z), mp.hyp0f1(b + 1, z), mp.hyp0f1(b + 2, z)
+            e = f0 + v / (2 * b) * f1
+            de = (v / (2 * b) + 1 / (2 * b)) * f1 + v * v / (4 * b * (b + 1)) * f2
+            log_e.append(float(mp.log(e)))
+            dlog_e.append(float(de / e))
+    return w, np.array(log_e), np.array(dlog_e)
+
+
+def test_log_kernel_half_matches_mpmath(half_kappa_reference):
+    # on the minus branch I_0 - I_1 cancels, so a one-ulp Bessel error grows
+    # with |w|; the bound scales with max(1, |w|)
+    w, ref, _ = half_kappa_reference
+    err = np.abs(log_dunkl_kernel_1d(0.5, w) - ref) / np.maximum(1.0, np.abs(w))
+    assert err.max() <= 4e-15
+
+
+def test_dlog_kernel_half_matches_mpmath(half_kappa_reference):
+    w, _, ref = half_kappa_reference
+    err = np.abs(dlog_dunkl_kernel_1d(0.5, w) - ref)
+    assert err[np.abs(w) <= 1e3].max() <= 2e-12
+    assert (err / np.maximum(1.0, np.abs(w))).max() <= 1e-14
+
+
+def _log_bracket_all_elements(nu, x, sign):
+    """_log_bracket as it was before the i0e/i1e route: ive and both
+    asymptotic branches on every element, one of them picked by np.where."""
+    xs = np.where(x > kernels._ASYMPT_SWITCH, 1.0, x)
+    direct = np.log(ive(nu, xs) + sign * ive(nu + 1, xs))
+    xb = np.where(x > kernels._ASYMPT_SWITCH, x, kernels._ASYMPT_SWITCH)
+    base = -0.5 * np.log(2.0 * math.pi * xb)
+    a1 = kernels._a1(nu) + kernels._a1(nu + 1)
+    plus = base + math.log(2.0) + np.log1p(-a1 / (2.0 * xb))
+    c2 = (2 * nu + 1.0) * (2 * nu - 1.0) * (2 * nu + 3.0) / 32.0
+    minus = base + math.log(nu + 0.5) - np.log(xb) + np.log1p(-c2 / ((nu + 0.5) * xb))
+    asym = np.where(sign > 0, plus, minus)
+    return np.where(x > kernels._ASYMPT_SWITCH, asym, direct)
+
+
+@pytest.mark.parametrize("kappa", [0.3, 1.0, 2.5])
+def test_log_kernel_bit_identical_off_half(kappa, monkeypatch):
+    """Off kappa = 1/2 the bracket still goes through ive, and building the
+    asymptotic branch on the far elements only changes no bit."""
+    rng = np.random.default_rng(5)
+    w = np.concatenate([
+        rng.uniform(-3e5, 3e5, 4000),
+        rng.standard_normal(1000) * 30.0,
+        [1e5, -1e5, 1e5 + 1, -(1e5 + 1), 0.0, 1e-7, -1e-7, 1e12, -1e12],
+    ])
+    scalars = [np.float64(v) for v in (1e5, -1e5, 1e5 + 1, -(1e5 + 1), 0.0, 3.5)]
+    new = log_dunkl_kernel_1d(kappa, w)
+    new_0d = [log_dunkl_kernel_1d(kappa, v) for v in scalars]
+    monkeypatch.setattr(kernels, "_log_bracket", _log_bracket_all_elements)
+    assert new.tobytes() == log_dunkl_kernel_1d(kappa, w).tobytes()
+    for v, got in zip(scalars, new_0d):
+        assert np.ndim(got) == 0
+        assert np.asarray(got).tobytes() == np.asarray(log_dunkl_kernel_1d(kappa, v)).tobytes()
 
 
 def test_z2d_product(z2sq_ones):
