@@ -43,6 +43,7 @@ scipy.integrate.quad route is the reference implementation and its oracle.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -166,18 +167,43 @@ def _log_bracket(nu: float, x: np.ndarray, sign: np.ndarray) -> np.ndarray:
     return out
 
 
+@functools.cache
+def _underflow_edge(nu: float) -> float:
+    """The largest x > 0 at which the scaled Bessel pair underflows to 0, or
+    0.0 if it never does (ive flushes results below about 1e-305 to 0).
+
+    At small x the pair grows like (x/2)^nu / Gamma(nu + 1), so the x > 0 where
+    it is 0 form an interval (0, edge]; bisection over the bit patterns of the
+    positive floats finds edge exactly.
+    """
+
+    def zero(bits):
+        return _bessel_pair(nu, np.int64(bits).view(np.float64))[0] == 0.0
+
+    lo, hi = 1, int(np.float64(_ASYMPT_SWITCH).view(np.int64))
+    if not zero(lo):
+        return 0.0
+    while hi - lo > 1:  # the pair is 0 at lo and not at hi
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if zero(mid) else (lo, mid)
+    return float(np.int64(lo).view(np.float64))
+
+
 def log_dunkl_kernel_1d(kappa: float, w) -> np.ndarray:
     """log E_kappa at product argument w = u*v, vectorized; exact at kappa=0.
 
     E grows like e^w w^{-kappa} as w -> +inf and (for kappa > 0) like
     e^{|w|} |w|^{-kappa-1} as w -> -inf; both regimes stay finite in log scale.
+    Where |w| is so small that the scaled Bessel pair underflows to 0 (large
+    kappa), the leading small-argument value E = 1 + w/(2 kappa + 1) takes over.
     """
     w = np.asarray(w, dtype=float)
     if kappa == 0.0:
         return w + 0.0
     aw = np.abs(w)
     nu = kappa - 0.5
-    safe = np.where(aw > 0, aw, 1.0)
+    direct = aw > _underflow_edge(nu)
+    safe = np.where(direct, aw, 1.0)
     sign = np.sign(np.where(w == 0, 1.0, w))
     out = (
         gammaln(kappa + 0.5)
@@ -185,7 +211,8 @@ def log_dunkl_kernel_1d(kappa: float, w) -> np.ndarray:
         + safe
         + _log_bracket(nu, safe, sign)
     )
-    return np.where(aw > 0, out, 0.0)
+    # log E at w = 0 and below the edge; + 0.0 turns w = -0 into 0
+    return np.where(direct, out, w / (2.0 * kappa + 1.0) + 0.0)
 
 
 def dlog_dunkl_kernel_1d(kappa: float, w) -> np.ndarray:
@@ -272,6 +299,35 @@ def dunkl_kernel(basis: HermiteBasis, x, y, cfg: KernelConfig = DEFAULT_CONFIG) 
 
 # ---------------------------------------------------------------------------
 # heat kernels
+#
+# The Z2Evaluator kernels take t (and the Gaussian width c) either as a float
+# or as a 1-D array with one value per row of X and Y.  The factors that
+# depend on t alone go through `math` row by row: numpy's sinh and tanh can
+# differ from math's in the last ulp, and each row must equal the evaluation
+# at its own float t bit for bit.
+
+
+def _is_rows(v) -> bool:
+    # an isinstance test, not np.ndim: the float path runs once per quadrature node
+    return isinstance(v, np.ndarray) and v.ndim == 1
+
+
+def per_row(f, t):
+    """f(t) for a float t; for a 1-D array t, the array of f at each element."""
+    return np.array([f(u) for u in t]) if _is_rows(t) else f(t)
+
+
+def column(v):
+    """A float as is; a per-row array as a column that scales (rows, d) arrays."""
+    return v[:, None] if _is_rows(v) else v
+
+
+def _sinh_coth2(t):
+    """(sinh 2t, coth 2t), per row for a 1-D array t."""
+    if _is_rows(t):
+        return tuple(map(np.array, zip(*map(_sinh_coth2, t))))
+    s = math.sinh(2.0 * t)
+    return s, math.cosh(2.0 * t) / s
 
 
 class Z2Evaluator:
@@ -294,14 +350,13 @@ class Z2Evaluator:
     def log_heat(self, t, X, Y):
         X = np.asarray(X, dtype=float)
         Y = np.asarray(Y, dtype=float)
-        s = math.sinh(2.0 * t)
-        c = math.cosh(2.0 * t) / s
+        s, c = _sinh_coth2(t)
         q = np.sum(X * X, axis=-1) + np.sum(Y * Y, axis=-1)
         return (
             -math.log(self.c_kappa)
-            - (self.gamma + self.d / 2.0) * math.log(s)
+            - (self.gamma + self.d / 2.0) * per_row(math.log, s)
             - 0.5 * c * q
-            + self.log_E(X / s, Y)
+            + self.log_E(X / column(s), Y)
         )
 
     def heat(self, t, X, Y):
@@ -311,8 +366,7 @@ class Z2Evaluator:
         """d/dy_i of log k_t."""
         X = np.asarray(X, dtype=float)
         Y = np.asarray(Y, dtype=float)
-        s = math.sinh(2.0 * t)
-        c = math.cosh(2.0 * t) / s
+        s, c = _sinh_coth2(t)
         w = X[..., i] * Y[..., i] / s
         return -c * Y[..., i] + (X[..., i] / s) * dlog_dunkl_kernel_1d(self.kappas[i], w)
 
@@ -324,7 +378,7 @@ class Z2Evaluator:
         X = np.asarray(X, dtype=float)
         Y = np.asarray(Y, dtype=float)
         q = np.sum(X * X, axis=-1) + np.sum(Y * Y, axis=-1)
-        return -c * q + self.log_E(2.0 * c * Y, X)
+        return -c * q + self.log_E(column(2.0 * c) * Y, X)
 
     def riesz_integrand(self, t, X, Y, j):
         """h_t(x,y) = k_t(x,y) [ (1 - coth 2t) x_j + y_j / sinh 2t ]."""
@@ -333,8 +387,7 @@ class Z2Evaluator:
 
 def _riesz_bracket(t, X, Y, j):
     """(1 - coth 2t) x_j + y_j / sinh 2t, the factor of k_t in the Riesz integrand."""
-    s = math.sinh(2.0 * t)
-    c = math.cosh(2.0 * t) / s
+    s, c = _sinh_coth2(t)
     return (1.0 - c) * np.asarray(X)[..., j] + np.asarray(Y)[..., j] / s
 
 
@@ -370,8 +423,7 @@ def heat_kernel(
     else:
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
-        s = math.sinh(2.0 * t)
-        c = math.cosh(2.0 * t) / s
+        s, c = _sinh_coth2(t)
         E = dunkl_kernel_mehler(basis, x / s, y, cfg)
         val = (
             1.0

@@ -20,6 +20,7 @@ from __future__ import annotations
 import csv
 import functools
 import io
+import itertools
 import json
 import math
 import time
@@ -34,11 +35,13 @@ from .kernels import (
     KernelConfig,
     OrbitTooClose,
     Z2Evaluator,
+    column,
     heat_kernel,
     heat_kernel_classical,
     heat_kernel_series,
     log_dunkl_kernel_1d,
     panel_nodes,
+    per_row,
     riesz_kernel,
     riesz_kernel_many,
     z2_evaluator,
@@ -418,10 +421,12 @@ _PIECES = {
     "ylog": lambda p: np.log(np.abs(p.Y)),
     "ymax": lambda p: np.max(p.ylog, -1),
     "dxy": lambda p: np.log(np.abs(p.X - p.Y)),
-    "log_k0": lambda p: -p.d / 2.0 * math.log(2.0 * math.pi * math.sinh(2.0 * p.t))
-    - 0.25 * (math.tanh(p.t) * np.sum((p.X + p.Y) ** 2, -1) + p.sm / math.tanh(p.t)),
+    "tanh": lambda p: per_row(math.tanh, p.t),
+    "log_k0": lambda p: -p.d / 2.0 * per_row(
+        lambda t: math.log(2.0 * math.pi * math.sinh(2.0 * t)), p.t)
+    - 0.25 * (p.tanh * np.sum((p.X + p.Y) ** 2, -1) + p.sm / p.tanh),
     "dl0": lambda p: np.log(np.abs(
-        -0.5 * (math.tanh(p.t) * (p.Y + p.X) + (p.Y - p.X) / math.tanh(p.t)))),
+        -0.5 * (column(p.tanh) * (p.Y + p.X) + (p.Y - p.X) / column(p.tanh)))),
     "base0": lambda p: p.log_k0 + p.a * p.sm / p.t,
     "log_heat": lambda p: p.ev.log_heat(p.t, p.X, p.Y),
     "dl": lambda p: np.log(np.stack(
@@ -435,13 +440,17 @@ _PIECES = {
 
 
 class LemmaPieces:
-    """The `_PIECES` at one (t, X, Y), each computed the first time a ratio
-    asks for it and then kept: one object serves every ratio of a grid pass,
-    and a single-ratio evaluation computes only the pieces that ratio uses.
+    """The `_PIECES` at (t, X, Y), each computed the first time a ratio asks
+    for it and then kept: one object serves every ratio of a grid pass, and
+    a polish step computes only the pieces its ratios use.
+
+    t is a float (a grid pass) or a 1-D array with one t per row of X and Y
+    (a polish step); each row then equals the float-t evaluation of that row
+    bit for bit.
     """
 
     def __init__(self, basis: HermiteBasis, cfg: VerifyConfig, t, X, Y):
-        self.t, self.X, self.Y, self.lt = t, X, Y, math.log(t)
+        self.t, self.X, self.Y, self.lt = t, X, Y, per_row(math.log, t)
         self.ev, self.roots = z2_evaluator(basis), basis.rs.positive_roots
         self.d, self.gam = basis.rs.dim, basis.gamma
         self.a, self.b, self.c = cfg.a_const, cfg.b_const, cfg.c_const
@@ -475,45 +484,142 @@ LEMMA_RATIOS = {
 }
 
 
-def _polish_sup(basis, cfg, ratio, seeds, t_bounds):
-    """Local maximization of a lemma log-ratio from grid seeds (Nelder-Mead
-    on (log t, x, y) with a fence at the t-range and a generous spatial box).
+# Nelder-Mead exactly as scipy.optimize.minimize(method="Nelder-Mead") runs
+# it with options maxiter 400, xatol 1e-6 and fatol 1e-10: the non-adaptive
+# coefficients, scipy's initial simplex, and no cap on evaluations.
+_NM_RHO, _NM_CHI, _NM_PSI, _NM_SIGMA = 1, 2, 0.5, 0.5
+_NM_NONZDELT, _NM_ZDELT = 0.05, 0.00025
+_NM_MAXITER, _NM_XATOL, _NM_FATOL = 400, 1e-6, 1e-10
 
-    The grids locate the basin; polishing removes resolution bias so the
-    refinement comparison tests basin discovery, not grid spacing.
+
+@dataclass
+class NelderMeadRuns:
+    """Per-run outcome of `_nelder_mead_lockstep`, one entry per run."""
+
+    x: np.ndarray          # (R, n) best vertex
+    fun: np.ndarray        # (R,) its value
+    nfev: np.ndarray       # (R,) function evaluations
+    nit: np.ndarray        # (R,) iterations, counted from 1 as scipy does
+    shrinks: np.ndarray    # (R,) shrink steps
+
+
+def _sort_simplices(sim, fsim):
+    """Each run's vertices in the order scipy's argsort of its values gives."""
+    ind = np.argsort(fsim, axis=1)
+    return np.take_along_axis(sim, ind[:, :, None], 1), np.take_along_axis(fsim, ind, 1)
+
+
+def _nelder_mead_lockstep(f, z0) -> NelderMeadRuns:
+    """Minimize from each start z0[r] (an (R, n) array) by Nelder-Mead, with
+    the simplices of all R runs stepped together as one (R, n+1, n) array.
+
+    f(runs, Z) returns the values at the rows of Z, where row k is a point
+    of run runs[k].  Each step calls it once with the reflect points of
+    every active run, once with the expand and contract points, and once
+    with the shrink points.  Each run repeats scipy's iterates (Nelder &
+    Mead, Comput. J. 1965; Lagarias et al., SIAM J. Optim. 1998) operation
+    for operation, including the convergence test before each iteration and
+    the argsort after it, so with the same values it returns scipy's x, fun
+    and nfev.
     """
-    from scipy.optimize import minimize
+    R, n = z0.shape
+    sim = np.repeat(z0[:, None, :], n + 1, axis=1)
+    k = np.arange(n)
+    edge = sim[:, k + 1, k]
+    sim[:, k + 1, k] = np.where(edge != 0, (1 + _NM_NONZDELT) * edge, _NM_ZDELT)
+    fsim = f(np.repeat(np.arange(R), n + 1), sim.reshape(-1, n)).reshape(R, n + 1)
+    for _ in range(2):  # scipy sorts the initial simplex twice
+        sim, fsim = _sort_simplices(sim, fsim)
+    nfev = np.full(R, n + 1)
+    nit = np.ones(R, dtype=int)
+    shrinks = np.zeros(R, dtype=int)
+    active = np.arange(R)
+    iterations = 1
+    while iterations < _NM_MAXITER:
+        S, F = sim[active], fsim[active]
+        done = (np.max(np.abs(S[:, 1:] - S[:, :1]), axis=(1, 2)) <= _NM_XATOL) & (
+            np.max(np.abs(F[:, :1] - F[:, 1:]), axis=1) <= _NM_FATOL)
+        active, S, F = active[~done], S[~done], F[~done]
+        if active.size == 0:
+            break
+        xbar = np.add.reduce(S[:, :-1], 1) / n
+        worst = S[:, -1]
+        xr = (1 + _NM_RHO) * xbar - _NM_RHO * worst
+        fxr = f(active, xr)
+        expand = fxr < F[:, 0]
+        accept = ~expand & (fxr < F[:, -2])
+        outside = ~expand & ~accept & (fxr < F[:, -1])
+        inside = ~expand & ~accept & ~outside
+        x2 = np.where(
+            expand[:, None], (1 + _NM_RHO * _NM_CHI) * xbar - _NM_RHO * _NM_CHI * worst,
+            np.where(outside[:, None], (1 + _NM_PSI * _NM_RHO) * xbar - _NM_PSI * _NM_RHO * worst,
+                     (1 - _NM_PSI) * xbar + _NM_PSI * worst))
+        f2 = np.full(active.size, np.nan)
+        if not accept.all():
+            f2[~accept] = f(active[~accept], x2[~accept])
+        take2 = (expand & (f2 < fxr)) | (outside & (f2 <= fxr)) | (inside & (f2 < F[:, -1]))
+        take_r = accept | (expand & ~take2)
+        shrink = (outside | inside) & ~take2
+        S[:, -1] = np.where(take2[:, None], x2, np.where(take_r[:, None], xr, worst))
+        F[:, -1] = np.where(take2, f2, np.where(take_r, fxr, F[:, -1]))
+        if shrink.any():
+            s = S[shrink]
+            s[:, 1:] = s[:, :1] + _NM_SIGMA * (s[:, 1:] - s[:, :1])
+            S[shrink] = s
+            F[shrink, 1:] = f(np.repeat(active[shrink], n), s[:, 1:].reshape(-1, n)).reshape(-1, n)
+        iterations += 1
+        sim[active], fsim[active] = _sort_simplices(S, F)
+        nfev[active] += 1 + ~accept + n * shrink
+        nit[active] = iterations
+        shrinks[active] += shrink
+    return NelderMeadRuns(x=sim[:, 0], fun=np.min(fsim, axis=1), nfev=nfev, nit=nit, shrinks=shrinks)
 
-    lo, hi = math.log(t_bounds[0]), math.log(t_bounds[1])
+
+def _polish(basis, cfg, runs) -> NelderMeadRuns:
+    """Local minimization of -ratio from grid seeds, one run per (ratio name,
+    seed (t, x, y)), all runs in one `_nelder_mead_lockstep` on z = (log t, x, y).
+
+    A point is fenced, with value 1e9 and no evaluation, when log t leaves its
+    run's t-range or a coordinate exceeds 2 fit_box; a non-finite ratio also
+    gives 1e9.  Each batch of points builds one LemmaPieces over all its
+    unfenced rows, evaluates each ratio that occurs there, and gives each row
+    its own run's ratio.  The grids locate the basin; polishing removes
+    resolution bias, so the refinement comparison tests basin discovery, not
+    grid spacing.
+    """
+    d = basis.rs.dim
+    names = list(LEMMA_RATIOS)
+    which = np.array([names.index(name) for name, _ in runs])
+    small = np.array(["_small_" in name for name, _ in runs])
+    lo = np.where(small, math.log(cfg.fit_t_min / 10.0), math.log(1.0))
+    hi = np.where(small, math.log(1.0), math.log(8.0))
     box_limit = 2.0 * cfg.fit_box
-    best = -math.inf
-    for t0, x0, y0 in seeds:
-        z0 = np.concatenate([[math.log(t0)], x0, y0])
-        d = x0.size
 
-        def neg(z):
-            if not (lo <= z[0] <= hi) or np.any(np.abs(z[1:]) > box_limit):
-                return 1e9
+    def neg_ratio(k, Z):
+        out = np.full(len(k), 1e9)
+        kept = (lo[k] <= Z[:, 0]) & (Z[:, 0] <= hi[k]) & ~np.any(np.abs(Z[:, 1:]) > box_limit, 1)
+        if kept.any():
+            Zin, ratio_of = Z[kept], which[k[kept]]
+            pieces = LemmaPieces(basis, cfg, per_row(math.exp, Zin[:, 0]),
+                                 Zin[:, 1 : 1 + d], Zin[:, 1 + d :])
+            vals = np.empty(len(Zin))
             with np.errstate(divide="ignore", invalid="ignore"):
-                val = ratio(LemmaPieces(basis, cfg, math.exp(z[0]), z[1 : 1 + d][None, :],
-                                        z[1 + d :][None, :]))
-            v = float(val[0])
-            return 1e9 if not np.isfinite(v) else -v
+                for i in np.unique(ratio_of):
+                    rows = ratio_of == i
+                    vals[rows] = LEMMA_RATIOS[names[i]](pieces)[rows]
+            out[kept] = np.where(np.isfinite(vals), -vals, 1e9)
+        return out
 
-        res = minimize(neg, z0, method="Nelder-Mead",
-                       options={"maxiter": 400, "xatol": 1e-6, "fatol": 1e-10})
-        if -res.fun > best:
-            best = -res.fun
-    return best
+    z0 = np.array([np.concatenate([[math.log(t0)], x0, y0]) for _, (t0, x0, y0) in runs])
+    return _nelder_mead_lockstep(neg_ratio, z0)
 
 
 def _lemma_bound_fits(basis: HermiteBasis, cfg: VerifyConfig, refine: int) -> dict:
-    """C_fit for the 14 kernel inequalities at a = b = 1/8, c = 1/16.
+    """Grid maxima of the 14 kernel log-ratios at a = b = 1/8, c = 1/16, with
+    the polish seeds: name -> (max, [(t, x, y) of the best three rows]).
 
-    Grid max over (t-grid) x (pair grid + scaling-ridge pairs) computed in a
-    single pass over shared kernel pieces, then polished by a local optimizer
-    from the best grid seeds (the grids find the basin; polishing removes
-    resolution bias so refinement tests basin discovery, not spacing).
+    Grid max over (t-grid) x (pair grid + scaling-ridge pairs), computed in a
+    single pass over shared kernel pieces.
     """
     ts, tl, X0, Y0, box, s = _fit_grids(basis, cfg, refine)
     best: dict[str, list] = {name: [] for name in LEMMA_RATIOS}
@@ -535,10 +641,7 @@ def _lemma_bound_fits(basis: HermiteBasis, cfg: VerifyConfig, refine: int) -> di
     out = {}
     for name, rows in best.items():
         rows.sort(key=lambda r: -r[0])
-        seeds = [(t, x, y) for _, t, x, y in rows[:3]]
-        t_bounds = (cfg.fit_t_min / 10.0, 1.0) if "_small_" in name else (1.0, 8.0)
-        polished = _polish_sup(basis, cfg, LEMMA_RATIOS[name], seeds, t_bounds)
-        out[name] = math.exp(max(polished, rows[0][0]))
+        out[name] = (rows[0][0], [(t, x, y) for _, t, x, y in rows[:3]])
     return out
 
 
@@ -547,11 +650,20 @@ def check_lemma_bounds(basis, cfg, kernel_cfg):
     """All 14 kernel inequalities via the constant-fit stability protocol.
 
     Six classical bounds, six Dunkl bounds with the Gaussian-translation right
-    side, two reflected-center-sum bounds; a = b = 1/8, c = 1/16.  Pass means
-    every C_fit grows < fit_growth_tol under 2x grid refinement.
+    side, two reflected-center-sum bounds; a = b = 1/8, c = 1/16.  Each C_fit
+    is exp of the larger of the grid max and the best polished value from
+    the three best grid seeds; the polish is scipy's Nelder-Mead, run in one
+    lockstep over all 84 seeds of the coarse and the 2x refined grids.  Pass
+    means every C_fit grows < fit_growth_tol under the refinement.
     """
-    coarse = _lemma_bound_fits(basis, cfg, 1)
-    fine = _lemma_bound_fits(basis, cfg, 2)
+    fits = [_lemma_bound_fits(basis, cfg, refine) for refine in (1, 2)]
+    runs = [(name, seed) for fit in fits for name, (_, seeds) in fit.items() for seed in seeds]
+    sups = iter(-_polish(basis, cfg, runs).fun)
+    coarse, fine = (
+        {name: math.exp(max(max(itertools.islice(sups, len(seeds)), default=-math.inf), grid))
+         for name, (grid, seeds) in fit.items()}
+        for fit in fits
+    )
     growth = {k: fine[k] / coarse[k] - 1.0 for k in coarse}
     ok = all(np.isfinite(v) for v in fine.values()) and all(
         g < cfg.fit_growth_tol for g in growth.values()

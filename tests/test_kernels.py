@@ -133,6 +133,30 @@ def test_dlog_kernel_half_matches_mpmath(half_kappa_reference):
     assert (err / np.maximum(1.0, np.abs(w))).max() <= 1e-14
 
 
+@pytest.mark.parametrize("kappa", [2.5, 4.0, 7.5])
+def test_log_kernel_tiny_w_large_kappa_matches_mpmath(kappa):
+    """At tiny |w| the scaled Bessel pair of a large order underflows to 0;
+    log E stays finite and equals w/(2 kappa + 1) to double precision."""
+    mp = pytest.importorskip("mpmath")
+    g = 10.0 ** -np.arange(100.0, 301.0, 5.0)
+    w = np.concatenate([g, -g])
+    ref = []
+    with mp.workdps(700):  # enough digits to resolve log(1 + 1e-300)
+        b = mp.mpf(kappa) + mp.mpf(0.5)
+        for wi in w:
+            v = mp.mpf(wi)
+            ref.append(float(mp.log(mp.hyp0f1(b, v * v / 4)
+                                     + v / (2 * b) * mp.hyp0f1(b + 1, v * v / 4))))
+    ref = np.array(ref)
+    got = log_dunkl_kernel_1d(kappa, w)
+    # above the underflow the Bessel route cancels terms of size ~|log w|
+    assert np.max(np.abs(got - ref)) <= 1e-12
+    # below it (|w| < 1e-151 for kappa = 2.5, all of w for kappa >= 4) the
+    # small-argument value is exact to rounding
+    tiny = np.abs(w) <= 1e-155
+    assert np.max(np.abs(got[tiny] / ref[tiny] - 1.0)) <= 1e-15
+
+
 def _log_bracket_all_elements(nu, x, sign):
     """_log_bracket as it was before the i0e/i1e route: ive and both
     asymptotic branches on every element, one of them picked by np.where."""

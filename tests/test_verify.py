@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize
 
 from dunklriesz.hermite import build_basis
 from dunklriesz.reflection import root_system
@@ -13,6 +14,8 @@ from dunklriesz.verify import (
     LEMMA_RATIOS,
     LemmaPieces,
     VerifyConfig,
+    _lemma_bound_fits,
+    _polish,
     check_eigen,
     check_heat,
     check_hormander,
@@ -84,27 +87,112 @@ def test_check_mehler_skip_below_degree_12(z2_half_basis8):
 
 
 @pytest.fixture(scope="module")
-def lemma_points(z2_half_basis8, z2sq_ones):
+def lemma_bases(z2_half_basis8, z2sq_ones):
+    return z2_half_basis8, build_basis(z2sq_ones, 2)
+
+
+@pytest.fixture(scope="module")
+def lemma_points(lemma_bases):
     rng = np.random.default_rng(7)
     out = []
-    for basis in (z2_half_basis8, build_basis(z2sq_ones, 2)):
+    for basis in lemma_bases:
         d = basis.rs.dim
         out.append((basis, rng.uniform(-2.0, 2.0, (16, d)), rng.uniform(-2.0, 2.0, (16, d))))
     return out
 
 
+@pytest.fixture(scope="module")
+def mixed_t_rows(lemma_bases):
+    """Rows with a t of their own, small and large, on both sides of the
+    polish fence: t from 2e-5 to 12 (the fence keeps 1e-4 .. 8) and
+    coordinates up to 6 (it keeps |x|, |y| <= 2 fit_box = 5)."""
+    rng = np.random.default_rng(11)
+    out = []
+    for basis in lemma_bases:
+        d = basis.rs.dim
+        t = rng.permutation(np.geomspace(2e-5, 12.0, 24))
+        out.append((basis, t, rng.uniform(-6.0, 6.0, (24, d)), rng.uniform(-6.0, 6.0, (24, d))))
+    return out
+
+
 @pytest.mark.parametrize("name", list(LEMMA_RATIOS))
-def test_lemma_ratio_shared_pieces_match_fresh(lemma_points, name):
+def test_lemma_ratio_shared_pieces_match_fresh(lemma_points, mixed_t_rows, name):
     """A pieces object that already served the other 13 ratios gives the
-    same value, bit for bit, as a fresh one."""
-    t = 0.3 if "_small_" in name else 2.0
-    for basis, X, Y in lemma_points:
-        shared = LemmaPieces(basis, FAST, t, X, Y)
-        for other, ratio in LEMMA_RATIOS.items():
-            if other != name:
-                ratio(shared)
-        fresh = LemmaPieces(basis, FAST, t, X, Y)
-        np.testing.assert_array_equal(LEMMA_RATIOS[name](shared), LEMMA_RATIOS[name](fresh))
+    same value, bit for bit, as a fresh one, with one t or a t per row."""
+    t_one = 0.3 if "_small_" in name else 2.0
+    batches = [(basis, t_one, X, Y) for basis, X, Y in lemma_points] + mixed_t_rows
+    for basis, t, X, Y in batches:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            shared = LemmaPieces(basis, FAST, t, X, Y)
+            for other, ratio in LEMMA_RATIOS.items():
+                if other != name:
+                    ratio(shared)
+            fresh = LemmaPieces(basis, FAST, t, X, Y)
+            np.testing.assert_array_equal(LEMMA_RATIOS[name](shared), LEMMA_RATIOS[name](fresh))
+
+
+@pytest.mark.parametrize("name", list(LEMMA_RATIOS))
+def test_lemma_ratio_per_row_t_matches_scalar(mixed_t_rows, name):
+    """One LemmaPieces over rows with mixed t equals, row by row and bit for
+    bit, a pieces object built for that row alone at its float t."""
+    for basis, t, X, Y in mixed_t_rows:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            batch = LEMMA_RATIOS[name](LemmaPieces(basis, FAST, t, X, Y))
+            rows = [LEMMA_RATIOS[name](LemmaPieces(basis, FAST, float(ti), X[i : i + 1],
+                                                   Y[i : i + 1]))[0]
+                    for i, ti in enumerate(t)]
+        np.testing.assert_array_equal(batch, rows)
+
+
+def _scipy_polish(basis, cfg, name, seed, fenced):
+    """One polish run as scipy.optimize.minimize runs it, one LemmaPieces at
+    a float t per evaluation; appends each fenced point to `fenced`."""
+    t0, x0, y0 = seed
+    lo, hi = (math.log(cfg.fit_t_min / 10.0), 0.0) if "_small_" in name else (0.0, math.log(8.0))
+    d = x0.size
+
+    def neg(z):
+        if not (lo <= z[0] <= hi) or np.any(np.abs(z[1:]) > 2.0 * cfg.fit_box):
+            fenced.append(z)
+            return 1e9
+        with np.errstate(divide="ignore", invalid="ignore"):
+            val = LEMMA_RATIOS[name](LemmaPieces(basis, cfg, math.exp(z[0]),
+                                                 z[None, 1 : 1 + d], z[None, 1 + d :]))
+        v = float(val[0])
+        return 1e9 if not np.isfinite(v) else -v
+
+    return minimize(neg, np.concatenate([[math.log(t0)], x0, y0]), method="Nelder-Mead",
+                    options={"maxiter": 400, "xatol": 1e-6, "fatol": 1e-10})
+
+
+# per basis, refinement -> ratios: on both the 3-D (z2) and the 5-D (z2^2)
+# simplex the coarse classical_small_iii runs hit the fence, shrink, and stop
+# on the 400-iteration cap; on z2 a refined classical_large_v run makes an
+# outside contraction that ties the reflect point, which tells scipy's `<=`
+# there from `<`
+ORACLE_RUNS = [
+    {1: ("classical_small_iii", "reflected_small_i", "dunkl_large_vi"),
+     2: ("classical_large_v",)},
+    {1: ("classical_small_iii",)},
+]
+
+
+@pytest.mark.parametrize("which", [0, 1], ids=["z2", "z2^2"])
+def test_polish_lockstep_matches_scipy(lemma_bases, which):
+    """Every lockstep run gives scipy's Nelder-Mead x, fun, nfev and nit,
+    bit for bit."""
+    basis = lemma_bases[which]
+    runs = []
+    for refine, names in ORACLE_RUNS[which].items():
+        fit = _lemma_bound_fits(basis, FAST, refine)
+        runs += [(name, seed) for name in names for seed in fit[name][1]]
+    got = _polish(basis, FAST, runs)
+    fenced = []
+    for i, (name, seed) in enumerate(runs):
+        ref = _scipy_polish(basis, FAST, name, seed, fenced)
+        np.testing.assert_array_equal(got.x[i], ref.x)
+        assert (got.fun[i], got.nfev[i], got.nit[i]) == (ref.fun, ref.nfev, ref.nit)
+    assert fenced and got.shrinks.any() and (got.nit == 400).any()
 
 
 def test_check_mehler_n12_fails_at_half(z2_half):
