@@ -21,7 +21,7 @@ import numpy as np
 from dunklriesz.hermite import build_basis
 from dunklriesz.kernels import heat_kernel, heat_kernel_classical, riesz_kernel_many
 from dunklriesz.reflection import root_system, weight
-from dunklriesz.verify import VerifyConfig, hormander_integral
+from dunklriesz.verify import hormander_integral
 from dunklriesz.kernels import DEFAULT_CONFIG
 
 
@@ -58,13 +58,12 @@ def main():
         for s, k in zip(seps, K):
             wr.writerow([s, k, abs(k) * s**power])
 
-    cfg = VerifyConfig()
     with open(os.path.join(args.out_dir, "hormander_scan.csv"), "w", newline="") as fh:
         wr = csv.writer(fh)
         wr.writerow(["delta", "integral_direct", "integral_transposed"])
         for delta in np.geomspace(1e-3, 1.0, 16):
-            I1, _ = hormander_integral(basis, 1.0, 1.0 + float(delta), cfg, DEFAULT_CONFIG, False)
-            I2, _ = hormander_integral(basis, 1.0, 1.0 + float(delta), cfg, DEFAULT_CONFIG, True)
+            I1, _ = hormander_integral(basis, 1.0, 1.0 + float(delta), DEFAULT_CONFIG, False)
+            I2, _ = hormander_integral(basis, 1.0, 1.0 + float(delta), DEFAULT_CONFIG, True)
             wr.writerow([delta, I1, I2])
 
     print(f"profiles written to {args.out_dir}/")

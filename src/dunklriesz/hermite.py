@@ -28,8 +28,7 @@ from fractions import Fraction
 import numpy as np
 from scipy.special import gammaln
 
-from .polyalg import DunklAlgebra, Polynomial, get_algebra
-from .qfield import Surd
+from .polyalg import DunklAlgebra, Polynomial, _is_zero, get_algebra
 from .reflection import RootSystem, gamma, gamma_exact, root_system
 
 
@@ -203,9 +202,9 @@ def build_basis(rs: RootSystem, N: int, exact: bool | None = None) -> HermiteBas
             for k in range(i):
                 w, nw = vecs[k]
                 # [x^i, psi_k] = sum_a w_a G[i][a]
-                proj = sum((w[a] * G[i][a] for a in range(B) if not _z(w[a])), alg.scalar(0))
-                coef = _div(proj, nw, exact)
-                if not _z(coef):
+                proj = sum((w[a] * G[i][a] for a in range(B) if not _is_zero(w[a])), alg.scalar(0))
+                coef = proj / nw
+                if not _is_zero(coef):
                     v = [va - coef * wa for va, wa in zip(v, w)]
             nv = _quad_form(G, v, alg)
             if exact:
@@ -217,7 +216,7 @@ def build_basis(rs: RootSystem, N: int, exact: bool | None = None) -> HermiteBas
         for (v, nv), n in zip(vecs, block):
             poly = Polynomial.zero(rs.dim)
             for a, idx in enumerate(block):
-                if not _z(v[a]):
+                if not _is_zero(v[a]):
                     poly = poly + alg.monomial(idx, v[a])
             psi.append(poly)
             norms.append(nv)
@@ -254,24 +253,14 @@ def build_basis(rs: RootSystem, N: int, exact: bool | None = None) -> HermiteBas
     )
 
 
-def _z(c) -> bool:
-    return (not c) if isinstance(c, Surd) else c == 0
-
-
-def _div(a, b, exact: bool):
-    if exact:
-        return a / b
-    return float(a) / float(b)
-
-
 def _quad_form(G, v, alg):
     total = alg.scalar(0)
     B = len(v)
     for i in range(B):
-        if _z(v[i]):
+        if _is_zero(v[i]):
             continue
         for j in range(B):
-            if not _z(v[j]):
+            if not _is_zero(v[j]):
                 total = total + v[i] * G[i][j] * v[j]
     return total
 

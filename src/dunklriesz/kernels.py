@@ -52,8 +52,8 @@ from scipy.integrate import quad
 from scipy.special import gammaln, i0e, i1e, ive
 from numpy.polynomial.legendre import leggauss
 
-from .hermite import HermiteBasis, QuadratureNonConvergence
-from .reflection import min_orbit_distance, orbit_distances
+from .hermite import HermiteBasis, QuadratureNonConvergence, c_kappa
+from .reflection import gamma, min_orbit_distance, orbit_distances
 
 
 class SeriesNonConvergence(ArithmeticError):
@@ -74,14 +74,15 @@ class OrbitTooClose(ValueError):
 
 @dataclass(frozen=True)
 class KernelConfig:
+    """The settable knobs of the kernel evaluators.
+
+    Only the series truncation, the Mehler r cap and the Riesz separation
+    floor are settable.  Tail and quadrature tolerances and the panel plans
+    are module constants next to the evaluator that reads them.
+    """
+
     series_truncation: int = 64       # max index for the 1-D series evaluator
-    series_tail_tol: float = 1e-12
     mehler_r_cap: float = 0.5         # per-point r = min(cap, 1/(1+|x||y|))
-    mehler_tail_tol: float = 1e-6     # last-shell contribution, relative
-    quad_rel_tol: float = 1e-10       # adaptive Riesz integration
-    t_split: float = 1.0
-    u_panel_nodes: int = 24           # Gauss-Legendre nodes per u-panel
-    tail_panel_nodes: int = 16
     separation_floor: float = 1e-6
 
     def __post_init__(self):
@@ -94,6 +95,8 @@ DEFAULT_CONFIG = KernelConfig()
 
 # ---------------------------------------------------------------------------
 # rank-one Dunkl kernel
+
+SERIES_TAIL_TOL = 1e-12
 
 
 def dunkl_kernel_1d(kappa: float, u: float, v: float, cfg: KernelConfig = DEFAULT_CONFIG) -> float:
@@ -115,7 +118,7 @@ def dunkl_kernel_1d(kappa: float, u: float, v: float, cfg: KernelConfig = DEFAUL
             f"|uv|={abs(w):.3g} too large for series truncation {cfg.series_truncation}"
         )
     tail = abs(term) * (abs(w) / n) / (1.0 - abs(w) / n)
-    if tail > cfg.series_tail_tol * max(1.0, abs(total)):
+    if tail > SERIES_TAIL_TOL * max(1.0, abs(total)):
         raise SeriesNonConvergence(f"series tail {tail:.3g} above tolerance")
     return total
 
@@ -169,23 +172,24 @@ def _log_bracket(nu: float, x: np.ndarray, sign: np.ndarray) -> np.ndarray:
 
 @functools.cache
 def _underflow_edge(nu: float) -> float:
-    """The largest x > 0 at which the scaled Bessel pair underflows to 0, or
-    0.0 if it never does (ive flushes results below about 1e-305 to 0).
+    """The largest x > 0 at which the scaled Bessel pair is not positive, or
+    0.0 if it always is: ive flushes results below about 1e-305 to 0 for
+    nu > 0 and returns NaN there for nu < 0.
 
-    At small x the pair grows like (x/2)^nu / Gamma(nu + 1), so the x > 0 where
-    it is 0 form an interval (0, edge]; bisection over the bit patterns of the
-    positive floats finds edge exactly.
+    At small x the pair behaves like (x/2)^nu / Gamma(nu + 1), so the x > 0
+    where it is 0 or NaN form an interval (0, edge]; bisection over the bit
+    patterns of the positive floats finds edge exactly.
     """
 
-    def zero(bits):
-        return _bessel_pair(nu, np.int64(bits).view(np.float64))[0] == 0.0
+    def not_positive(bits):
+        return not _bessel_pair(nu, np.int64(bits).view(np.float64))[0] > 0.0
 
     lo, hi = 1, int(np.float64(_ASYMPT_SWITCH).view(np.int64))
-    if not zero(lo):
+    if not not_positive(lo):
         return 0.0
-    while hi - lo > 1:  # the pair is 0 at lo and not at hi
+    while hi - lo > 1:  # the pair is not positive at lo and positive at hi
         mid = (lo + hi) // 2
-        lo, hi = (mid, hi) if zero(mid) else (lo, mid)
+        lo, hi = (mid, hi) if not_positive(mid) else (lo, mid)
     return float(np.int64(lo).view(np.float64))
 
 
@@ -195,7 +199,8 @@ def log_dunkl_kernel_1d(kappa: float, w) -> np.ndarray:
     E grows like e^w w^{-kappa} as w -> +inf and (for kappa > 0) like
     e^{|w|} |w|^{-kappa-1} as w -> -inf; both regimes stay finite in log scale.
     Where |w| is so small that the scaled Bessel pair underflows to 0 (large
-    kappa), the leading small-argument value E = 1 + w/(2 kappa + 1) takes over.
+    kappa) or is NaN (kappa < 1/2), the leading small-argument value
+    E = 1 + w/(2 kappa + 1) takes over.
     """
     w = np.asarray(w, dtype=float)
     if kappa == 0.0:
@@ -241,19 +246,16 @@ def dlog_dunkl_kernel_1d(kappa: float, w) -> np.ndarray:
     return np.where(small, 1.0 / (1.0 + 2.0 * kappa), out)
 
 
-def dunkl_kernel_z2d(rs_or_basis, x, y, cfg: KernelConfig = DEFAULT_CONFIG):
+def dunkl_kernel_z2d(rs_or_basis, x, y):
     """E_kappa for Z2^d as the product of per-axis rank-one kernels."""
-    rs = getattr(rs_or_basis, "rs", rs_or_basis)
-    kappas = rs.axis_kappas()
-    if kappas is None:
+    ev = z2_evaluator(rs_or_basis)
+    if ev is None:
         raise WrongGroup("dunkl_kernel_z2d requires a Z2^d root system")
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    logs = sum(
-        log_dunkl_kernel_1d(kappas[j], x[..., j] * y[..., j]) for j in range(rs.dim)
-    )
-    out = np.exp(logs)
+    out = np.exp(ev.log_E(x, y))
     return float(out) if np.ndim(out) == 0 else out
+
+
+MEHLER_TAIL_TOL = 1e-6                # last-shell contribution, relative
 
 
 def dunkl_kernel_mehler(basis: HermiteBasis, x, y, cfg: KernelConfig = DEFAULT_CONFIG) -> float:
@@ -266,7 +268,7 @@ def dunkl_kernel_mehler(basis: HermiteBasis, x, y, cfg: KernelConfig = DEFAULT_C
 
     r is chosen per point to balance the rescaled argument against tail
     decay.  Raises TruncationTooCoarse when the top degree shell still
-    contributes more than `mehler_tail_tol` relatively.
+    contributes more than MEHLER_TAIL_TOL relatively.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -281,7 +283,7 @@ def dunkl_kernel_mehler(basis: HermiteBasis, x, y, cfg: KernelConfig = DEFAULT_C
         total += term
         if sum(n) == basis.N:
             shell += abs(term)
-    if shell > cfg.mehler_tail_tol * max(abs(total), 1e-300):
+    if shell > MEHLER_TAIL_TOL * max(abs(total), 1e-300):
         raise TruncationTooCoarse(
             f"top shell contributes {shell:.2e} vs total {total:.2e}"
         )
@@ -292,8 +294,8 @@ def dunkl_kernel_mehler(basis: HermiteBasis, x, y, cfg: KernelConfig = DEFAULT_C
 
 def dunkl_kernel(basis: HermiteBasis, x, y, cfg: KernelConfig = DEFAULT_CONFIG) -> float:
     """E_kappa(x,y) via the best available evaluator for the basis group."""
-    if basis.rs.axis_kappas() is not None:
-        return float(dunkl_kernel_z2d(basis.rs, x, y, cfg))
+    if z2_evaluator(basis) is not None:
+        return float(dunkl_kernel_z2d(basis, x, y))
     return dunkl_kernel_mehler(basis, x, y, cfg)
 
 
@@ -370,9 +372,6 @@ class Z2Evaluator:
         w = X[..., i] * Y[..., i] / s
         return -c * Y[..., i] + (X[..., i] / s) * dlog_dunkl_kernel_1d(self.kappas[i], w)
 
-    def heat_dy(self, t, X, Y, i):
-        return self.heat(t, X, Y) * self.dlog_heat_dy(t, X, Y, i)
-
     def log_gaussian_translate(self, c: float, X, Y):
         """log of tau_x(e^{-c|.|^2})(-y) = e^{-c(|x|^2+|y|^2)} E(2c y, x)."""
         X = np.asarray(X, dtype=float)
@@ -391,14 +390,16 @@ def _riesz_bracket(t, X, Y, j):
     return (1.0 - c) * np.asarray(X)[..., j] + np.asarray(Y)[..., j] / s
 
 
-def z2_evaluator(basis: HermiteBasis) -> Z2Evaluator | None:
-    """The basis's closed-form Z2^d evaluator (cached), or None off Z2^d."""
-    if "z2eval" not in basis._cache:
-        kappas = basis.rs.axis_kappas()
-        basis._cache["z2eval"] = (
-            Z2Evaluator(kappas, basis.c_kappa, basis.gamma) if kappas is not None else None
+def z2_evaluator(rs_or_basis) -> Z2Evaluator | None:
+    """The closed-form Z2^d evaluator of a root system, or of a basis's root
+    system (cached on the system), or None off Z2^d."""
+    rs = getattr(rs_or_basis, "rs", rs_or_basis)
+    if "z2eval" not in rs._cache:
+        kappas = rs.axis_kappas()
+        rs._cache["z2eval"] = (
+            Z2Evaluator(kappas, c_kappa(rs), gamma(rs)) if kappas is not None else None
         )
-    return basis._cache["z2eval"]
+    return rs._cache["z2eval"]
 
 
 def heat_kernel(
@@ -497,12 +498,10 @@ def gaussian_translate(basis_or_rs, c: float, x, y, cfg: KernelConfig = DEFAULT_
     """
     if c <= 0:
         raise ValueError("gaussian_translate needs c > 0")
-    rs = getattr(basis_or_rs, "rs", basis_or_rs)
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    kappas = rs.axis_kappas()
-    if kappas is not None:
-        ev = Z2Evaluator(kappas, 1.0, float(np.sum(kappas)))
+    ev = z2_evaluator(basis_or_rs)
+    if ev is not None:
         out = np.exp(ev.log_gaussian_translate(c, x, y))
         return float(out) if np.ndim(out) == 0 else out
     if isinstance(basis_or_rs, HermiteBasis):
@@ -513,6 +512,9 @@ def gaussian_translate(basis_or_rs, c: float, x, y, cfg: KernelConfig = DEFAULT_
 
 # ---------------------------------------------------------------------------
 # Riesz kernel
+
+QUAD_REL_TOL = 1e-10                  # adaptive Riesz integration
+T_SPLIT = 1.0
 
 
 def riesz_kernel(basis: HermiteBasis, j: int, x, y, cfg: KernelConfig = DEFAULT_CONFIG) -> float:
@@ -539,18 +541,18 @@ def riesz_kernel(basis: HermiteBasis, j: int, x, y, cfg: KernelConfig = DEFAULT_
     head, err1 = quad(
         lambda u: 2.0 * integrand(u * u),
         0.0,
-        math.sqrt(cfg.t_split),
+        math.sqrt(T_SPLIT),
         epsabs=1e-14,
-        epsrel=cfg.quad_rel_tol,
+        epsrel=QUAD_REL_TOL,
         limit=300,
     )
-    t_max = cfg.t_split + 60.0 / (2.0 * basis.gamma + basis.rs.dim + 2.0)
+    t_max = T_SPLIT + 60.0 / (2.0 * basis.gamma + basis.rs.dim + 2.0)
     tail, err2 = quad(
         lambda t: integrand(t) / math.sqrt(t),
-        cfg.t_split,
+        T_SPLIT,
         t_max,
         epsabs=1e-14,
-        epsrel=cfg.quad_rel_tol,
+        epsrel=QUAD_REL_TOL,
         limit=200,
     )
     total = (head + tail) / math.sqrt(math.pi)
@@ -572,6 +574,10 @@ def panel_nodes(breaks, n_nodes):
     return np.concatenate(nodes), np.concatenate(weights)
 
 
+U_PANEL_NODES = 24                    # Gauss-Legendre nodes per u-panel
+TAIL_PANEL_NODES = 16
+
+
 def riesz_kernel_many(
     basis: HermiteBasis, j: int, X, Y, cfg: KernelConfig = DEFAULT_CONFIG
 ) -> np.ndarray:
@@ -591,7 +597,7 @@ def riesz_kernel_many(
     if np.any(md <= cfg.separation_floor):
         raise OrbitTooClose("a point pair sits below the separation floor")
 
-    u_hi = math.sqrt(cfg.t_split)
+    u_hi = math.sqrt(T_SPLIT)
     u_lo = max(1e-4, min(0.05, float(np.min(md)) / 8.0)) * u_hi
     breaks = [0.0]
     b = u_lo
@@ -599,16 +605,16 @@ def riesz_kernel_many(
         breaks.append(b)
         b *= 2.0
     breaks.append(u_hi)
-    un, uw = panel_nodes(np.array(breaks), cfg.u_panel_nodes)
+    un, uw = panel_nodes(np.array(breaks), U_PANEL_NODES)
 
-    t_max = cfg.t_split + 60.0 / (2.0 * ev.gamma + ev.d + 2.0)
-    tb = [cfg.t_split]
-    b = 2.0 * cfg.t_split
+    t_max = T_SPLIT + 60.0 / (2.0 * ev.gamma + ev.d + 2.0)
+    tb = [T_SPLIT]
+    b = 2.0 * T_SPLIT
     while b < t_max:
         tb.append(b)
         b *= 2.0
     tb.append(t_max)
-    tn, tw = panel_nodes(np.array(tb), cfg.tail_panel_nodes)
+    tn, tw = panel_nodes(np.array(tb), TAIL_PANEL_NODES)
 
     out = np.zeros(X.shape[:-1])
     for u, w in zip(un, uw):

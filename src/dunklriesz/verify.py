@@ -6,7 +6,7 @@ Conventions
 * Existential-constant claims (the lemma bounds, kernel decay) are fitted:
   C_fit = max of LHS/RHS over a deterministic sample grid, computed in log
   scale so underflowing tails stay meaningful.  "Pass" means C_fit is finite
-  and grows by less than `fit_growth_tol` when every grid is refined 2x; the
+  and grows by less than FIT_GROWTH_TOL when every grid is refined 2x; the
   statements assert existence of C, never a value.
 * Sampling is deterministic given the seed; reports are reproducible
   byte-for-byte on the canonical payload (wall times excluded).
@@ -58,57 +58,32 @@ class SupportOverlap(ValueError):
 
 @dataclass
 class VerifyConfig:
-    """Sampling plans and tolerances; every check is deterministic given seed."""
+    """The seed and the sampling plans of the checks; every check is
+    deterministic given the seed.
+
+    Only sample counts and grids are settable.  Pass tolerances, slacks and
+    the other fixed constants of a check are module constants next to the
+    check that reads them, so no configuration can move a verdict.
+    """
 
     seed: int = 20240801
     # constant-fit protocol (lemma bounds, decay)
-    fit_growth_tol: float = 0.05
-    fit_t_points: int = 12            # log grid on (t_min, 1]
-    fit_t_min: float = 1e-3
+    fit_t_points: int = 12            # log grid on (FIT_T_MIN, 1]
     fit_t_large_points: int = 8       # log grid on [1, 5]
-    fit_box: float = 2.5
     fit_grid_points: int = 13         # per-axis points for x, y grids (d=1)
-    fit_grid_points_2d: int = 5       # per-axis points (d=2; pairs are quartic)
     fit_ridge_points: int = 15        # ridge offsets y = g.x + s sqrt(t)
-    a_const: float = 0.125
-    b_const: float = 0.125
-    c_const: float = 0.0625
-    # Mehler / heat comparison
+    # Mehler comparison
     mehler_r_values: tuple = (0.1, 0.25, 0.4, 0.5)
-    mehler_grid_points: int = 9
-    mehler_tol: float = 1e-6
-    heat_t_values: tuple = (0.1, 0.3, 1.0, 2.0)
-    heat_tol: float = 1e-6
-    heat_classical_tol: float = 1e-10
-    heat_pairs: int = 12
     # Riesz kernel decay
     decay_separations: int = 12       # log-spaced in [0.1, 10]
-    decay_base_points: tuple = (0.7, 1.3)
     # Hormander: separations must probe the delta -> 0 regime (the integrals
     # only saturate toward their supremum below delta ~ 0.02 at y ~ 1)
     horm_separations: tuple = (0.001, 0.002, 0.005, 0.01, 0.02)
-    horm_y_base: float = 1.0
-    horm_slope_tol: float = 0.05
     horm_mc_samples: int = 4000
-    horm_se_frac: float = 0.05
-    horm_radius: float = 12.0
     # Riesz L2
-    riesz_norm_tol: float = 1e-8
-    adjoint_tol: float = 1e-10
     norm_vectors: int = 32
-    # integral representation
-    io_points: tuple = (0.2, 0.5, 1.0)
-    io_tol: float = 1e-3
-    io_support: tuple = (2.0, 3.0)
-    io_degree: int = 3000             # spectral truncation for the 1-D route
-    io_quad_points: int = 240
     # Lp evidence
-    lp_exponents: tuple = (1.5, 2.0, 3.0, 4.0)
     lp_samples: int = 50
-    lp_degree: int = 20
-    lp_grid_half_width: float = 12.0
-    lp_grid_points: int = 4801
-    lp_p2_slack: float = 0.05
 
 
 DEFAULT_VERIFY = VerifyConfig()
@@ -267,6 +242,10 @@ def check_eigen(basis, cfg, kernel_cfg):
     )
 
 
+MEHLER_GRID_POINTS = 9
+MEHLER_TOL = 1e-6
+
+
 @_check(z2="independent evaluator needs Z2^d",
         degree_12="truncation below the N >= 12 contract")
 def check_mehler(basis, cfg, kernel_cfg):
@@ -274,12 +253,12 @@ def check_mehler(basis, cfg, kernel_cfg):
 
     Needs an independent kernel evaluator, so the group must be Z2^d.  The
     attainable tolerance is set by the truncation tail ~ r^(N+1), so the
-    pass level `mehler_tol` is meaningful only with N large enough for the
+    pass level MEHLER_TOL is meaningful only with N large enough for the
     largest r in the grid (r = 0.5 needs N >= 24 for 1e-6).
     """
     kappas = z2_evaluator(basis).kappas
     d = basis.rs.dim
-    pts = np.linspace(-1.0, 1.0, cfg.mehler_grid_points if d == 1 else 5)
+    pts = np.linspace(-1.0, 1.0, MEHLER_GRID_POINTS if d == 1 else 5)
     grids = np.meshgrid(*([pts] * d), indexing="ij")
     box = np.stack([g.ravel() for g in grids], axis=-1)
     worst = 0.0
@@ -305,11 +284,17 @@ def check_mehler(basis, cfg, kernel_cfg):
         worst = max(worst, float(np.max(rel)))
         count += rel.size
     return CheckResult(
-        status="pass" if worst < cfg.mehler_tol else "fail",
+        status="pass" if worst < MEHLER_TOL else "fail",
         config={"r_values": list(cfg.mehler_r_values)},
-        residuals={"max_rel_err": worst, "tolerance": cfg.mehler_tol},
+        residuals={"max_rel_err": worst, "tolerance": MEHLER_TOL},
         samples=count,
     )
+
+
+HEAT_T_VALUES = (0.1, 0.3, 1.0, 2.0)
+HEAT_PAIRS = 12
+HEAT_TOL = 1e-6
+HEAT_CLASSICAL_TOL = 1e-10
 
 
 @_check(z2="series oracle needs Z2^d")
@@ -320,12 +305,12 @@ def check_heat(basis, cfg, kernel_cfg):
     kappas = z2_evaluator(basis).kappas
     rng = np.random.default_rng([cfg.seed, 1])
     d = basis.rs.dim
-    X = rng.uniform(-1.5, 1.5, (cfg.heat_pairs, d))
-    Y = rng.uniform(-1.5, 1.5, (cfg.heat_pairs, d))
+    X = rng.uniform(-1.5, 1.5, (HEAT_PAIRS, d))
+    Y = rng.uniform(-1.5, 1.5, (HEAT_PAIRS, d))
     worst_series = worst_sym = worst_classical = 0.0
     printed_min_err = math.inf
     factor_err = 0.0
-    for t in cfg.heat_t_values:
+    for t in HEAT_T_VALUES:
         for xi, yi in zip(X, Y):
             closed = heat_kernel(basis, t, xi, yi)
             series = heat_kernel_series(kappas, t, xi, yi)
@@ -346,15 +331,15 @@ def check_heat(basis, cfg, kernel_cfg):
             worst_classical = max(worst_classical, abs(red - cls) / abs(cls))
     expected_gap = 2.0 ** (basis.gamma + d / 2.0) - 1.0
     ok = (
-        worst_series < cfg.heat_tol
-        and worst_classical < cfg.heat_classical_tol
+        worst_series < HEAT_TOL
+        and worst_classical < HEAT_CLASSICAL_TOL
         and worst_sym < 1e-10
         and factor_err < 1e-10
-        and printed_min_err > cfg.heat_tol  # the printed constant MUST fail
+        and printed_min_err > HEAT_TOL  # the printed constant MUST fail
     )
     return CheckResult(
         status="pass" if ok else "fail",
-        config={"t_values": list(cfg.heat_t_values)},
+        config={"t_values": list(HEAT_T_VALUES)},
         residuals={
             "series_vs_closed": worst_series,
             "classical_reduction": worst_classical,
@@ -363,20 +348,26 @@ def check_heat(basis, cfg, kernel_cfg):
             "printed_constant_min_rel_err": printed_min_err,
             "printed_expected_rel_err": expected_gap,
         },
-        samples=len(cfg.heat_t_values) * cfg.heat_pairs,
+        samples=len(HEAT_T_VALUES) * HEAT_PAIRS,
     )
 
 
 # ---------------------------------------------------------------------------
 # constant-fit checks
 
+FIT_GROWTH_TOL = 0.05
+FIT_T_MIN = 1e-3
+FIT_BOX = 2.5
+FIT_GRID_POINTS_2D = 5            # per-axis points (d=2; pairs are quartic)
+A_CONST, B_CONST, C_CONST = 0.125, 0.125, 0.0625
+
 
 def _fit_grids(basis: HermiteBasis, cfg: VerifyConfig, refine: int = 1):
     d = basis.rs.dim
-    ts = np.geomspace(cfg.fit_t_min, 1.0, cfg.fit_t_points * refine)
+    ts = np.geomspace(FIT_T_MIN, 1.0, cfg.fit_t_points * refine)
     tl = np.geomspace(1.0, 5.0, cfg.fit_t_large_points * refine)
-    per_axis = (cfg.fit_grid_points if d == 1 else cfg.fit_grid_points_2d) * refine
-    pts = np.linspace(-cfg.fit_box, cfg.fit_box, per_axis)
+    per_axis = (cfg.fit_grid_points if d == 1 else FIT_GRID_POINTS_2D) * refine
+    pts = np.linspace(-FIT_BOX, FIT_BOX, per_axis)
     grids = np.meshgrid(*([pts] * d), indexing="ij")
     box = np.stack([g.ravel() for g in grids], axis=-1)
     X = np.repeat(box, box.shape[0], axis=0)
@@ -427,14 +418,14 @@ _PIECES = {
     - 0.25 * (p.tanh * np.sum((p.X + p.Y) ** 2, -1) + p.sm / p.tanh),
     "dl0": lambda p: np.log(np.abs(
         -0.5 * (column(p.tanh) * (p.Y + p.X) + (p.Y - p.X) / column(p.tanh)))),
-    "base0": lambda p: p.log_k0 + p.a * p.sm / p.t,
+    "base0": lambda p: p.log_k0 + A_CONST * p.sm / p.t,
     "log_heat": lambda p: p.ev.log_heat(p.t, p.X, p.Y),
     "dl": lambda p: np.log(np.stack(
         [np.abs(p.ev.dlog_heat_dy(p.t, p.X, p.Y, i)) for i in range(p.d)], -1)),
-    "base1": lambda p: p.log_heat - p.ev.log_gaussian_translate(p.b / p.t, p.X, p.Y),
-    "tau_b": lambda p: p.ev.log_gaussian_translate(p.b, p.X, p.Y),
+    "base1": lambda p: p.log_heat - p.ev.log_gaussian_translate(B_CONST / p.t, p.X, p.Y),
+    "tau_b": lambda p: p.ev.log_gaussian_translate(B_CONST, p.X, p.Y),
     "tau_sum": lambda p: logsumexp(np.stack(
-        [p.ev.log_gaussian_translate(p.c / p.t, Xc, p.Y)
+        [p.ev.log_gaussian_translate(C_CONST / p.t, Xc, p.Y)
          for Xc in [p.X] + [reflect(alpha, p.X) for alpha in p.roots]]), axis=0),
 }
 
@@ -449,11 +440,10 @@ class LemmaPieces:
     bit for bit.
     """
 
-    def __init__(self, basis: HermiteBasis, cfg: VerifyConfig, t, X, Y):
+    def __init__(self, basis: HermiteBasis, t, X, Y):
         self.t, self.X, self.Y, self.lt = t, X, Y, per_row(math.log, t)
         self.ev, self.roots = z2_evaluator(basis), basis.rs.positive_roots
         self.d, self.gam = basis.rs.dim, basis.gamma
-        self.a, self.b, self.c = cfg.a_const, cfg.b_const, cfg.c_const
 
     def __getattr__(self, name):  # reached only for a piece not yet computed
         if name not in _PIECES:
@@ -477,8 +467,8 @@ LEMMA_RATIOS = {
     + (p.gam + p.d / 2.0 - 0.5) * p.lt,
     "reflected_small_ii": lambda p: _cross(p.dxy, p.dl) + p.log_heat - p.tau_sum
     + (p.gam + p.d / 2.0) * p.lt,
-    "classical_large_v": lambda p: p.log_k0 + p.d * p.t + p.a * p.sm,
-    "classical_large_vi": lambda p: p.ymax + p.log_k0 + p.d * p.t + p.a * p.sm,
+    "classical_large_v": lambda p: p.log_k0 + p.d * p.t + A_CONST * p.sm,
+    "classical_large_vi": lambda p: p.ymax + p.log_k0 + p.d * p.t + A_CONST * p.sm,
     "dunkl_large_v": lambda p: p.log_heat - p.tau_b + (2.0 * p.gam + p.d) * p.t,
     "dunkl_large_vi": lambda p: p.ymax + p.log_heat - p.tau_b + (2.0 * p.gam + p.d) * p.t,
 }
@@ -575,12 +565,12 @@ def _nelder_mead_lockstep(f, z0) -> NelderMeadRuns:
     return NelderMeadRuns(x=sim[:, 0], fun=np.min(fsim, axis=1), nfev=nfev, nit=nit, shrinks=shrinks)
 
 
-def _polish(basis, cfg, runs) -> NelderMeadRuns:
+def _polish(basis, runs) -> NelderMeadRuns:
     """Local minimization of -ratio from grid seeds, one run per (ratio name,
     seed (t, x, y)), all runs in one `_nelder_mead_lockstep` on z = (log t, x, y).
 
     A point is fenced, with value 1e9 and no evaluation, when log t leaves its
-    run's t-range or a coordinate exceeds 2 fit_box; a non-finite ratio also
+    run's t-range or a coordinate exceeds 2 FIT_BOX; a non-finite ratio also
     gives 1e9.  Each batch of points builds one LemmaPieces over all its
     unfenced rows, evaluates each ratio that occurs there, and gives each row
     its own run's ratio.  The grids locate the basin; polishing removes
@@ -591,16 +581,16 @@ def _polish(basis, cfg, runs) -> NelderMeadRuns:
     names = list(LEMMA_RATIOS)
     which = np.array([names.index(name) for name, _ in runs])
     small = np.array(["_small_" in name for name, _ in runs])
-    lo = np.where(small, math.log(cfg.fit_t_min / 10.0), math.log(1.0))
+    lo = np.where(small, math.log(FIT_T_MIN / 10.0), math.log(1.0))
     hi = np.where(small, math.log(1.0), math.log(8.0))
-    box_limit = 2.0 * cfg.fit_box
+    box_limit = 2.0 * FIT_BOX
 
     def neg_ratio(k, Z):
         out = np.full(len(k), 1e9)
         kept = (lo[k] <= Z[:, 0]) & (Z[:, 0] <= hi[k]) & ~np.any(np.abs(Z[:, 1:]) > box_limit, 1)
         if kept.any():
             Zin, ratio_of = Z[kept], which[k[kept]]
-            pieces = LemmaPieces(basis, cfg, per_row(math.exp, Zin[:, 0]),
+            pieces = LemmaPieces(basis, per_row(math.exp, Zin[:, 0]),
                                  Zin[:, 1 : 1 + d], Zin[:, 1 + d :])
             vals = np.empty(len(Zin))
             with np.errstate(divide="ignore", invalid="ignore"):
@@ -625,7 +615,7 @@ def _lemma_bound_fits(basis: HermiteBasis, cfg: VerifyConfig, refine: int) -> di
     best: dict[str, list] = {name: [] for name in LEMMA_RATIOS}
 
     def scan(t, X, Y, small):
-        pieces = LemmaPieces(basis, cfg, t, X, Y)
+        pieces = LemmaPieces(basis, t, X, Y)
         for name, ratio in LEMMA_RATIOS.items():
             if ("_small_" in name) == small:
                 vals = ratio(pieces)
@@ -654,11 +644,11 @@ def check_lemma_bounds(basis, cfg, kernel_cfg):
     is exp of the larger of the grid max and the best polished value from
     the three best grid seeds; the polish is scipy's Nelder-Mead, run in one
     lockstep over all 84 seeds of the coarse and the 2x refined grids.  Pass
-    means every C_fit grows < fit_growth_tol under the refinement.
+    means every C_fit grows < FIT_GROWTH_TOL under the refinement.
     """
     fits = [_lemma_bound_fits(basis, cfg, refine) for refine in (1, 2)]
     runs = [(name, seed) for fit in fits for name, (_, seeds) in fit.items() for seed in seeds]
-    sups = iter(-_polish(basis, cfg, runs).fun)
+    sups = iter(-_polish(basis, runs).fun)
     coarse, fine = (
         {name: math.exp(max(max(itertools.islice(sups, len(seeds)), default=-math.inf), grid))
          for name, (grid, seeds) in fit.items()}
@@ -666,15 +656,18 @@ def check_lemma_bounds(basis, cfg, kernel_cfg):
     )
     growth = {k: fine[k] / coarse[k] - 1.0 for k in coarse}
     ok = all(np.isfinite(v) for v in fine.values()) and all(
-        g < cfg.fit_growth_tol for g in growth.values()
+        g < FIT_GROWTH_TOL for g in growth.values()
     )
     return CheckResult(
         status="pass" if ok else "fail",
-        config={"a": cfg.a_const, "b": cfg.b_const, "c": cfg.c_const},
+        config={"a": A_CONST, "b": B_CONST, "c": C_CONST},
         constants={f"C_{k}": v for k, v in fine.items()},
         residuals={f"growth_{k}": g for k, g in growth.items()},
         samples=14,
     )
+
+
+DECAY_BASE_POINTS = (0.7, 1.3)
 
 
 @_check(z2_1d="fast vectorized kernel route needs d=1 Z2")
@@ -689,7 +682,7 @@ def check_kernel_decay(basis, cfg, kernel_cfg):
     def cfit(n_sep):
         seps = np.geomspace(0.1, 10.0, n_sep)
         best = 0.0
-        for x0 in cfg.decay_base_points:
+        for x0 in DECAY_BASE_POINTS:
             for direction in (1.0, -1.0):
                 X = np.full((n_sep, 1), x0)
                 Y = direction * X + direction * seps[:, None]
@@ -707,18 +700,23 @@ def check_kernel_decay(basis, cfg, kernel_cfg):
         riesz_kernel(basis, 1, [1.0], [1.0 + 0.1 * kernel_cfg.separation_floor], kernel_cfg)
     except OrbitTooClose:
         floor_refused = True
-    ok = np.isfinite(fine) and growth < cfg.fit_growth_tol and floor_refused
+    ok = np.isfinite(fine) and growth < FIT_GROWTH_TOL and floor_refused
     return CheckResult(
         status="pass" if ok else "fail",
         config={"separations": "geomspace(0.1, 10)"},
         constants={"C_decay": fine},
         residuals={"growth": growth, "floor_refused": floor_refused},
-        samples=2 * cfg.decay_separations * 2 * len(cfg.decay_base_points),
+        samples=2 * cfg.decay_separations * 2 * len(DECAY_BASE_POINTS),
     )
 
 
 # ---------------------------------------------------------------------------
 # Hormander conditions
+
+HORM_Y_BASE = 1.0
+HORM_RADIUS = 12.0
+HORM_SLOPE_TOL = 0.05
+HORM_SE_FRAC = 0.05
 
 
 def _refined_breaks(lo: float, hi: float, features, fine: float) -> np.ndarray:
@@ -759,14 +757,14 @@ def _kernel_difference(basis, y, y0, X, kernel_cfg, transposed):
     return np.abs(K(y) - K(y0)) * weight(basis.rs, X)
 
 
-def hormander_integral(basis, y, y0, cfg, kernel_cfg, transposed):
+def hormander_integral(basis, y, y0, kernel_cfg, transposed):
     """Deterministic panel quadrature of int |K(.,y)-K(.,y0)| w dx over
     {min(|x-y|, |x+y|) > 2|y0-y|}, or of the transposed kernel difference.
 
     Returns the value and the number of quadrature nodes.  d=1 Z2 only.
     """
     delta = abs(y0 - y)
-    R = abs(y) + cfg.horm_radius
+    R = abs(y) + HORM_RADIUS
     segs, edges = _region_segments(y, delta, R)
     nodes, wts = zip(*(
         panel_nodes(_refined_breaks(a, c, edges, max(delta / 4.0, 1e-3)), 16) for a, c in segs
@@ -786,7 +784,7 @@ def _hormander_mc(basis, y, y0, cfg, kernel_cfg, transposed, rng):
     """
     delta = abs(y0 - y)
     p = 2.0 * basis.gamma + basis.rs.dim
-    lo, L = 2.0 * delta, abs(y) + cfg.horm_radius
+    lo, L = 2.0 * delta, abs(y) + HORM_RADIUS
     n = cfg.horm_mc_samples
     u = rng.random(n)
     if abs(p - 1.0) < 1e-12:
@@ -825,15 +823,15 @@ def check_hormander(basis, cfg, kernel_cfg):
     For each separation delta the integral over {min_g |g.x - y| > 2 delta}
     of |K(x,y) - K(x,y0)| dmu (and the transposed variant) is estimated by
     deterministic panel quadrature and cross-checked by importance-sampled
-    Monte Carlo (SE must be < horm_se_frac of the value).  Pass requires the
+    Monte Carlo (SE must be < HORM_SE_FRAC of the value).  Pass requires the
     median-normalized regression slope of value against log(1/delta) to stay
-    below horm_slope_tol for both conditions: bounded, no growth as
+    below HORM_SLOPE_TOL for both conditions: bounded, no growth as
     delta -> 0.  The separations should probe the small-delta regime; at
     moderate delta the integrals are still climbing toward their supremum
     and the slope criterion is meaningless.
     """
     rng = np.random.default_rng([cfg.seed, 3])
-    y = cfg.horm_y_base
+    y = HORM_Y_BASE
     deltas = np.asarray(cfg.horm_separations, dtype=float)
     rows = {"direct": [], "transposed": []}
     se_ok = True
@@ -841,9 +839,9 @@ def check_hormander(basis, cfg, kernel_cfg):
     npts = 0
     for transposed, label in ((False, "direct"), (True, "transposed")):
         for delta in deltas:
-            I, used = hormander_integral(basis, y, y + delta, cfg, kernel_cfg, transposed)
+            I, used = hormander_integral(basis, y, y + delta, kernel_cfg, transposed)
             est, se = _hormander_mc(basis, y, y + delta, cfg, kernel_cfg, transposed, rng)
-            if se > cfg.horm_se_frac * est:
+            if se > HORM_SE_FRAC * est:
                 se_ok = False
             if abs(est - I) > 5.0 * se + 1e-3 * I:
                 mc_consistent = False
@@ -856,7 +854,7 @@ def check_hormander(basis, cfg, kernel_cfg):
         A = np.vstack([xs, np.ones_like(xs)]).T
         slope = float(np.linalg.lstsq(A, vals / np.median(vals), rcond=None)[0][0])
         slopes[label] = slope
-    ok = se_ok and mc_consistent and all(s <= cfg.horm_slope_tol for s in slopes.values())
+    ok = se_ok and mc_consistent and all(s <= HORM_SLOPE_TOL for s in slopes.values())
     return CheckResult(
         status="pass" if ok else "fail",
         config={"separations": deltas.tolist(), "y": y},
@@ -878,6 +876,9 @@ def check_hormander(basis, cfg, kernel_cfg):
 
 # ---------------------------------------------------------------------------
 # operator checks
+
+RIESZ_NORM_TOL = 1e-8
+ADJOINT_TOL = 1e-10
 
 
 @_check()
@@ -911,9 +912,9 @@ def check_riesz_l2(basis, cfg, kernel_cfg):
                 float(np.linalg.norm(A @ v) ** 2 + np.linalg.norm(B @ v) ** 2),
             )
     ok = (
-        worst_norm <= math.sqrt(2.0) + cfg.riesz_norm_tol
-        and worst_adj <= cfg.adjoint_tol
-        and worst_pair <= 2.0 + cfg.riesz_norm_tol
+        worst_norm <= math.sqrt(2.0) + RIESZ_NORM_TOL
+        and worst_adj <= ADJOINT_TOL
+        and worst_pair <= 2.0 + RIESZ_NORM_TOL
     )
     return CheckResult(
         status="pass" if ok else "fail",
@@ -940,34 +941,40 @@ def _riesz_1d(kap, coeffs):
     return lam[1:] ** -0.5 * coeffs[1:] * ladder[1:]
 
 
+IO_POINTS = (0.2, 0.5, 1.0)
+IO_TOL = 1e-3
+IO_SUPPORT = (2.0, 3.0)
+IO_DEGREE = 3000                  # spectral truncation for the 1-D route
+IO_QUAD_POINTS = 240
+
+
 @_check(z2_1d="needs d=1 Z2")
 def check_integral_representation(basis, cfg, kernel_cfg):
     """Spectral route vs kernel quadrature for a bump supported off the orbit.
 
     d=1 Z2 only.  The spectral route uses the per-degree ladder action (the
     matrix realization collapses to it in one dimension; the two are checked
-    against each other at the basis truncation) carried to `io_degree` terms:
+    against each other at the basis truncation) carried to IO_DEGREE terms:
     the bump's Hermite coefficients decay like exp(-c n^(1/3)), so reaching
-    the io_tol agreement against the kernel route needs a few thousand terms,
+    the IO_TOL agreement against the kernel route needs a few thousand terms,
     far beyond any polynomial-basis truncation.  Also reports the agreement
     at the basis truncation for reference.
     """
     kap = float(z2_evaluator(basis).kappas[0])
-    lo, hi = cfg.io_support
-    for x in cfg.io_points:
+    lo, hi = IO_SUPPORT
+    for x in IO_POINTS:
         if min(abs(x - lo), abs(x + hi)) < 1e-12 or (lo <= abs(x) <= hi):
             raise SupportOverlap(f"orbit of x={x} meets supp f = [{lo}, {hi}]")
-    yq, wq = panel_nodes([lo, hi], cfg.io_quad_points)
+    yq, wq = panel_nodes([lo, hi], IO_QUAD_POINTS)
     wk = weight(basis.rs, yq[:, None])
     fv = _bump(yq, lo, hi)
-    NMAX = cfg.io_degree
-    hv = hermite_functions_1d(kap, NMAX, yq)
+    hv = hermite_functions_1d(kap, IO_DEGREE, yq)
     Rf = _riesz_1d(kap, hv @ (wq * fv * wk))
     worst = 0.0
     worst_at_basis_n = 0.0
     per_point = {}
-    for x in cfg.io_points:
-        hx = hermite_functions_1d(kap, NMAX, np.array([x]))[:, 0]
+    for x in IO_POINTS:
+        hx = hermite_functions_1d(kap, IO_DEGREE, np.array([x]))[:, 0]
         terms = Rf * hx[:-1]
         spectral = float(np.sum(terms))
         spectral_basis = float(np.sum(terms[: basis.N]))
@@ -983,17 +990,24 @@ def check_integral_representation(basis, cfg, kernel_cfg):
             "kernel": kernel_route,
             "rel_err": rel,
         }
-    ok = worst < cfg.io_tol
+    ok = worst < IO_TOL
     return CheckResult(
         status="pass" if ok else "fail",
-        config={"io_degree": NMAX, "points": list(cfg.io_points)},
+        config={"io_degree": IO_DEGREE, "points": list(IO_POINTS)},
         residuals={
             "max_rel_err": worst,
             "rel_err_at_basis_truncation": worst_at_basis_n,
             **per_point,
         },
-        samples=len(cfg.io_points),
+        samples=len(IO_POINTS),
     )
+
+
+LP_EXPONENTS = (1.5, 2.0, 3.0, 4.0)
+LP_DEGREE = 20
+LP_GRID_HALF_WIDTH = 12.0
+LP_GRID_POINTS = 4801
+LP_P2_SLACK = 0.05
 
 
 @_check(z2_1d="needs d=1 Z2")
@@ -1002,17 +1016,17 @@ def check_lp_empirical(basis, cfg, kernel_cfg):
     band-limited f.  Not a proof and explicitly labeled as such; at p = 2 the
     max ratio must respect the sqrt(2) bound up to quadrature slack."""
     kap = float(z2_evaluator(basis).kappas[0])
-    deg = min(cfg.lp_degree, basis.N - 1)
+    deg = min(LP_DEGREE, basis.N - 1)
     rng = np.random.default_rng([cfg.seed, 5])
-    xs = np.linspace(-cfg.lp_grid_half_width, cfg.lp_grid_half_width, cfg.lp_grid_points)
+    xs = np.linspace(-LP_GRID_HALF_WIDTH, LP_GRID_HALF_WIDTH, LP_GRID_POINTS)
     wk = weight(basis.rs, xs[:, None])
     hv = hermite_functions_1d(kap, deg + 1, xs)
-    ratios = {p: [] for p in cfg.lp_exponents}
+    ratios = {p: [] for p in LP_EXPONENTS}
     for _ in range(cfg.lp_samples):
         v = rng.normal(size=deg + 1)
         f = v @ hv[: deg + 1]
         Rf = _riesz_1d(kap, v) @ hv[: deg]
-        for p in cfg.lp_exponents:
+        for p in LP_EXPONENTS:
             nf = np.trapezoid(np.abs(f) ** p * wk, xs) ** (1.0 / p)
             nrf = np.trapezoid(np.abs(Rf) ** p * wk, xs) ** (1.0 / p)
             ratios[p].append(nrf / nf)
@@ -1024,13 +1038,13 @@ def check_lp_empirical(basis, cfg, kernel_cfg):
         stats[f"p={p}_median"] = float(np.median(vals))
         if np.max(vals) >= 10.0 * np.median(vals):
             ok = False
-    if stats["p=2.0_max"] > math.sqrt(2.0) + cfg.lp_p2_slack:
+    if stats["p=2.0_max"] > math.sqrt(2.0) + LP_P2_SLACK:
         ok = False
     return CheckResult(
         status="pass" if ok else "fail",
-        config={"exponents": list(cfg.lp_exponents), "degree": deg},
+        config={"exponents": list(LP_EXPONENTS), "degree": deg},
         constants=stats,
-        samples=cfg.lp_samples * len(cfg.lp_exponents),
+        samples=cfg.lp_samples * len(LP_EXPONENTS),
         notes="SOFT EVIDENCE: Lp boundedness is not numerically provable",
     )
 

@@ -128,6 +128,20 @@ def test_config_unknown_key_rejected(tmp_path):
     assert run(["verify", "--config", "cfg.json", "--out", "rep"], tmp_path) == 2
 
 
+@pytest.mark.parametrize("block, field", [
+    ({"verify": {"mehler_tol": 1e-3}}, "VerifyConfig"),
+    ({"kernel": {"quad_rel_tol": 1e-3}}, "KernelConfig"),
+])
+def test_config_cannot_set_tolerance(tmp_path, capsys, block, field):
+    """Pass tolerances are fixed: a config that sets one is rejected before
+    any check runs, so it cannot move a verdict."""
+    cfg = {"group": "z2", "kappa": 0.5, "degree": 12, "checks": ["mehler"], **block}
+    (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+    assert run(["verify", "--config", "cfg.json", "--out", "rep"], tmp_path) == 2
+    assert f"unknown {field} fields" in capsys.readouterr().err
+    assert not (tmp_path / "rep.json").exists()
+
+
 def test_config_root_system_block_catalogue(tmp_path):
     cfg = {
         "root_system": {"type": "catalogue", "name": "b2", "multiplicity": [1, 2]},

@@ -133,21 +133,27 @@ def test_dlog_kernel_half_matches_mpmath(half_kappa_reference):
     assert (err / np.maximum(1.0, np.abs(w))).max() <= 1e-14
 
 
-@pytest.mark.parametrize("kappa", [2.5, 4.0, 7.5])
-def test_log_kernel_tiny_w_large_kappa_matches_mpmath(kappa):
-    """At tiny |w| the scaled Bessel pair of a large order underflows to 0;
-    log E stays finite and equals w/(2 kappa + 1) to double precision."""
+def _log_e_mpmath(kappa, w):
+    """log E_kappa(w) from mpmath's 0F1 form, with enough digits to resolve
+    log(1 + 1e-300)."""
     mp = pytest.importorskip("mpmath")
-    g = 10.0 ** -np.arange(100.0, 301.0, 5.0)
-    w = np.concatenate([g, -g])
     ref = []
-    with mp.workdps(700):  # enough digits to resolve log(1 + 1e-300)
+    with mp.workdps(700):
         b = mp.mpf(kappa) + mp.mpf(0.5)
         for wi in w:
             v = mp.mpf(wi)
             ref.append(float(mp.log(mp.hyp0f1(b, v * v / 4)
                                      + v / (2 * b) * mp.hyp0f1(b + 1, v * v / 4))))
-    ref = np.array(ref)
+    return np.array(ref)
+
+
+@pytest.mark.parametrize("kappa", [2.5, 4.0, 7.5])
+def test_log_kernel_tiny_w_large_kappa_matches_mpmath(kappa):
+    """At tiny |w| the scaled Bessel pair of a large order underflows to 0;
+    log E stays finite and equals w/(2 kappa + 1) to double precision."""
+    g = 10.0 ** -np.arange(100.0, 301.0, 5.0)
+    w = np.concatenate([g, -g])
+    ref = _log_e_mpmath(kappa, w)
     got = log_dunkl_kernel_1d(kappa, w)
     # above the underflow the Bessel route cancels terms of size ~|log w|
     assert np.max(np.abs(got - ref)) <= 1e-12
@@ -155,6 +161,21 @@ def test_log_kernel_tiny_w_large_kappa_matches_mpmath(kappa):
     # small-argument value is exact to rounding
     tiny = np.abs(w) <= 1e-155
     assert np.max(np.abs(got[tiny] / ref[tiny] - 1.0)) <= 1e-15
+
+
+@pytest.mark.parametrize("kappa", [0.1, 0.25, 0.45])
+def test_log_kernel_tiny_w_small_kappa_matches_mpmath(kappa):
+    """Below kappa = 1/2 the Bessel order is negative, and ive returns NaN,
+    not 0, at x below about 2.2e-305; log E stays finite there and equals
+    w/(2 kappa + 1) to double precision."""
+    g = np.concatenate([10.0 ** -np.arange(250.0, 308.0), [2e-305, 3e-305]])
+    w = np.concatenate([g, -g])
+    ref = _log_e_mpmath(kappa, w)
+    got = log_dunkl_kernel_1d(kappa, w)
+    assert np.max(np.abs(got - ref)) <= 1e-12
+    below = np.abs(w) <= kernels._underflow_edge(kappa - 0.5)
+    assert np.count_nonzero(below) >= 6  # 1e-305, 1e-306 and 1e-307, both signs
+    assert np.max(np.abs(got[below] / ref[below] - 1.0)) <= 1e-15
 
 
 def _log_bracket_all_elements(nu, x, sign):

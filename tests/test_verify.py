@@ -11,6 +11,9 @@ from dunklriesz.hermite import build_basis
 from dunklriesz.reflection import root_system
 from dunklriesz.verify import (
     ALL_CHECKS,
+    FIT_BOX,
+    FIT_T_MIN,
+    HORM_SLOPE_TOL,
     LEMMA_RATIOS,
     LemmaPieces,
     VerifyConfig,
@@ -35,7 +38,6 @@ FAST = VerifyConfig(
     horm_separations=(0.005, 0.01, 0.02),
     horm_mc_samples=1500,
     decay_separations=6,
-    io_degree=3000,
     lp_samples=10,
     norm_vectors=8,
 )
@@ -105,7 +107,7 @@ def lemma_points(lemma_bases):
 def mixed_t_rows(lemma_bases):
     """Rows with a t of their own, small and large, on both sides of the
     polish fence: t from 2e-5 to 12 (the fence keeps 1e-4 .. 8) and
-    coordinates up to 6 (it keeps |x|, |y| <= 2 fit_box = 5)."""
+    coordinates up to 6 (it keeps |x|, |y| <= 2 FIT_BOX = 5)."""
     rng = np.random.default_rng(11)
     out = []
     for basis in lemma_bases:
@@ -123,11 +125,11 @@ def test_lemma_ratio_shared_pieces_match_fresh(lemma_points, mixed_t_rows, name)
     batches = [(basis, t_one, X, Y) for basis, X, Y in lemma_points] + mixed_t_rows
     for basis, t, X, Y in batches:
         with np.errstate(divide="ignore", invalid="ignore"):
-            shared = LemmaPieces(basis, FAST, t, X, Y)
+            shared = LemmaPieces(basis, t, X, Y)
             for other, ratio in LEMMA_RATIOS.items():
                 if other != name:
                     ratio(shared)
-            fresh = LemmaPieces(basis, FAST, t, X, Y)
+            fresh = LemmaPieces(basis, t, X, Y)
             np.testing.assert_array_equal(LEMMA_RATIOS[name](shared), LEMMA_RATIOS[name](fresh))
 
 
@@ -137,27 +139,27 @@ def test_lemma_ratio_per_row_t_matches_scalar(mixed_t_rows, name):
     bit, a pieces object built for that row alone at its float t."""
     for basis, t, X, Y in mixed_t_rows:
         with np.errstate(divide="ignore", invalid="ignore"):
-            batch = LEMMA_RATIOS[name](LemmaPieces(basis, FAST, t, X, Y))
-            rows = [LEMMA_RATIOS[name](LemmaPieces(basis, FAST, float(ti), X[i : i + 1],
+            batch = LEMMA_RATIOS[name](LemmaPieces(basis, t, X, Y))
+            rows = [LEMMA_RATIOS[name](LemmaPieces(basis, float(ti), X[i : i + 1],
                                                    Y[i : i + 1]))[0]
                     for i, ti in enumerate(t)]
         np.testing.assert_array_equal(batch, rows)
 
 
-def _scipy_polish(basis, cfg, name, seed, fenced):
+def _scipy_polish(basis, name, seed, fenced):
     """One polish run as scipy.optimize.minimize runs it, one LemmaPieces at
     a float t per evaluation; appends each fenced point to `fenced`."""
     t0, x0, y0 = seed
-    lo, hi = (math.log(cfg.fit_t_min / 10.0), 0.0) if "_small_" in name else (0.0, math.log(8.0))
+    lo, hi = (math.log(FIT_T_MIN / 10.0), 0.0) if "_small_" in name else (0.0, math.log(8.0))
     d = x0.size
 
     def neg(z):
-        if not (lo <= z[0] <= hi) or np.any(np.abs(z[1:]) > 2.0 * cfg.fit_box):
+        if not (lo <= z[0] <= hi) or np.any(np.abs(z[1:]) > 2.0 * FIT_BOX):
             fenced.append(z)
             return 1e9
         with np.errstate(divide="ignore", invalid="ignore"):
-            val = LEMMA_RATIOS[name](LemmaPieces(basis, cfg, math.exp(z[0]),
-                                                 z[None, 1 : 1 + d], z[None, 1 + d :]))
+            val = LEMMA_RATIOS[name](LemmaPieces(basis, math.exp(z[0]), z[None, 1 : 1 + d],
+                                                 z[None, 1 + d :]))
         v = float(val[0])
         return 1e9 if not np.isfinite(v) else -v
 
@@ -186,10 +188,10 @@ def test_polish_lockstep_matches_scipy(lemma_bases, which):
     for refine, names in ORACLE_RUNS[which].items():
         fit = _lemma_bound_fits(basis, FAST, refine)
         runs += [(name, seed) for name in names for seed in fit[name][1]]
-    got = _polish(basis, FAST, runs)
+    got = _polish(basis, runs)
     fenced = []
     for i, (name, seed) in enumerate(runs):
-        ref = _scipy_polish(basis, FAST, name, seed, fenced)
+        ref = _scipy_polish(basis, name, seed, fenced)
         np.testing.assert_array_equal(got.x[i], ref.x)
         assert (got.fun[i], got.nfev[i], got.nit[i]) == (ref.fun, ref.nfev, ref.nit)
     assert fenced and got.shrinks.any() and (got.nit == 400).any()
@@ -244,7 +246,7 @@ def test_check_lp(z2_half_basis8):
 def test_check_hormander_fast(z2_half_basis8):
     r = check_hormander(z2_half_basis8, FAST)
     assert r.status == "pass"
-    assert r.constants["slope_direct"] <= FAST.horm_slope_tol
+    assert r.constants["slope_direct"] <= HORM_SLOPE_TOL
     assert r.residuals["mc_se_ok"] and r.residuals["mc_consistent"]
 
 
