@@ -2,13 +2,17 @@
 """Run the full verification suite over a panel of group/multiplicity
 configurations and print a summary table.
 
-Writes one JSON + CSV report pair per configuration.
+Writes one JSON + CSV report pair per configuration.  The `sha256` column
+holds the first 16 hex digits of the sha256 of the report's canonical
+payload (json.dumps with sorted keys): a fingerprint for checking that two
+runs or two versions of the code produce the same report.
 
     python scripts/run_verification.py --out-dir reports
     python scripts/run_verification.py --configs z2:0.5 z2^2:1,1 --degree 16
 """
 
 import argparse
+import hashlib
 import json
 import os
 import sys
@@ -57,19 +61,21 @@ def main():
         with open(path + ".csv", "w") as fh:
             fh.write(report.constants_csv())
         statuses = {c.name: c.status for c in report.checks}
-        rows.append((spec, statuses, wall))
+        payload = json.dumps(report.canonical_payload(), sort_keys=True)
+        digest = hashlib.sha256(payload.encode()).hexdigest()[:16]
+        rows.append((spec, statuses, wall, digest))
 
-    names = sorted({n for _, st, _ in rows for n in st})
+    names = sorted({n for _, st, _, _ in rows for n in st})
     width = max(len(n) for n in names) + 2
-    print("\n" + "config".ljust(14) + "".join(n.ljust(width) for n in names) + "wall[s]")
+    print("\n" + "config".ljust(14) + "".join(n.ljust(width) for n in names) + "wall[s]  sha256")
     bad = 0
-    for spec, statuses, wall in rows:
+    for spec, statuses, wall, digest in rows:
         line = spec.ljust(14)
         for n in names:
             s = statuses.get(n, "-")
             bad += s == "fail"
             line += s.ljust(width)
-        print(line + f"{wall:7.1f}")
+        print(line + f"{wall:7.1f}  {digest}")
     print()
     return 1 if bad else 0
 

@@ -39,6 +39,15 @@ the substitution t = u^2 (absorbing dt/sqrt(t)); the tail uses the
 e^{-(2 gamma + d + 2) t} decay.  A fixed Gauss-Legendre panel evaluator
 (vectorized over point batches) backs the verification harness; the adaptive
 scipy.integrate.quad route is the reference implementation and its oracle.
+
+The panel evaluator skips, at each node, the rows whose heat kernel is
+exactly 0.0.  From E_kappa(w) <= e^{|w|} and cosh 2t >= 1,
+
+    log k_t(x,y) <= -log c_kappa - (gamma + d/2) log sinh 2t - md^2 / (2 sinh 2t)
+
+with md = min_g |g.x - y|; once this bound (widened by a rounding slack) is
+below -745.2, exp returns exactly 0.0 and the row would add exactly +-0.0
+to its sum.  Skipping it changes no bit of the result.
 """
 
 from __future__ import annotations
@@ -147,26 +156,31 @@ def _log_bracket(nu: float, x: np.ndarray, sign: np.ndarray) -> np.ndarray:
 
     `sign` has the shape of `x`.  Up to the switch the bracket is within float
     range and comes from the scaled Bessel pair: i0e/i1e at nu = 0, ive for
-    every other order.  Past it, and only on those elements, the two-term
-    uniform asymptotics are at machine precision; the minus branch cancels at
-    leading order and starts at (nu + 1/2)/x, so its log is assembled
-    analytically (the raw value can underflow long before the log does).
+    every other order; the pair is evaluated on those elements only.  Past
+    the switch the two-term uniform asymptotics are at machine precision; the
+    minus branch cancels at leading order and starts at (nu + 1/2)/x, so its
+    log is assembled analytically (the raw value can underflow long before
+    the log does).
     """
     big = x > _ASYMPT_SWITCH
-    i0, i1 = _bessel_pair(nu, np.where(big, 1.0, x))
-    out = np.asarray(np.log(i0 + sign * i1))
-    if big.any():
-        xb = x[big]
-        base = -0.5 * np.log(2.0 * math.pi * xb)
-        plus = base + math.log(2.0) + np.log1p(-(_a1(nu) + _a1(nu + 1)) / (2.0 * xb))
-        c2 = (2 * nu + 1.0) * (2 * nu - 1.0) * (2 * nu + 3.0) / 32.0
-        minus = (
-            base
-            + math.log(nu + 0.5)
-            - np.log(xb)
-            + np.log1p(-c2 / ((nu + 0.5) * xb))
-        )
-        out[big] = np.where(sign[big] > 0, plus, minus)
+    if not big.any():
+        i0, i1 = _bessel_pair(nu, x)
+        return np.asarray(np.log(i0 + sign * i1))
+    out = np.empty(np.shape(x))
+    near = ~big
+    i0, i1 = _bessel_pair(nu, x[near])
+    out[near] = np.log(i0 + sign[near] * i1)
+    xb = x[big]
+    base = -0.5 * np.log(2.0 * math.pi * xb)
+    plus = base + math.log(2.0) + np.log1p(-(_a1(nu) + _a1(nu + 1)) / (2.0 * xb))
+    c2 = (2 * nu + 1.0) * (2 * nu - 1.0) * (2 * nu + 3.0) / 32.0
+    minus = (
+        base
+        + math.log(nu + 0.5)
+        - np.log(xb)
+        + np.log1p(-c2 / ((nu + 0.5) * xb))
+    )
+    out[big] = np.where(sign[big] > 0, plus, minus)
     return out
 
 
@@ -200,7 +214,9 @@ def log_dunkl_kernel_1d(kappa: float, w) -> np.ndarray:
     e^{|w|} |w|^{-kappa-1} as w -> -inf; both regimes stay finite in log scale.
     Where |w| is so small that the scaled Bessel pair underflows to 0 (large
     kappa) or is NaN (kappa < 1/2), the leading small-argument value
-    E = 1 + w/(2 kappa + 1) takes over.
+    E = 1 + w/(2 kappa + 1) takes over.  At kappa = 1/2 the power term
+    (1/2 - kappa) log(|w|/2) is identically 0 and is left out, which also
+    keeps |w| = 5e-324 (where |w|/2 underflows to 0) finite.
     """
     w = np.asarray(w, dtype=float)
     if kappa == 0.0:
@@ -208,14 +224,18 @@ def log_dunkl_kernel_1d(kappa: float, w) -> np.ndarray:
     aw = np.abs(w)
     nu = kappa - 0.5
     direct = aw > _underflow_edge(nu)
-    safe = np.where(direct, aw, 1.0)
-    sign = np.sign(np.where(w == 0, 1.0, w))
-    out = (
-        gammaln(kappa + 0.5)
-        + (0.5 - kappa) * np.log(safe / 2.0)
-        + safe
-        + _log_bracket(nu, safe, sign)
-    )
+    every = direct.all()
+    if every:  # then w has no zeros
+        safe, sign = aw, np.sign(w)
+    else:
+        safe = np.where(direct, aw, 1.0)
+        sign = np.sign(np.where(w == 0, 1.0, w))
+    lead = gammaln(kappa + 0.5)
+    if kappa != 0.5:
+        lead = lead + (0.5 - kappa) * np.log(safe / 2.0)
+    out = lead + safe + _log_bracket(nu, safe, sign)
+    if every:
+        return np.asarray(out)
     # log E at w = 0 and below the edge; + 0.0 turns w = -0 into 0
     return np.where(direct, out, w / (2.0 * kappa + 1.0) + 0.0)
 
@@ -226,6 +246,7 @@ def dlog_dunkl_kernel_1d(kappa: float, w) -> np.ndarray:
     From the defining equation, E'(w) = E(w) - 2 kappa g(w)/w with g the odd
     part, so E'/E = 1 - (2 kappa / w) g/(f+g); g/w has a finite limit at 0.
     Far regimes use the analytic limits 1 - kappa/w and -1 - (kappa+1)/w.
+    The Bessel pair is evaluated on the elements between the two only.
     """
     w = np.asarray(w, dtype=float)
     if kappa == 0.0:
@@ -235,15 +256,16 @@ def dlog_dunkl_kernel_1d(kappa: float, w) -> np.ndarray:
     small = aw < 1e-8
     big = aw > _ASYMPT_SWITCH
     mid = ~small & ~big
-    safe = np.where(mid, aw, 1.0)
-    sign = np.sign(np.where(w == 0, 1.0, w))
-    i0, i1 = _bessel_pair(nu, safe)
+    out = np.empty(w.shape)
+    wm = w[mid]
+    sign = np.sign(wm)
+    i0, i1 = _bessel_pair(nu, aw[mid])
     ratio = sign * i1 / (i0 + sign * i1)               # g/(f+g)
-    out = 1.0 - 2.0 * kappa * ratio / np.where(mid, w, 1.0)
-    wb = np.where(big, w, 1.0)
-    out = np.where(big & (w > 0), 1.0 - kappa / wb, out)
-    out = np.where(big & (w < 0), -1.0 - (kappa + 1.0) / wb, out)
-    return np.where(small, 1.0 / (1.0 + 2.0 * kappa), out)
+    out[mid] = 1.0 - 2.0 * kappa * ratio / wm
+    wb = w[big]
+    out[big] = np.where(wb > 0, 1.0 - kappa / wb, -1.0 - (kappa + 1.0) / wb)
+    out[small] = 1.0 / (1.0 + 2.0 * kappa)
+    return out
 
 
 def dunkl_kernel_z2d(rs_or_basis, x, y):
@@ -577,6 +599,40 @@ def panel_nodes(breaks, n_nodes):
 U_PANEL_NODES = 24                    # Gauss-Legendre nodes per u-panel
 TAIL_PANEL_NODES = 16
 
+# exp(x) is exactly 0.0 for x below about -745.13, half the least subnormal
+LOG_ZERO = -745.2
+# The pruning bound holds for the exact log k_t; the computed one also
+# carries rounding.  Its O(log) terms (c_kappa, sinh 2t, the Bessel bracket)
+# are off by far less than PRUNE_MARGIN nats.  The cancelling terms
+# coth(2t) q/2 and sum_j |w_j|, both below q/sinh 2t with q = |x|^2 + |y|^2,
+# are off by a few ulp of it, which PRUNE_REL * q / sinh 2t covers.
+PRUNE_MARGIN = 2.0
+PRUNE_REL = 1e-12
+
+
+def _riesz_nodes(ev: Z2Evaluator, md_min: float):
+    """Gauss-Legendre (nodes, weights) of the u = sqrt(t) panels on (0, 1]
+    and of the tail panels in t, for a batch whose nearest pair is md_min
+    apart."""
+    u_hi = math.sqrt(T_SPLIT)
+    u_lo = max(1e-4, min(0.05, md_min / 8.0)) * u_hi
+    breaks = [0.0]
+    b = u_lo
+    while b < u_hi:
+        breaks.append(b)
+        b *= 2.0
+    breaks.append(u_hi)
+    head = panel_nodes(np.array(breaks), U_PANEL_NODES)
+
+    t_max = T_SPLIT + 60.0 / (2.0 * ev.gamma + ev.d + 2.0)
+    tb = [T_SPLIT]
+    b = 2.0 * T_SPLIT
+    while b < t_max:
+        tb.append(b)
+        b *= 2.0
+    tb.append(t_max)
+    return head, panel_nodes(np.array(tb), TAIL_PANEL_NODES)
+
 
 def riesz_kernel_many(
     basis: HermiteBasis, j: int, X, Y, cfg: KernelConfig = DEFAULT_CONFIG
@@ -586,6 +642,21 @@ def riesz_kernel_many(
     Fixed Gauss-Legendre panels (geometric refinement of the u = sqrt(t)
     endpoint); cross-checked against the adaptive scalar route in the tests.
     Z2^d systems only.
+
+    Rows whose heat kernel is exactly 0.0 at a node are not evaluated there.
+    With md the orbit distance of a row, E_kappa(w) <= e^{|w|} per axis and
+    coth 2t >= 1/sinh 2t give
+
+        log k_t(x,y) <= -log c_kappa - (gamma + d/2) log sinh 2t
+                        - md^2 / (2 sinh 2t),
+
+    and a row is skipped once this bound, widened by the rounding slack
+    PRUNE_MARGIN + PRUNE_REL q / (2 sinh 2t), is below LOG_ZERO.  The rows
+    are sorted once by md^2 - PRUNE_REL q, so each node evaluates a prefix.
+    A skipped element would add exactly +-0.0 to an accumulator that is
+    never -0.0, and every evaluated element goes through the same operations
+    in the same node order, so the result is the one of the unpruned sum bit
+    for bit.
     """
     ev = z2_evaluator(basis)
     if ev is None:
@@ -596,29 +667,31 @@ def riesz_kernel_many(
     md = orbit_distances(basis.rs.group, X, Y)
     if np.any(md <= cfg.separation_floor):
         raise OrbitTooClose("a point pair sits below the separation floor")
+    (un, uw), (tn, tw) = _riesz_nodes(ev, float(np.min(md)))
 
-    u_hi = math.sqrt(T_SPLIT)
-    u_lo = max(1e-4, min(0.05, float(np.min(md)) / 8.0)) * u_hi
-    breaks = [0.0]
-    b = u_lo
-    while b < u_hi:
-        breaks.append(b)
-        b *= 2.0
-    breaks.append(u_hi)
-    un, uw = panel_nodes(np.array(breaks), U_PANEL_NODES)
+    q = np.sum(X * X, axis=-1) + np.sum(Y * Y, axis=-1)
+    key = (md * md - PRUNE_REL * q).ravel()
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    X = X.reshape(-1, ev.d)[order]
+    Y = Y.reshape(-1, ev.d)[order]
+    log_c = math.log(ev.c_kappa)
 
-    t_max = T_SPLIT + 60.0 / (2.0 * ev.gamma + ev.d + 2.0)
-    tb = [T_SPLIT]
-    b = 2.0 * T_SPLIT
-    while b < t_max:
-        tb.append(b)
-        b *= 2.0
-    tb.append(t_max)
-    tn, tw = panel_nodes(np.array(tb), TAIL_PANEL_NODES)
+    def live(t):
+        """The number of leading rows at which k_t can be nonzero."""
+        s = math.sinh(2.0 * t)
+        lead = -log_c - (ev.gamma + ev.d / 2.0) * math.log(s)
+        return np.searchsorted(key, 2.0 * s * (lead + PRUNE_MARGIN - LOG_ZERO), side="right")
 
-    out = np.zeros(X.shape[:-1])
+    acc = np.zeros(key.size)
     for u, w in zip(un, uw):
-        out += 2.0 * w * ev.riesz_integrand(u * u, X, Y, j - 1)
+        n = live(u * u)
+        if n:
+            acc[:n] += 2.0 * w * ev.riesz_integrand(u * u, X[:n], Y[:n], j - 1)
     for t, w in zip(tn, tw):
-        out += w * ev.riesz_integrand(t, X, Y, j - 1) / math.sqrt(t)
-    return out / math.sqrt(math.pi)
+        n = live(t)
+        if n:
+            acc[:n] += w * ev.riesz_integrand(t, X[:n], Y[:n], j - 1) / math.sqrt(t)
+    out = np.empty_like(acc)
+    out[order] = acc
+    return out.reshape(md.shape) / math.sqrt(math.pi)

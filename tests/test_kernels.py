@@ -27,7 +27,7 @@ from dunklriesz.kernels import (
     riesz_kernel_many,
     z2_evaluator,
 )
-from dunklriesz.reflection import min_orbit_distance, root_system
+from dunklriesz.reflection import min_orbit_distance, orbit_distances, root_system
 
 
 def series_oracle(kappa: Fraction, u: Fraction, v: Fraction, terms=60) -> float:
@@ -103,7 +103,8 @@ def half_kappa_reference():
     E(w) = 0F1(; b; w^2/4) + (w / 2b) 0F1(; b + 1; w^2/4) with b = kappa + 1/2."""
     mp = pytest.importorskip("mpmath")
     g = np.geomspace(1e-6, 9.9e4, 1000)
-    w = np.concatenate([g, -g])
+    # at |w| = 5e-324, |w|/2 underflows to 0, and 0 * log 0 was NaN
+    w = np.concatenate([g, -g, [5e-324, -5e-324]])
     log_e, dlog_e = [], []
     with mp.workdps(30):
         b = mp.mpf(1)
@@ -211,6 +212,43 @@ def test_log_kernel_bit_identical_off_half(kappa, monkeypatch):
     for v, got in zip(scalars, new_0d):
         assert np.ndim(got) == 0
         assert np.asarray(got).tobytes() == np.asarray(log_dunkl_kernel_1d(kappa, v)).tobytes()
+
+
+def _dlog_all_elements(kappa, w):
+    """dlog_dunkl_kernel_1d as it was before it evaluated the Bessel pair on
+    the mid elements only: the pair at every element, then np.where picks."""
+    w = np.asarray(w, dtype=float)
+    aw = np.abs(w)
+    small = aw < 1e-8
+    big = aw > kernels._ASYMPT_SWITCH
+    mid = ~small & ~big
+    safe = np.where(mid, aw, 1.0)
+    sign = np.sign(np.where(w == 0, 1.0, w))
+    i0, i1 = kernels._bessel_pair(kappa - 0.5, safe)
+    ratio = sign * i1 / (i0 + sign * i1)
+    out = 1.0 - 2.0 * kappa * ratio / np.where(mid, w, 1.0)
+    wb = np.where(big, w, 1.0)
+    out = np.where(big & (w > 0), 1.0 - kappa / wb, out)
+    out = np.where(big & (w < 0), -1.0 - (kappa + 1.0) / wb, out)
+    return np.where(small, 1.0 / (1.0 + 2.0 * kappa), out)
+
+
+@pytest.mark.parametrize("kappa", [0.3, 0.5, 1.0, 2.5])
+def test_dlog_kernel_bit_identical_to_all_elements(kappa):
+    rng = np.random.default_rng(6)
+    w = np.concatenate([
+        rng.uniform(-3e5, 3e5, 4000),
+        rng.standard_normal(1000) * 30.0,
+        np.geomspace(1e-12, 1e-4, 50),
+        [1e5, -1e5, 1e5 + 1, -(1e5 + 1), 0.0, -0.0, 1e-8, -1e-8, 5e-324, 1e12, -1e12],
+    ])
+    assert dlog_dunkl_kernel_1d(kappa, w).tobytes() == _dlog_all_elements(kappa, w).tobytes()
+    W = w[:5000].reshape(50, 100)
+    assert dlog_dunkl_kernel_1d(kappa, W).tobytes() == _dlog_all_elements(kappa, W).tobytes()
+    for v in (1e5 + 1, -(1e5 + 1), 0.0, 1e-9, -3.5):
+        got = dlog_dunkl_kernel_1d(kappa, np.float64(v))
+        assert np.ndim(got) == 0
+        assert np.asarray(got).tobytes() == np.asarray(_dlog_all_elements(kappa, v)).tobytes()
 
 
 def test_z2d_product(z2sq_ones):
@@ -452,3 +490,65 @@ def test_riesz_decay_profile(z2_half_basis8):
     ratios = np.abs(K) * md ** (2 * 0.5 + 1)
     assert np.all(np.isfinite(ratios))
     assert ratios.max() < 10.0
+
+
+def _riesz_unpruned(basis, j, X, Y):
+    """riesz_kernel_many's panel sum with every row evaluated at every node."""
+    ev = z2_evaluator(basis)
+    X, Y = np.broadcast_arrays(np.asarray(X, dtype=float), np.asarray(Y, dtype=float))
+    md = orbit_distances(basis.rs.group, X, Y)
+    (un, uw), (tn, tw) = kernels._riesz_nodes(ev, float(np.min(md)))
+    out = np.zeros(X.shape[:-1])
+    for u, w in zip(un, uw):
+        out += 2.0 * w * ev.riesz_integrand(u * u, X, Y, j - 1)
+    for t, w in zip(tn, tw):
+        out += w * ev.riesz_integrand(t, X, Y, j - 1) / math.sqrt(t)
+    return out / math.sqrt(math.pi)
+
+
+@pytest.mark.parametrize(
+    "name, kappa",
+    [("z2", Fraction(3, 10)), ("z2", Fraction(1, 2)), ("z2", Fraction(1)),
+     ("z2", Fraction(5, 2)), ("z2^2", [Fraction(1, 2), Fraction(1)])],
+)
+def test_riesz_many_pruned_bit_identical(name, kappa, monkeypatch):
+    """Skipping the rows whose heat kernel is exactly 0 at a node changes no
+    bit of the panel sum, for either pole layout."""
+    basis = build_basis(root_system(name, multiplicity=kappa), 2)
+    d = basis.rs.dim
+    rng = np.random.default_rng(8)
+    pole = np.array([[1.0, -0.5][:d]])
+    X = np.concatenate([
+        rng.uniform(-12.0, 12.0, (150, d)),
+        np.zeros((1, d)),                                  # x = 0
+        pole + 2e-3,                                       # |w| > 1e5 at small t
+        np.full((1, d), 3.0), np.full((1, d), -40.0),
+        np.full((1, d), 300.0),                            # pruned at most nodes
+    ])
+    rows, biggest_w = [], [0.0]
+    integrand = kernels.Z2Evaluator.riesz_integrand
+    for A, B in ((X, pole), (pole, X)):
+        every = np.hstack(np.broadcast_arrays(A, B))
+
+        def counted(self, t, P, Q, j):
+            """The integrand on the rows riesz_kernel_many keeps, after
+            checking that it is exactly 0 on every row it skips."""
+            rows.append(len(P))
+            kept = {r.tobytes() for r in np.hstack([P, Q])}
+            skipped = np.array([r.tobytes() not in kept for r in every])
+            assert not np.any(integrand(self, t, A, B, j)[skipped])
+            s = math.sinh(2.0 * t)
+            biggest_w[0] = max(biggest_w[0], float(np.max(np.abs(P * Q))) / s)
+            return integrand(self, t, P, Q, j)
+
+        for j in range(1, d + 1):
+            want = _riesz_unpruned(basis, j, A, B)
+            monkeypatch.setattr(kernels.Z2Evaluator, "riesz_integrand", counted)
+            rows.clear()
+            got = riesz_kernel_many(basis, j, A, B)
+            monkeypatch.undo()
+            assert got.shape == want.shape == (len(X),)
+            assert got.tobytes() == want.tobytes()
+            assert min(rows) < len(X)
+            assert np.count_nonzero(got) > 0
+    assert biggest_w[0] > kernels._ASYMPT_SWITCH
