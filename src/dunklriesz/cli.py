@@ -18,11 +18,6 @@ from dataclasses import fields, replace
 
 import numpy as np
 
-try:
-    import jsonschema
-except ImportError:  # pragma: no cover
-    jsonschema = None
-
 from . import hermite
 from .kernels import (
     DEFAULT_CONFIG,
@@ -77,7 +72,7 @@ CONFIG_SCHEMA = {
             "items": {"type": "array", "items": {"type": "number"}},
         },
         "degree": {"type": "integer", "minimum": 0},
-        "seed": {"type": "integer"},
+        "seed": {"type": "integer", "minimum": 0},
         "checks": {"type": "array", "items": {"type": "string", "enum": sorted(ALL_CHECKS)}},
         "arithmetic": {"type": "string", "enum": ["auto", "exact", "float"]},
         "out": {"type": "string"},
@@ -87,6 +82,71 @@ CONFIG_SCHEMA = {
     },
     "additionalProperties": False,
 }
+
+
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+# JSON Schema's types as Python sees a json.load result: a bool is neither a
+# number nor an integer, and an integral float is an integer
+_TYPES = {
+    "object": lambda v: isinstance(v, dict),
+    "array": lambda v: isinstance(v, list),
+    "string": lambda v: isinstance(v, str),
+    "number": _is_number,
+    "integer": lambda v: _is_number(v) and (isinstance(v, int) or v.is_integer()),
+}
+
+
+def _conform(value, schema, where="config"):
+    """value checked against schema and returned with its integers as int.
+
+    Reads exactly the JSON Schema keywords CONFIG_SCHEMA uses, as draft
+    2020-12 defines them; raises ConfigError at the first violation.
+    """
+    if "oneOf" in schema:
+        fits = []
+        for sub in schema["oneOf"]:
+            try:
+                fits.append(_conform(value, sub, where))
+            except ConfigError:
+                pass
+        if len(fits) != 1:
+            raise ConfigError(
+                f"{where}: {value!r} is valid under {len(fits)} of its {len(schema['oneOf'])}"
+                " schemas, not exactly one"
+            )
+        value = fits[0]
+    kind = schema.get("type")
+    if kind is not None and not _TYPES[kind](value):
+        raise ConfigError(f"{where}: {value!r} is not of type {kind!r}")
+    if "enum" in schema and value not in schema["enum"]:
+        raise ConfigError(f"{where}: {value!r} is not one of {schema['enum']}")
+    if kind == "integer":
+        value = int(value)
+    if "minimum" in schema and _is_number(value) and value < schema["minimum"]:
+        raise ConfigError(f"{where}: {value!r} is less than the minimum of {schema['minimum']}")
+    if isinstance(value, list):
+        if len(value) < schema.get("minItems", 0):
+            raise ConfigError(f"{where}: {value!r} has fewer than {schema['minItems']} items")
+        if "items" in schema:
+            value = [_conform(v, schema["items"], f"{where}[{i}]") for i, v in enumerate(value)]
+    if isinstance(value, dict):
+        for key in schema.get("required", ()):
+            if key not in value:
+                raise ConfigError(f"{where}: {key!r} is a required property")
+        props = schema.get("properties", {})
+        if schema.get("additionalProperties", True) is False:
+            for key in value:
+                if key not in props:
+                    raise ConfigError(f"{where}: unexpected key {key!r}")
+        value = {
+            k: _conform(v, props[k], f"{where}.{k}") if k in props else v
+            for k, v in value.items()
+        }
+    return value
+
 
 DEFAULTS = {
     "group": "z2",
@@ -106,22 +166,25 @@ def load_config(args) -> dict:
                 user = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read config: {exc}") from exc
+        if not isinstance(user, dict):
+            raise ConfigError("config validation failed: the config file must hold a JSON object")
         cfg.update(user)
     for key in ("group", "degree", "seed", "out"):
         val = getattr(args, key.replace("-", "_"), None)
         if val is not None:
             cfg[key] = val
     if getattr(args, "kappa", None) is not None:
-        parts = [float(s) for s in str(args.kappa).split(",")]
+        try:
+            parts = [float(s) for s in str(args.kappa).split(",")]
+        except ValueError as exc:
+            raise ConfigError(f"config validation failed: --kappa {args.kappa!r}: {exc}") from exc
         cfg["kappa"] = parts[0] if len(parts) == 1 else parts
     if getattr(args, "checks", None) is not None:
         cfg["checks"] = [s for s in args.checks.split(",") if s]
-    if jsonschema is not None:
-        try:
-            jsonschema.validate(cfg, CONFIG_SCHEMA)
-        except jsonschema.ValidationError as exc:
-            raise ConfigError(f"config validation failed: {exc.message}") from exc
-    return cfg
+    try:
+        return _conform(cfg, CONFIG_SCHEMA)
+    except ConfigError as exc:
+        raise ConfigError(f"config validation failed: {exc}") from exc
 
 
 def _build_root_system(cfg):
@@ -183,7 +246,10 @@ def _sub_config(cls, default, overrides: dict):
     coerced = {}
     for k, v in overrides.items():
         coerced[k] = tuple(v) if isinstance(v, list) else v
-    return replace(default, **coerced)
+    try:
+        return replace(default, **coerced)
+    except ValueError as exc:
+        raise ConfigError(f"{cls.__name__}: {exc}") from exc
 
 
 def cmd_basis(args) -> int:
@@ -208,7 +274,10 @@ def _read_points(path, expected_cols):
         rows = rows[1:]  # header
     out = []
     for r in rows:
-        vals = [float(v) for v in r if v.strip() != ""]
+        try:
+            vals = [float(v) for v in r if v.strip() != ""]
+        except ValueError as exc:
+            raise ConfigError(f"points row {r}: {exc}") from exc
         if len(vals) != expected_cols:
             raise ConfigError(
                 f"points row has {len(vals)} columns, expected {expected_cols}"
@@ -238,6 +307,10 @@ def cmd_eval(args) -> int:
     else:
         cols, header = 1 + 2 * d, ["j"] + ["x" + str(i) for i in range(d)] + ["y" + str(i) for i in range(d)]
     points = _read_points(args.points, cols)
+    if what == "riesz-kernel":
+        for row in points:
+            if not (row[0].is_integer() and 1 <= row[0] <= d):
+                raise ConfigError(f"points row {row}: Riesz axis j must be one of 1..{d}")
     out_path = cfg.get("out") or "eval.csv"
     with open(out_path, "w", newline="") as fh:
         wr = csv.writer(fh)

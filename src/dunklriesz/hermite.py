@@ -277,8 +277,6 @@ def c_kappa(rs: RootSystem) -> float:
     Other groups: exact radial factor times angular quadrature (d=2), or the
     exact Gaussian-moment expansion when all multiplicities are integers.
     """
-    from scipy.integrate import quad
-
     axis_k = rs.axis_kappas()
     if axis_k is not None:
         return float(
@@ -291,6 +289,8 @@ def c_kappa(rs: RootSystem) -> float:
     g = gamma(rs)
     d = rs.dim
     if d == 2:
+        from scipy.integrate import quad  # on use; see kernels.riesz_kernel
+
         # w_kappa(r theta) = r^(2 gamma) w_kappa(theta): radial part exact
         radial = 2.0 ** (g + d / 2.0 - 1.0) * math.gamma(g + d / 2.0)
         root_angles = np.arctan2(rs.positive_roots[:, 1], rs.positive_roots[:, 0])

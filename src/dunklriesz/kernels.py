@@ -57,7 +57,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.special import gammaln, i0e, i1e, ive
 from numpy.polynomial.legendre import leggauss
 
@@ -539,6 +538,11 @@ QUAD_REL_TOL = 1e-10                  # adaptive Riesz integration
 T_SPLIT = 1.0
 
 
+def _check_axis(j, d):
+    if j not in range(1, d + 1):
+        raise ValueError(f"Riesz axis j = {j!r} is not one of 1..{d}")
+
+
 def riesz_kernel(basis: HermiteBasis, j: int, x, y, cfg: KernelConfig = DEFAULT_CONFIG) -> float:
     """K_j(x, y) by adaptive quadrature of the subordination time integral.
 
@@ -546,11 +550,17 @@ def riesz_kernel(basis: HermiteBasis, j: int, x, y, cfg: KernelConfig = DEFAULT_
     separation floor; below it the integral is a genuine singularity and the
     evaluation refuses rather than returning garbage.
     """
+    _check_axis(j, basis.rs.dim)
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     md = min_orbit_distance(basis.rs.group, x, y)
     if md <= cfg.separation_floor:
         raise OrbitTooClose(f"orbit distance {md:.2e} below floor {cfg.separation_floor:.2e}")
+    # imported on use: scipy.integrate, which loads scipy.optimize, is the
+    # costliest import of the package, and only this route and the angular
+    # quadrature of hermite.c_kappa need it
+    from scipy.integrate import quad
+
     ev = z2_evaluator(basis)
     if ev is not None:
         integrand = lambda t: float(ev.riesz_integrand(t, x, y, j - 1))
@@ -585,9 +595,18 @@ def riesz_kernel(basis: HermiteBasis, j: int, x, y, cfg: KernelConfig = DEFAULT_
     return total
 
 
+@functools.lru_cache(maxsize=None)
+def _leggauss(n_nodes):
+    """The n-node Gauss-Legendre rule, built once and shared read-only."""
+    rule = leggauss(n_nodes)
+    for a in rule:
+        a.flags.writeable = False
+    return rule
+
+
 def panel_nodes(breaks, n_nodes):
     """Gauss-Legendre nodes/weights tiled over consecutive panels."""
-    xs, ws = leggauss(n_nodes)
+    xs, ws = _leggauss(n_nodes)
     nodes, weights = [], []
     for lo, hi in zip(breaks[:-1], breaks[1:]):
         mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
@@ -615,7 +634,7 @@ def _riesz_nodes(ev: Z2Evaluator, md_min: float):
     and of the tail panels in t, for a batch whose nearest pair is md_min
     apart."""
     u_hi = math.sqrt(T_SPLIT)
-    u_lo = max(1e-4, min(0.05, md_min / 8.0)) * u_hi
+    u_lo = min(0.05, md_min / 8.0) * u_hi
     breaks = [0.0]
     b = u_lo
     while b < u_hi:
@@ -661,6 +680,7 @@ def riesz_kernel_many(
     ev = z2_evaluator(basis)
     if ev is None:
         raise WrongGroup("riesz_kernel_many requires a Z2^d system")
+    _check_axis(j, ev.d)
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float)
     X, Y = np.broadcast_arrays(X, Y)

@@ -3,10 +3,15 @@ import gc
 import json
 import math
 import os
+import subprocess
+import sys
 
 import pytest
 
-from dunklriesz.cli import main
+import dunklriesz
+from dunklriesz.cli import CONFIG_SCHEMA, DEFAULTS, ConfigError, _conform, main
+from dunklriesz.hermite import _c_kappa_moments
+from dunklriesz.reflection import root_system
 
 
 def run(args, tmp_path):
@@ -271,3 +276,145 @@ def test_in_process_verify_leaves_no_cyclic_basis(tmp_path):
         gc.garbage.clear()
         gc.enable()
     assert not leaked & {"HermiteBasis", "RootSystem", "DunklAlgebra", "OperatorMatrix"}
+
+
+@pytest.mark.parametrize("args, points", [
+    (["--kappa", "abc"], "1,1.0,2.5\n"),
+    ([], "1,1.0,abc\n"),                 # a cell that is not a number
+    ([], "1,1.0,2.5\n2,1.0,2.5\n"),      # z2 has one axis
+    ([], "0,1.0,2.5\n"),                 # j = 0 would wrap to the last axis
+    ([], "1.5,1.0,2.5\n"),
+])
+def test_eval_malformed_input_exits_2(tmp_path, capsys, args, points):
+    (tmp_path / "pts.csv").write_text(points)
+    code = run(["eval", "--group", "z2", "--kappa", "0.5", "--degree", "2", *args,
+                "--what", "riesz-kernel", "--points", "pts.csv", "--out", "rk.csv"], tmp_path)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert not (tmp_path / "rk.csv").exists()
+
+
+def test_config_kernel_value_out_of_range_exits_2(tmp_path, capsys):
+    cfg = {"degree": 4, "checks": ["eigen"], "kernel": {"mehler_r_cap": 2}}
+    (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+    assert run(["verify", "--config", "cfg.json", "--out", "rep"], tmp_path) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: KernelConfig: ") and "Traceback" not in err
+    assert not (tmp_path / "rep.json").exists()
+
+
+def test_config_file_must_hold_an_object(tmp_path, capsys):
+    (tmp_path / "cfg.json").write_text("[1, 2]")
+    assert run(["verify", "--config", "cfg.json", "--out", "rep"], tmp_path) == 2
+    assert "config validation failed" in capsys.readouterr().err
+
+
+def test_integral_floats_read_as_integers(tmp_path):
+    """JSON Schema counts 8.0 as an integer, and so does the program."""
+    cfg = {"group": "z2", "kappa": 0.5, "degree": 4.0, "seed": 3.0, "checks": ["eigen"]}
+    (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+    assert run(["verify", "--config", "cfg.json", "--out", "a"], tmp_path) == 0
+    cfg.update(degree=4, seed=3)
+    (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+    assert run(["verify", "--config", "cfg.json", "--out", "b"], tmp_path) == 0
+    a, b = (json.loads((tmp_path / f"{o}.json").read_text()) for o in "ab")
+    for rep in (a, b):
+        for c in rep["checks"]:
+            c.pop("runtime_ms")
+    assert a == b
+
+
+CONFIG_TABLE = [
+    {},
+    {"group": "b2", "kappa": [1, 2], "degree": 6},
+    {"degree": True},
+    {"degree": 8.0},
+    {"degree": 8.5},
+    {"degree": -1},
+    {"degree": "8"},
+    {"seed": -3},
+    {"seed": False},
+    {"kappa": -0.5},
+    {"kappa": []},
+    {"kappa": [0.5, -1]},
+    {"kappa": [0.5, True]},
+    {"kappa": "0.5"},
+    {"kappa": 0},
+    {"grup": "z2"},
+    {"kernel": {"separation_floor": 1e-5}, "verify": {"lp_samples": 5}},
+    {"kernel": []},
+    {"root_system": {"name": "a2"}},
+    {"root_system": {"type": "catalogue", "name": "a2", "dim": 2}},
+    {"root_system": {"type": "catalogue", "name": "a2", "dim": 0}},
+    {"root_system": {"type": "catalogue", "colour": "red"}},
+    {"root_system": {"type": "lattice"}},
+    {"root_system": {"type": "explicit", "roots": [[1, 0], [0, "1"]]}},
+    {"root_system": {"type": "explicit", "roots": [[1, 0]], "multiplicity": [1.5]}},
+    {"roots": [[1.0, 0.0], [0.0, 1.0]], "kappa": [0.5, 1.5]},
+    {"roots": [1.0, 0.0]},
+    {"checks": ["eigen", "heat"]},
+    {"checks": ["eigen", "hormandr"]},
+    {"checks": "eigen"},
+    {"checks": [3]},
+    {"arithmetic": "exact"},
+    {"arithmetic": "interval"},
+    {"out": 3},
+    {"cache_dir": None},
+    {"dim": 2.0},
+]
+
+
+@pytest.mark.parametrize("user", CONFIG_TABLE, ids=lambda u: json.dumps(u, sort_keys=True))
+def test_config_decisions_match_jsonschema(tmp_path, capsys, user):
+    """The config checker accepts and rejects what a JSON Schema 2020-12
+    validator does, and a rejected config exits 2 before writing a report."""
+    jsonschema = pytest.importorskip("jsonschema")
+    cfg = {**DEFAULTS, **user}
+    valid = jsonschema.Draft202012Validator(CONFIG_SCHEMA).is_valid(cfg)
+    if valid:
+        _conform(cfg, CONFIG_SCHEMA)
+        return
+    with pytest.raises(ConfigError):
+        _conform(cfg, CONFIG_SCHEMA)
+    (tmp_path / "cfg.json").write_text(json.dumps(user))
+    assert run(["verify", "--config", "cfg.json"], tmp_path) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: config validation failed: ")
+    assert os.listdir(tmp_path) == ["cfg.json"]
+
+
+START_UP = """
+import json, sys
+COSTLY = ("scipy.integrate", "scipy.optimize", "jsonschema")
+def loaded():
+    return sorted(m for m in COSTLY if m in sys.modules)
+import dunklriesz.cli
+seen = [loaded()]
+from dunklriesz.cli import main
+main(["verify", "--group", "z2", "--kappa", "0.5", "--degree", "6",
+      "--checks", "eigen,heat,kernel_decay", "--out", "rep"])
+seen.append(loaded())
+main(["basis", "--group", "a2", "--kappa", "1", "--degree", "2", "--out", "b.json"])
+seen.append(loaded())
+print(json.dumps(seen))
+"""
+
+
+def test_start_up_imports_only_what_runs(tmp_path):
+    """Importing the CLI and a Z2 verify, kernel_decay included (it reaches
+    riesz_kernel), load none of scipy.integrate, scipy.optimize or
+    jsonschema; an a2 basis, whose c_kappa is an angular quadrature, loads
+    scipy.integrate."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(dunklriesz.__file__)))
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", START_UP], cwd=tmp_path, env=env,
+                         capture_output=True, text=True, check=True).stdout.splitlines()
+    after_import, after_verify, after_a2 = json.loads(out[-1])
+    assert after_import == after_verify == []
+    assert "scipy.integrate" in after_a2
+    rep = json.loads((tmp_path / "rep.json").read_text())
+    assert {c["name"]: c["status"] for c in rep["checks"]} == {
+        "eigen": "pass", "heat": "pass", "kernel_decay": "pass"}
+    c_kappa = json.loads((tmp_path / "b.json").read_text())["constants"]["c_kappa"]
+    assert c_kappa == pytest.approx(_c_kappa_moments(root_system("a2", multiplicity=1)), rel=1e-9)

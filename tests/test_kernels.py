@@ -462,6 +462,70 @@ def test_riesz_adaptive_vs_panel_grid(z2_half_basis8):
         assert g == pytest.approx(a, rel=1e-7)
 
 
+def _riesz_mpmath(basis, x, y, md):
+    """K_1(x, y) on z2 for 0 < x < y by mpmath quadrature of the
+    subordination integral, with u = sqrt(t) breaks at md * 2^k / 64."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(20):
+        k, g, ck = mp.mpf(basis.rs.multiplicity[0]), mp.mpf(basis.gamma), mp.mpf(basis.c_kappa)
+        x, y = mp.mpf(x), mp.mpf(y)
+
+        def h(t):
+            s = mp.sinh(2 * t)
+            c, w = mp.cosh(2 * t) / s, x * y / s
+            log_e = (mp.loggamma(k + 0.5) + (0.5 - k) * mp.log(w / 2)
+                     + mp.log(mp.besseli(k - 0.5, w) + mp.besseli(k + 0.5, w)))
+            log_k = -mp.log(ck) - (g + 0.5) * mp.log(s) - c * (x * x + y * y) / 2 + log_e
+            return mp.exp(log_k) * ((1 - c) * x + y / s)
+
+        breaks = [0] + [mp.mpf(md) * 2**i / 64 for i in range(80) if md * 2**i < 64] + [1]
+        rule = dict(method="gauss-legendre", maxdegree=3)
+        head = mp.quad(lambda u: 2 * h(u * u), breaks, **rule)
+        tail = mp.quad(lambda t: h(t) / mp.sqrt(t), [1, mp.inf], **rule)
+        return float((head + tail) / mp.sqrt(mp.pi))
+
+
+@pytest.mark.parametrize("md", [1e-5, 1e-4])
+@pytest.mark.parametrize("kappa", [1.0, 2.5])
+def test_riesz_many_near_orbit_matches_mpmath(kappa, md):
+    """A batch whose nearest pair is md apart gets a first u-panel of md/8,
+    fine enough for the integrand's peak near u ~ md.  The error left is
+    rounding in the float integrand, whose exponent terms of size
+    q / sinh 2t cancel to md^2 / sinh 2t: about 1e-6 at the peak for
+    x = 2, md = 1e-5.  A first panel floored at 1e-4 was 1.6e-2 off."""
+    basis = build_basis(root_system("z2", multiplicity=kappa), 2, exact=False)
+    x = np.array([[0.5], [2.0]])
+    got = riesz_kernel_many(basis, 1, x, x + md)
+    want = [_riesz_mpmath(basis, xi, xi + md, md) for xi in x[:, 0]]
+    assert np.max(np.abs(got / want - 1.0)) <= 5e-6
+
+
+@pytest.mark.parametrize("group, kappa, j", [("z2", 0.5, 0), ("z2", 0.5, 2), ("z2^2", [1, 1], 3)])
+def test_riesz_axis_outside_range_rejected(group, kappa, j):
+    """j is a 1-based axis; j = 0 would wrap to the last axis."""
+    basis = build_basis(root_system(group, multiplicity=kappa), 2, exact=False)
+    x = np.ones(basis.rs.dim)
+    with pytest.raises(ValueError, match="Riesz axis"):
+        riesz_kernel(basis, j, x, 2 * x)
+    with pytest.raises(ValueError, match="Riesz axis"):
+        riesz_kernel_many(basis, j, x[None], 2 * x[None])
+
+
+def test_panel_nodes_share_one_read_only_rule():
+    from numpy.polynomial.legendre import leggauss
+
+    breaks = np.array([0.0, 0.25, 0.5, 1.0])
+    nodes, weights = kernels.panel_nodes(breaks, 24)
+    xs, ws = kernels._leggauss(24)
+    assert kernels._leggauss(24) is kernels._leggauss(24)
+    assert not xs.flags.writeable and not ws.flags.writeable
+    fresh_x, fresh_w = leggauss(24)
+    want_n = np.concatenate([0.5 * (a + b) + 0.5 * (b - a) * fresh_x
+                             for a, b in zip(breaks[:-1], breaks[1:])])
+    want_w = np.concatenate([0.5 * (b - a) * fresh_w for a, b in zip(breaks[:-1], breaks[1:])])
+    assert nodes.tobytes() == want_n.tobytes() and weights.tobytes() == want_w.tobytes()
+
+
 def test_riesz_coarse_quadrature_oracle(z2_half_basis8):
     """d=1, kappa=1/2, x=1, y=2.5: reproduce with an independent coarse
     adaptive quadrature of the same integrand (different substitution)."""
