@@ -43,6 +43,7 @@ from .kernels import (
     heat_kernel_classical,
     heat_kernel_series,
     riesz_kernel,
+    riesz_kernel_both,
     riesz_kernel_many,
 )
 from .spectral import (

@@ -45,6 +45,43 @@ _KAPPA_SCHEMA = {
     ]
 }
 
+_COUNT = {"type": "integer", "minimum": 1}
+
+
+def _numbers(**bounds):
+    return {"type": "array", "items": {"type": "number", **bounds}, "minItems": 1}
+
+
+# The settable fields of KernelConfig and VerifyConfig.  A name outside them
+# is left to _sub_config, which names the dataclass that lacks it; the
+# (0, 1) range of mehler_r_cap is KernelConfig's own check.
+_KERNEL_SCHEMA = {
+    "type": "object",
+    "properties": {
+        "series_truncation": _COUNT,
+        "mehler_r_cap": {"type": "number"},
+        "separation_floor": {"type": "number", "minimum": 0},
+    },
+}
+
+_VERIFY_SCHEMA = {
+    "type": "object",
+    "properties": {
+        "seed": {"type": "integer", "minimum": 0},
+        "fit_t_points": _COUNT,
+        "fit_t_large_points": _COUNT,
+        "fit_grid_points": _COUNT,
+        "fit_ridge_points": _COUNT,
+        "mehler_r_values": _numbers(exclusiveMinimum=0, exclusiveMaximum=1),
+        "decay_separations": _COUNT,
+        "horm_separations": _numbers(exclusiveMinimum=0),
+        # the Monte Carlo standard error needs two samples
+        "horm_mc_samples": {"type": "integer", "minimum": 2},
+        "norm_vectors": _COUNT,
+        "lp_samples": _COUNT,
+    },
+}
+
 CONFIG_SCHEMA = {
     "type": "object",
     "properties": {
@@ -77,8 +114,8 @@ CONFIG_SCHEMA = {
         "arithmetic": {"type": "string", "enum": ["auto", "exact", "float"]},
         "out": {"type": "string"},
         "cache_dir": {"type": "string"},
-        "kernel": {"type": "object"},
-        "verify": {"type": "object"},
+        "kernel": _KERNEL_SCHEMA,
+        "verify": _VERIFY_SCHEMA,
     },
     "additionalProperties": False,
 }
@@ -127,6 +164,10 @@ def _conform(value, schema, where="config"):
         value = int(value)
     if "minimum" in schema and _is_number(value) and value < schema["minimum"]:
         raise ConfigError(f"{where}: {value!r} is less than the minimum of {schema['minimum']}")
+    if "exclusiveMinimum" in schema and _is_number(value) and value <= schema["exclusiveMinimum"]:
+        raise ConfigError(f"{where}: {value!r} is not greater than {schema['exclusiveMinimum']}")
+    if "exclusiveMaximum" in schema and _is_number(value) and value >= schema["exclusiveMaximum"]:
+        raise ConfigError(f"{where}: {value!r} is not less than {schema['exclusiveMaximum']}")
     if isinstance(value, list):
         if len(value) < schema.get("minItems", 0):
             raise ConfigError(f"{where}: {value!r} has fewer than {schema['minItems']} items")

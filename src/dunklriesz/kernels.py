@@ -8,14 +8,24 @@ Evaluator dispatch
 
       E(w) = Gamma(k+1/2) (|w|/2)^(1/2-k) [ I_{k-1/2}(|w|) + sgn(w) I_{k+1/2}(|w|) ],
 
-  which is evaluated in log scale through exponentially scaled Bessel
-  functions: scipy.special.i0e/i1e at kappa = 1/2 (order nu = 0), where the
-  Cephes Chebyshev routines are about ten times faster, and
-  scipy.special.ive for every other kappa; past |w| = 1e5 the two-term
-  large-argument asymptotics take over.  This stays finite and fully
-  accurate for the arguments ~ x*y/sinh(2t) -> +-infinity that the Riesz
-  time integral produces; the spec'd power-series recursion
-  (dunkl_kernel_1d) is kept as the independent cross-check.
+  which is evaluated in log scale, in three bands of |w| (DLMF 10.25.2 and
+  10.40.1 give the two ends without a Bessel routine):
+  - |w| < 1: log1p of the defining power series, 18 terms; tiny |w| keeps
+    full relative accuracy;
+  - |w| past a switch of the order (148 at kappa = 1/2, 22 at integer
+    kappa, where the sum terminates): an 8-term Hankel sum, with its own
+    coefficients on the minus branch, so I_nu - I_{nu+1} never cancels;
+  - in between: the exponentially scaled Bessel pair, scipy.special.i0e/i1e
+    at kappa = 1/2 (order nu = 0), where the Cephes Chebyshev routines are
+    about ten times faster, and scipy.special.ive for every other kappa.
+  The pair costs about 60 ns an element per function, while each sum is a
+  numpy Horner loop costing tens of microseconds per call.  So only batches
+  of at least BAND_MIN = 512 elements take the three bands; smaller batches
+  and 0-d inputs keep the Bessel pair up to max(1e5, switch) and the Hankel
+  sum past it.  Both routes stay finite and accurate for the arguments
+  ~ x*y/sinh(2t) -> +-infinity that the Riesz time integral produces; the
+  spec'd power-series recursion (dunkl_kernel_1d) is kept as the
+  independent cross-check.
 * any other reflection group: Mehler inversion through a built Hermite basis.
 
 Heat kernel
@@ -40,6 +50,15 @@ e^{-(2 gamma + d + 2) t} decay.  A fixed Gauss-Legendre panel evaluator
 (vectorized over point batches) backs the verification harness; the adaptive
 scipy.integrate.quad route is the reference implementation and its oracle.
 
+The panel evaluator accumulates two time integrals that do not depend on j,
+
+    A = pi^(-1/2) int k_t (1 - coth 2t) dt / sqrt(t),
+    B = pi^(-1/2) int k_t / sinh 2t dt / sqrt(t),
+
+so K_j(x,y) = A x_j + B y_j and, k_t being symmetric, K_j(y,x) =
+A y_j + B x_j: one heat evaluation per node serves every axis and both
+orientations (riesz_kernel_both).
+
 The panel evaluator skips, at each node, the rows whose heat kernel is
 exactly 0.0.  From E_kappa(w) <= e^{|w|} and cosh 2t >= 1,
 
@@ -47,7 +66,8 @@ exactly 0.0.  From E_kappa(w) <= e^{|w|} and cosh 2t >= 1,
 
 with md = min_g |g.x - y|; once this bound (widened by a rounding slack) is
 below -745.2, exp returns exactly 0.0 and the row would add exactly +-0.0
-to its sum.  Skipping it changes no bit of the result.
+to its sum.  Skipping it changes no bit of the result, as long as the rows
+left take the same log E route as the whole batch would (see BAND_MIN).
 """
 
 from __future__ import annotations
@@ -55,6 +75,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 from scipy.special import gammaln, i0e, i1e, ive
@@ -131,11 +152,112 @@ def dunkl_kernel_1d(kappa: float, u: float, v: float, cfg: KernelConfig = DEFAUL
     return total
 
 
+# The bands of log E and E'/E (see the module docstring).  BAND_MIN is where
+# a batch of Riesz-panel arguments runs as fast on the three bands as on the
+# Bessel pair alone (between 128 and 512 elements, measured); below it the
+# fixed cost of the Horner loops is not won back.
 _ASYMPT_SWITCH = 1e5
+BAND_MIN = 512
+SERIES_TERMS = 18                     # a_1..a_18 on |w| < 1: a_19 < 1/19! < 1e-17
+HANKEL_TERMS = 8                      # z^1..z^8 after the leading 1
+HANKEL_TOL = 2.0**-56                 # the first omitted Hankel term, relative
 
 
-def _a1(nu):
-    return (4.0 * nu * nu - 1.0) / 8.0
+def _hankel_a(nu: Fraction, k: int) -> Fraction:
+    """a_k(nu) of e^{-x} I_nu(x) ~ (2 pi x)^{-1/2} sum_k (-1)^k a_k(nu) x^{-k}
+    (DLMF 10.40.1); 0 for k > nu + 1/2 at half-integer nu."""
+    p = Fraction(1)
+    for m in range(1, k + 1):
+        p *= (4 * nu * nu - (2 * m - 1) ** 2) / Fraction(8 * m)
+    return p
+
+
+@dataclass(frozen=True)
+class _Hankel:
+    """The Hankel sums of one kappa, nu = kappa - 1/2, in z = 1/x:
+
+        e^{-x} (I_nu + I_{nu+1}) = 2 (2 pi x)^{-1/2} (1 + z plus(z))
+        e^{-x} (I_nu - I_{nu+1}) = kappa z (2 pi x)^{-1/2} (1 + z minus(z))
+        e^{-x} I_{nu+1}          = (2 pi x)^{-1/2} (1 + z upper(z))
+
+    with polynomials of degree HANKEL_TERMS - 1.  The minus coefficients
+    come from a_k(nu) - a_k(nu+1) in exact rational arithmetic, so the minus
+    branch does not cancel.  Plus and minus ride as the real and imaginary
+    parts of one complex coefficient tuple `pm`, so one Horner loop of half
+    the numpy calls sums both.  `switch` is the integer x past which the
+    first omitted term of each sum, and the e^{-2x} part that the sums leave
+    out, are below HANKEL_TOL.  `log_c` holds the x-free terms of log E on
+    the plus and on the minus branch.
+    """
+
+    pm: tuple
+    upper: tuple
+    switch: float
+    log_c: tuple
+
+
+@functools.cache
+def _hankel(kappa: float) -> _Hankel:
+    nu = Fraction(kappa) - Fraction(1, 2)
+    k_frac = Fraction(kappa)
+
+    def row(k):  # the z^k coefficient of plus, minus and upper
+        sgn = (-1) ** k
+        lo, hi = _hankel_a(nu, k), _hankel_a(nu + 1, k)
+        return (sgn * (lo + hi) / 2,
+                sgn * (_hankel_a(nu + 1, k + 1) - _hankel_a(nu, k + 1)) / k_frac,
+                sgn * hi)
+
+    rows = [row(k) for k in range(1, HANKEL_TERMS + 2)]
+    n = HANKEL_TERMS + 1                   # the first omitted power
+    switch = max([1.0] + [(abs(float(c)) / HANKEL_TOL) ** (1.0 / n) for c in rows[-1] if c])
+    # e^{-x} I_nu leaves out a part of relative size e^{-2x}, up to 2x/kappa
+    # times that on the minus branch
+    while 2.0 * switch * math.exp(-2.0 * switch) > HANKEL_TOL * min(kappa, 1.0):
+        switch += 0.5
+    pm = tuple(complex(float(p), float(m)) for p, m, _ in rows[:-1])
+    upper = tuple(float(u) for _, _, u in rows[:-1])
+    # log E = log_c - p log x + x + log1p(z h(z)), p = kappa (plus), kappa + 1 (minus)
+    common = math.lgamma(kappa + 0.5) - (0.5 - kappa) * math.log(2.0) - 0.5 * math.log(2.0 * math.pi)
+    return _Hankel(pm, upper, float(math.ceil(switch)),
+                   (common + math.log(2.0), common + math.log(kappa)))
+
+
+def _hankel_past(kappa: float, size: int) -> float:
+    """The |w| past which log E and E'/E of an input of `size` elements
+    take the Hankel sums."""
+    switch = _hankel(kappa).switch
+    return switch if size >= BAND_MIN else max(_ASYMPT_SWITCH, switch)
+
+
+def _horner1(coeffs, z):
+    """z (c_1 + z (c_2 + ...)), the sum that follows the leading 1."""
+    r = np.full(z.shape, coeffs[-1])
+    for c in coeffs[-2::-1]:
+        r *= z
+        r += c
+    return r * z
+
+
+def _log_e_hankel(kappa: float, w: np.ndarray) -> np.ndarray:
+    """log E_kappa(w) from the Hankel sums, for |w| past the switch."""
+    h = _hankel(kappa)
+    x = np.abs(w)
+    pos = w > 0
+    s = _horner1(h.pm, 1.0 / x)
+    power = np.where(pos, kappa, kappa + 1.0)
+    return np.where(pos, h.log_c[0], h.log_c[1]) - power * np.log(x) + x + np.log1p(
+        np.where(pos, s.real, s.imag))
+
+
+@functools.cache
+def _series_coeffs(kappa: float) -> tuple:
+    """a_1..a_SERIES_TERMS of E(w) = sum a_n w^n, exact until rounded."""
+    a, out = Fraction(1), []
+    for n in range(1, SERIES_TERMS + 1):
+        a /= n + 2 * Fraction(kappa) * (n % 2)
+        out.append(float(a))
+    return tuple(out)
 
 
 def _bessel_pair(nu: float, x):
@@ -148,39 +270,6 @@ def _bessel_pair(nu: float, x):
     if nu == 0.0:
         return i0e(x), i1e(x)
     return ive(nu, x), ive(nu + 1, x)
-
-
-def _log_bracket(nu: float, x: np.ndarray, sign: np.ndarray) -> np.ndarray:
-    """log( e^{-x} [ I_nu(x) + sign I_{nu+1}(x) ] ), robust for any x > 0.
-
-    `sign` has the shape of `x`.  Up to the switch the bracket is within float
-    range and comes from the scaled Bessel pair: i0e/i1e at nu = 0, ive for
-    every other order; the pair is evaluated on those elements only.  Past
-    the switch the two-term uniform asymptotics are at machine precision; the
-    minus branch cancels at leading order and starts at (nu + 1/2)/x, so its
-    log is assembled analytically (the raw value can underflow long before
-    the log does).
-    """
-    big = x > _ASYMPT_SWITCH
-    if not big.any():
-        i0, i1 = _bessel_pair(nu, x)
-        return np.asarray(np.log(i0 + sign * i1))
-    out = np.empty(np.shape(x))
-    near = ~big
-    i0, i1 = _bessel_pair(nu, x[near])
-    out[near] = np.log(i0 + sign[near] * i1)
-    xb = x[big]
-    base = -0.5 * np.log(2.0 * math.pi * xb)
-    plus = base + math.log(2.0) + np.log1p(-(_a1(nu) + _a1(nu + 1)) / (2.0 * xb))
-    c2 = (2 * nu + 1.0) * (2 * nu - 1.0) * (2 * nu + 3.0) / 32.0
-    minus = (
-        base
-        + math.log(nu + 0.5)
-        - np.log(xb)
-        + np.log1p(-c2 / ((nu + 0.5) * xb))
-    )
-    out[big] = np.where(sign[big] > 0, plus, minus)
-    return out
 
 
 @functools.cache
@@ -206,21 +295,16 @@ def _underflow_edge(nu: float) -> float:
     return float(np.int64(lo).view(np.float64))
 
 
-def log_dunkl_kernel_1d(kappa: float, w) -> np.ndarray:
-    """log E_kappa at product argument w = u*v, vectorized; exact at kappa=0.
+def _log_e_bessel(kappa: float, w: np.ndarray, aw: np.ndarray) -> np.ndarray:
+    """log E_kappa(w) = lead + |w| + log(e^{-|w|} [I_nu + sgn(w) I_{nu+1}]),
+    given aw = |w|.
 
-    E grows like e^w w^{-kappa} as w -> +inf and (for kappa > 0) like
-    e^{|w|} |w|^{-kappa-1} as w -> -inf; both regimes stay finite in log scale.
     Where |w| is so small that the scaled Bessel pair underflows to 0 (large
     kappa) or is NaN (kappa < 1/2), the leading small-argument value
     E = 1 + w/(2 kappa + 1) takes over.  At kappa = 1/2 the power term
-    (1/2 - kappa) log(|w|/2) is identically 0 and is left out, which also
-    keeps |w| = 5e-324 (where |w|/2 underflows to 0) finite.
+    (1/2 - kappa) log(|w|/2) of lead is identically 0 and is left out, which
+    also keeps |w| = 5e-324 (where |w|/2 underflows to 0) finite.
     """
-    w = np.asarray(w, dtype=float)
-    if kappa == 0.0:
-        return w + 0.0
-    aw = np.abs(w)
     nu = kappa - 0.5
     direct = aw > _underflow_edge(nu)
     every = direct.all()
@@ -232,20 +316,64 @@ def log_dunkl_kernel_1d(kappa: float, w) -> np.ndarray:
     lead = gammaln(kappa + 0.5)
     if kappa != 0.5:
         lead = lead + (0.5 - kappa) * np.log(safe / 2.0)
-    out = lead + safe + _log_bracket(nu, safe, sign)
+    i0, i1 = _bessel_pair(nu, safe)
+    out = lead + safe + np.log(i0 + sign * i1)
     if every:
         return np.asarray(out)
     # log E at w = 0 and below the edge; + 0.0 turns w = -0 into 0
     return np.where(direct, out, w / (2.0 * kappa + 1.0) + 0.0)
 
 
+def log_dunkl_kernel_1d(kappa: float, w) -> np.ndarray:
+    """log E_kappa at product argument w = u*v, vectorized; exact at kappa=0.
+
+    E grows like e^w w^{-kappa} as w -> +inf and (for kappa > 0) like
+    e^{|w|} |w|^{-kappa-1} as w -> -inf; both regimes stay finite in log scale.
+
+    A batch of at least BAND_MIN elements is cut in three bands: |w| < 1
+    takes log1p of the power series, |w| past the Hankel switch of kappa the
+    Hankel sums, and only the band in between the scaled Bessel pair.
+    Smaller and 0-d inputs take the Bessel pair up to max(1e5, switch) and
+    the Hankel sums past it.
+    """
+    w = np.asarray(w, dtype=float)
+    if kappa == 0.0:
+        return w + 0.0
+    aw = np.abs(w)
+    far = aw > _hankel_past(kappa, w.size)
+    if w.size < BAND_MIN:
+        if not far.any():
+            return _log_e_bessel(kappa, w, aw)
+        near = None
+    else:
+        near = aw < 1.0
+    out = np.empty(w.shape)
+    mid = ~far
+    if near is not None and near.any():
+        out[near] = np.log1p(_horner1(_series_coeffs(kappa), w[near]))
+        mid &= ~near
+    if mid.any():
+        out[mid] = _log_e_bessel(kappa, w[mid], aw[mid])
+    if far.any():
+        out[far] = _log_e_hankel(kappa, w[far])
+    return out
+
+
 def dlog_dunkl_kernel_1d(kappa: float, w) -> np.ndarray:
     """d/dw of log E_kappa(w), vectorized; equals (E'/E)(w).
 
     From the defining equation, E'(w) = E(w) - 2 kappa g(w)/w with g the odd
-    part, so E'/E = 1 - (2 kappa / w) g/(f+g); g/w has a finite limit at 0.
-    Far regimes use the analytic limits 1 - kappa/w and -1 - (kappa+1)/w.
-    The Bessel pair is evaluated on the elements between the two only.
+    part, so E'/E = 1 - (2 kappa / w) g/(f+g); g/w has a finite limit at 0,
+    and below |w| = 1e-8 the first two terms of its series take over.
+    Past the Hankel switch (past max(1e5, switch) for inputs under
+    BAND_MIN), the ratio comes from the Hankel sums: with z = 1/|w| and
+    U = 1 + z upper,
+
+        E'/E = 1 - kappa z U / (1 + z plus)    (w > 0),
+        E'/E = 1 - 2 U / (1 + z minus)         (w < 0),
+
+    so the minus branch forms no I_nu - I_{nu+1}.  The Bessel pair is
+    evaluated on the elements between |w| = 1e-8 and there.
     """
     w = np.asarray(w, dtype=float)
     if kappa == 0.0:
@@ -253,7 +381,7 @@ def dlog_dunkl_kernel_1d(kappa: float, w) -> np.ndarray:
     aw = np.abs(w)
     nu = kappa - 0.5
     small = aw < 1e-8
-    big = aw > _ASYMPT_SWITCH
+    big = aw > _hankel_past(kappa, w.size)
     mid = ~small & ~big
     out = np.empty(w.shape)
     wm = w[mid]
@@ -261,9 +389,18 @@ def dlog_dunkl_kernel_1d(kappa: float, w) -> np.ndarray:
     i0, i1 = _bessel_pair(nu, aw[mid])
     ratio = sign * i1 / (i0 + sign * i1)               # g/(f+g)
     out[mid] = 1.0 - 2.0 * kappa * ratio / wm
-    wb = w[big]
-    out[big] = np.where(wb > 0, 1.0 - kappa / wb, -1.0 - (kappa + 1.0) / wb)
-    out[small] = 1.0 / (1.0 + 2.0 * kappa)
+    if big.any():
+        h = _hankel(kappa)
+        wb = w[big]
+        z = 1.0 / np.abs(wb)
+        upper = 1.0 + _horner1(h.upper, z)
+        pm = _horner1(h.pm, z)
+        plus = 1.0 - kappa * z * upper / (1.0 + pm.real)
+        minus = 1.0 - 2.0 * upper / (1.0 + pm.imag)
+        out[big] = np.where(wb > 0, plus, minus)
+    # E'/E = a_1 + a_1 (1 - a_1) w + O(w^2) with a_1 = 1/(1 + 2 kappa)
+    a1 = 1.0 / (1.0 + 2.0 * kappa)
+    out[small] = a1 + a1 * (1.0 - a1) * w[small]
     return out
 
 
@@ -653,18 +790,20 @@ def _riesz_nodes(ev: Z2Evaluator, md_min: float):
     return head, panel_nodes(np.array(tb), TAIL_PANEL_NODES)
 
 
-def riesz_kernel_many(
-    basis: HermiteBasis, j: int, X, Y, cfg: KernelConfig = DEFAULT_CONFIG
-) -> np.ndarray:
-    """Vectorized K_j over broadcast batches X, Y of shape (..., d).
+def _riesz_time_integrals(basis: HermiteBasis, X, Y, cfg: KernelConfig):
+    """(A, B, X, Y) with X, Y broadcast and A, B the panel sums of
+
+        A = pi^(-1/2) int k_t(x,y) (1 - coth 2t) dt / sqrt(t),
+        B = pi^(-1/2) int k_t(x,y) / sinh 2t dt / sqrt(t),
+
+    so that K_j(x,y) = A x_j + B y_j for every axis j and, k_t being
+    symmetric, K_j(y,x) = A y_j + B x_j.  Z2^d systems only.
 
     Fixed Gauss-Legendre panels (geometric refinement of the u = sqrt(t)
     endpoint); cross-checked against the adaptive scalar route in the tests.
-    Z2^d systems only.
-
     Rows whose heat kernel is exactly 0.0 at a node are not evaluated there.
-    With md the orbit distance of a row, E_kappa(w) <= e^{|w|} per axis and
-    coth 2t >= 1/sinh 2t give
+    With md the orbit distance of a row (symmetric in x and y),
+    E_kappa(w) <= e^{|w|} per axis and coth 2t >= 1/sinh 2t give
 
         log k_t(x,y) <= -log c_kappa - (gamma + d/2) log sinh 2t
                         - md^2 / (2 sinh 2t),
@@ -672,15 +811,16 @@ def riesz_kernel_many(
     and a row is skipped once this bound, widened by the rounding slack
     PRUNE_MARGIN + PRUNE_REL q / (2 sinh 2t), is below LOG_ZERO.  The rows
     are sorted once by md^2 - PRUNE_REL q, so each node evaluates a prefix.
-    A skipped element would add exactly +-0.0 to an accumulator that is
+    A skipped element would add exactly +-0.0 to accumulators that are
     never -0.0, and every evaluated element goes through the same operations
-    in the same node order, so the result is the one of the unpruned sum bit
-    for bit.
+    in the same node order.  So the result is the unpruned sum bit for bit
+    wherever log E takes the same route on the prefix as on the whole batch
+    (see BAND_MIN); where the prefix is the smaller side of BAND_MIN, the
+    two routes differ by rounding.
     """
     ev = z2_evaluator(basis)
     if ev is None:
         raise WrongGroup("riesz_kernel_many requires a Z2^d system")
-    _check_axis(j, ev.d)
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float)
     X, Y = np.broadcast_arrays(X, Y)
@@ -693,25 +833,45 @@ def riesz_kernel_many(
     key = (md * md - PRUNE_REL * q).ravel()
     order = np.argsort(key, kind="stable")
     key = key[order]
-    X = X.reshape(-1, ev.d)[order]
-    Y = Y.reshape(-1, ev.d)[order]
+    Xs = X.reshape(-1, ev.d)[order]
+    Ys = Y.reshape(-1, ev.d)[order]
     log_c = math.log(ev.c_kappa)
 
-    def live(t):
-        """The number of leading rows at which k_t can be nonzero."""
-        s = math.sinh(2.0 * t)
+    # (t, weight of dt/sqrt(t)) per node: t = u^2 gives dt/sqrt(t) = 2 du
+    nodes = [(u * u, 2.0 * w) for u, w in zip(un, uw)]
+    nodes += [(t, w / math.sqrt(t)) for t, w in zip(tn, tw)]
+    A = np.zeros(key.size)
+    B = np.zeros(key.size)
+    for t, w in nodes:
+        s, c = _sinh_coth2(t)
         lead = -log_c - (ev.gamma + ev.d / 2.0) * math.log(s)
-        return np.searchsorted(key, 2.0 * s * (lead + PRUNE_MARGIN - LOG_ZERO), side="right")
+        # the number of leading rows at which k_t can be nonzero
+        n = np.searchsorted(key, 2.0 * s * (lead + PRUNE_MARGIN - LOG_ZERO), side="right")
+        if n:
+            k = ev.heat(t, Xs[:n], Ys[:n])
+            A[:n] += (w * (1.0 - c)) * k
+            B[:n] += (w / s) * k
+    out = np.empty((2, key.size))
+    out[0, order] = A
+    out[1, order] = B
+    out = out.reshape((2,) + md.shape) / math.sqrt(math.pi)
+    return out[0], out[1], X, Y
 
-    acc = np.zeros(key.size)
-    for u, w in zip(un, uw):
-        n = live(u * u)
-        if n:
-            acc[:n] += 2.0 * w * ev.riesz_integrand(u * u, X[:n], Y[:n], j - 1)
-    for t, w in zip(tn, tw):
-        n = live(t)
-        if n:
-            acc[:n] += w * ev.riesz_integrand(t, X[:n], Y[:n], j - 1) / math.sqrt(t)
-    out = np.empty_like(acc)
-    out[order] = acc
-    return out.reshape(md.shape) / math.sqrt(math.pi)
+
+def riesz_kernel_many(
+    basis: HermiteBasis, j: int, X, Y, cfg: KernelConfig = DEFAULT_CONFIG
+) -> np.ndarray:
+    """Vectorized K_j over broadcast batches X, Y of shape (..., d), by the
+    panel sums of _riesz_time_integrals.  Z2^d systems only."""
+    return riesz_kernel_both(basis, j, X, Y, cfg)[0]
+
+
+def riesz_kernel_both(
+    basis: HermiteBasis, j: int, X, Y, cfg: KernelConfig = DEFAULT_CONFIG
+) -> tuple[np.ndarray, np.ndarray]:
+    """(K_j(X, Y), K_j(Y, X)) from one panel pass: the time integrals A, B
+    serve both orientations.  Z2^d systems only."""
+    _check_axis(j, basis.rs.dim)
+    A, B, X, Y = _riesz_time_integrals(basis, X, Y, cfg)
+    x, y = X[..., j - 1], Y[..., j - 1]
+    return A * x + B * y, A * y + B * x

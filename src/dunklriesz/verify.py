@@ -43,6 +43,7 @@ from .kernels import (
     panel_nodes,
     per_row,
     riesz_kernel,
+    riesz_kernel_both,
     riesz_kernel_many,
     z2_evaluator,
 )
@@ -747,21 +748,23 @@ def _region_segments(y: float, delta: float, R: float):
     return segs, [e for h in holes for e in h]
 
 
-def _kernel_difference(basis, y, y0, X, kernel_cfg, transposed):
-    """|K(x, y) - K(x, y0)| w(x) at the nodes X (K(y, x) when transposed)."""
+def _kernel_differences(basis, y, y0, X, kernel_cfg):
+    """(|K(x, y) - K(x, y0)| w(x), |K(y, x) - K(y0, x)| w(x)) at the nodes X:
+    the direct and the transposed kernel difference, from one panel pass
+    per pole."""
+    (d, t), (d0, t0) = (riesz_kernel_both(basis, 1, X, np.array([[p]]), kernel_cfg)
+                        for p in (y, y0))
+    w = weight(basis.rs, X)
+    return np.abs(d - d0) * w, np.abs(t - t0) * w
 
-    def K(pole):
-        P = np.array([[pole]])
-        return riesz_kernel_many(basis, 1, *((P, X) if transposed else (X, P)), kernel_cfg)
 
-    return np.abs(K(y) - K(y0)) * weight(basis.rs, X)
-
-
-def hormander_integral(basis, y, y0, kernel_cfg, transposed):
+def hormander_integrals(basis, y, y0, kernel_cfg):
     """Deterministic panel quadrature of int |K(.,y)-K(.,y0)| w dx over
-    {min(|x-y|, |x+y|) > 2|y0-y|}, or of the transposed kernel difference.
+    {min(|x-y|, |x+y|) > 2|y0-y|}, and of the transposed kernel difference
+    on the same nodes.
 
-    Returns the value and the number of quadrature nodes.  d=1 Z2 only.
+    Returns the direct value, the transposed value and the number of
+    quadrature nodes.  d=1 Z2 only.
     """
     delta = abs(y0 - y)
     R = abs(y) + HORM_RADIUS
@@ -771,8 +774,8 @@ def hormander_integral(basis, y, y0, kernel_cfg, transposed):
     ))
     X = np.concatenate(nodes)[:, None]
     W = np.concatenate(wts)
-    vals = _kernel_difference(basis, y, y0, X, kernel_cfg, transposed)
-    return float(np.sum(W * vals)), X.size
+    direct, transposed = _kernel_differences(basis, y, y0, X, kernel_cfg)
+    return float(np.sum(W * direct)), float(np.sum(W * transposed)), X.size
 
 
 def _hormander_mc(basis, y, y0, cfg, kernel_cfg, transposed, rng):
@@ -799,7 +802,7 @@ def _hormander_mc(basis, y, y0, cfg, kernel_cfg, transposed, rng):
     d1, d2 = np.abs(x - y), np.abs(x + y)
     pdf = 0.25 * (_pow_density(d1, p, lo, L) + _pow_density(d2, p, lo, L))
     inside = np.minimum(d1, d2) > lo
-    f = _kernel_difference(basis, y, y0, x[:, None], kernel_cfg, transposed) * inside
+    f = _kernel_differences(basis, y, y0, x[:, None], kernel_cfg)[transposed] * inside
     vals = np.where(pdf > 0, f / np.where(pdf > 0, pdf, 1.0), 0.0)
     est = float(np.mean(vals))
     se = float(np.std(vals, ddof=1) / math.sqrt(n))
@@ -837,9 +840,10 @@ def check_hormander(basis, cfg, kernel_cfg):
     se_ok = True
     mc_consistent = True
     npts = 0
+    quadrature = [hormander_integrals(basis, y, y + delta, kernel_cfg) for delta in deltas]
     for transposed, label in ((False, "direct"), (True, "transposed")):
-        for delta in deltas:
-            I, used = hormander_integral(basis, y, y + delta, kernel_cfg, transposed)
+        for delta, (*values, used) in zip(deltas, quadrature):
+            I = values[transposed]
             est, se = _hormander_mc(basis, y, y + delta, cfg, kernel_cfg, transposed, rng)
             if se > HORM_SE_FRAC * est:
                 se_ok = False

@@ -362,6 +362,23 @@ CONFIG_TABLE = [
     {"out": 3},
     {"cache_dir": None},
     {"dim": 2.0},
+    # the kernel and verify blocks: types and ranges of their settable fields
+    {"verify": {"lp_samples": "x"}},
+    {"verify": {"horm_mc_samples": -5}},
+    {"verify": {"horm_mc_samples": 1}},
+    {"verify": {"horm_mc_samples": 2.0, "fit_t_points": 3}},
+    {"verify": {"fit_grid_points": 0}},
+    {"verify": {"decay_separations": 2.5}},
+    {"verify": {"mehler_r_values": [0.1, 1.0]}},
+    {"verify": {"mehler_r_values": []}},
+    {"verify": {"horm_separations": [0.01, 0]}},
+    {"verify": {"horm_separations": [0.005, 0.01]}},
+    {"verify": {"seed": True}},
+    {"kernel": {"separation_floor": "a"}},
+    {"kernel": {"separation_floor": -1e-6}},
+    {"kernel": {"series_truncation": 0}},
+    {"kernel": {"mehler_r_cap": "0.5"}},
+    {"kernel": {"mehler_r_cap": 0.25, "series_truncation": 80}},
 ]
 
 

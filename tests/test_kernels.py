@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from scipy.special import i0e, i1e, ive
+from scipy.special import gammaln, i0e, i1e, ive
 
 from dunklriesz import kernels
 from dunklriesz.hermite import build_basis
@@ -24,6 +24,7 @@ from dunklriesz.kernels import (
     heat_kernel_series,
     log_dunkl_kernel_1d,
     riesz_kernel,
+    riesz_kernel_both,
     riesz_kernel_many,
     z2_evaluator,
 )
@@ -102,11 +103,11 @@ def half_kappa_reference():
     """log E and E'/E at kappa = 1/2 from mpmath's 0F1 form,
     E(w) = 0F1(; b; w^2/4) + (w / 2b) 0F1(; b + 1; w^2/4) with b = kappa + 1/2."""
     mp = pytest.importorskip("mpmath")
-    g = np.geomspace(1e-6, 9.9e4, 1000)
+    g = np.geomspace(1e-6, 1e7, 1000)
     # at |w| = 5e-324, |w|/2 underflows to 0, and 0 * log 0 was NaN
     w = np.concatenate([g, -g, [5e-324, -5e-324]])
     log_e, dlog_e = [], []
-    with mp.workdps(30):
+    with mp.workdps(40):
         b = mp.mpf(1)
         for wi in w:
             v = mp.mpf(wi)
@@ -120,18 +121,26 @@ def half_kappa_reference():
 
 
 def test_log_kernel_half_matches_mpmath(half_kappa_reference):
-    # on the minus branch I_0 - I_1 cancels, so a one-ulp Bessel error grows
-    # with |w|; the bound scales with max(1, |w|)
+    # log E is about |w|, so the bound scales with max(1, |w|)
     w, ref, _ = half_kappa_reference
+    assert w.size >= kernels.BAND_MIN
     err = np.abs(log_dunkl_kernel_1d(0.5, w) - ref) / np.maximum(1.0, np.abs(w))
     assert err.max() <= 4e-15
 
 
 def test_dlog_kernel_half_matches_mpmath(half_kappa_reference):
+    """On the Bessel band E'/E forms I_0 - I_1, which cancels as |w| grows;
+    past the Hankel switch the minus branch has its own sum, and the error
+    is absolute (4.4e-16 measured), also on 0-d inputs past 1e5."""
     w, _, ref = half_kappa_reference
     err = np.abs(dlog_dunkl_kernel_1d(0.5, w) - ref)
-    assert err[np.abs(w) <= 1e3].max() <= 2e-12
-    assert (err / np.maximum(1.0, np.abs(w))).max() <= 1e-14
+    hankel = np.abs(w) > kernels._hankel(0.5).switch
+    assert hankel.sum() > 500
+    assert err[hankel].max() <= 1e-15
+    assert err[~hankel].max() <= 1e-12
+    far = np.flatnonzero(np.abs(w) > 1e5)[::10]
+    got = [float(dlog_dunkl_kernel_1d(0.5, np.float64(v))) for v in w[far]]
+    assert np.max(np.abs(got - ref[far])) <= 1e-15
 
 
 def _log_e_mpmath(kappa, w):
@@ -179,76 +188,181 @@ def test_log_kernel_tiny_w_small_kappa_matches_mpmath(kappa):
     assert np.max(np.abs(got[below] / ref[below] - 1.0)) <= 1e-15
 
 
-def _log_bracket_all_elements(nu, x, sign):
-    """_log_bracket as it was before the i0e/i1e route: ive and both
-    asymptotic branches on every element, one of them picked by np.where."""
-    xs = np.where(x > kernels._ASYMPT_SWITCH, 1.0, x)
-    direct = np.log(ive(nu, xs) + sign * ive(nu + 1, xs))
-    xb = np.where(x > kernels._ASYMPT_SWITCH, x, kernels._ASYMPT_SWITCH)
-    base = -0.5 * np.log(2.0 * math.pi * xb)
-    a1 = kernels._a1(nu) + kernels._a1(nu + 1)
-    plus = base + math.log(2.0) + np.log1p(-a1 / (2.0 * xb))
-    c2 = (2 * nu + 1.0) * (2 * nu - 1.0) * (2 * nu + 3.0) / 32.0
-    minus = base + math.log(nu + 0.5) - np.log(xb) + np.log1p(-c2 / ((nu + 0.5) * xb))
-    asym = np.where(sign > 0, plus, minus)
-    return np.where(x > kernels._ASYMPT_SWITCH, asym, direct)
+def _mp_log_e_dlog(kappa, w, dps=60):
+    """log E_kappa(w) and (E'/E)(w) from mpmath's 0F1 form, with
+    b = kappa + 1/2:
+
+        E  = 0F1(; b; w^2/4) + (w / 2b) 0F1(; b+1; w^2/4),
+        E' = ((w + 1) / 2b) 0F1(; b+1; w^2/4) + (w^2 / 4b(b+1)) 0F1(; b+2; w^2/4).
+    """
+    mp = pytest.importorskip("mpmath")
+    log_e, dlog_e = [], []
+    with mp.workdps(dps):
+        b = mp.mpf(kappa) + mp.mpf(0.5)
+        for wi in np.asarray(w, dtype=float):
+            v = mp.mpf(wi)
+            z = v * v / 4
+            f0, f1, f2 = mp.hyp0f1(b, z), mp.hyp0f1(b + 1, z), mp.hyp0f1(b + 2, z)
+            e = f0 + v / (2 * b) * f1
+            de = (v + 1) / (2 * b) * f1 + v * v / (4 * b * (b + 1)) * f2
+            log_e.append(float(mp.log(e)))
+            dlog_e.append(float(de / e))
+    return np.array(log_e), np.array(dlog_e)
+
+
+ORACLE_KAPPAS = (0.25, 0.5, 1.0, 2.5, 7.5)
+
+
+@pytest.fixture(scope="module")
+def oracle_grid():
+    """w over +-geomspace(1e-6, 1e7), with log E and E'/E at each kappa."""
+    g = np.geomspace(1e-6, 1e7, 260)
+    w = np.concatenate([g, -g])
+    return w, {k: _mp_log_e_dlog(k, w) for k in ORACLE_KAPPAS}
+
+
+def _bessel_band(kappa, w, banded):
+    """The elements of w whose log E goes through the scaled Bessel pair."""
+    aw = np.abs(w)
+    switch = kernels._hankel(kappa).switch
+    if banded:
+        return (aw >= 1.0) & (aw <= switch)
+    return aw <= max(kernels._ASYMPT_SWITCH, switch)
+
+
+# The Bessel pair's own error on its band: ive is good to a few 1e-14
+# relative at a non-integer order, and on the minus branch I_nu - I_{nu+1}
+# amplifies it by about |w|/kappa (kappa = 1/4: 2.8e-13 at w = -21).  On the
+# small-input route the band reaches down to tiny |w|, where lead and the
+# log-bracket cancel (kappa = 15/2: 7.2e-15 at w = -6e-6).
+BESSEL_BAND_TOL = {0.25: 4e-13, 0.5: 4e-15, 1.0: 1e-14, 2.5: 4e-15, 7.5: 1e-14}
+
+
+@pytest.mark.parametrize("kappa", ORACLE_KAPPAS)
+def test_log_kernel_matches_mpmath_on_both_routes(oracle_grid, kappa):
+    """The power series (|w| < 1) and the Hankel sums are within
+    4e-15 max(1, |w|) of mpmath up to |w| = 1e7, on a batch past BAND_MIN
+    and on 0-d inputs; the Bessel band within the pair's own error."""
+    w, refs = oracle_grid
+    ref, dref = refs[kappa]
+    assert w.size >= kernels.BAND_MIN
+    scale = np.maximum(1.0, np.abs(w))
+    got_0d = [log_dunkl_kernel_1d(kappa, np.float64(v)) for v in w]
+    assert all(np.ndim(g) == 0 for g in got_0d)
+    for banded, got in ((True, log_dunkl_kernel_1d(kappa, w)), (False, np.array(got_0d))):
+        err = np.abs(got - ref) / scale
+        pair = _bessel_band(kappa, w, banded)
+        assert err[~pair].max() <= 4e-15
+        assert err[pair].max() <= BESSEL_BAND_TOL[kappa]
+    # E'/E past the switch comes from the Hankel sums: an absolute error
+    far = np.abs(w) > max(kernels._ASYMPT_SWITCH, kernels._hankel(kappa).switch)
+    got = [float(dlog_dunkl_kernel_1d(kappa, np.float64(v))) for v in w[far]]
+    assert np.max(np.abs(got - dref[far])) <= 1e-15
+    far = np.abs(w) > kernels._hankel(kappa).switch
+    assert np.max(np.abs(dlog_dunkl_kernel_1d(kappa, w)[far] - dref[far])) <= 1e-15
+
+
+def test_log_kernel_minus_branch_past_1e5_matches_mpmath():
+    """At kappa = 1/2 the two-term asymptotics once used half the second
+    Hankel coefficient on the minus branch: log E was 0.1875/|w| off
+    (-1.9e-6 at w = -100001)."""
+    w = np.array([-99999.0, -100001.0, -3e5, 100001.0])
+    ref, _ = _mp_log_e_dlog(0.5, w)
+    got = [float(log_dunkl_kernel_1d(0.5, np.float64(v))) for v in w]
+    assert np.max(np.abs(got - ref) / np.abs(w)) <= 4e-15
+
+
+@pytest.fixture(scope="module")
+def route_inputs():
+    """A batch past BAND_MIN that straddles 1e5 on both branches, its
+    special values, and the 0-d inputs; with the subset checked against
+    mpmath (every 25th element and all the special values)."""
+    rng = np.random.default_rng(5)
+    special = [1e5, -1e5, 1e5 + 1, -(1e5 + 1), 0.0, 1e-7, -1e-7, 1e12, -1e12]
+    w = np.concatenate([
+        rng.uniform(-3e5, 3e5, 4000),
+        rng.standard_normal(1000) * 30.0,
+        special,
+    ])
+    checked = np.concatenate([np.arange(0, 5000, 25), np.arange(5000, w.size)])
+    scalars = np.array([1e5, -1e5, 1e5 + 1, -(1e5 + 1), 0.0, 3.5, 1e-9, -3.5, 1e12, -1e12])
+    return w, checked, scalars
+
+
+def _small_chunks(w):
+    """The elements 0 < |w| <= 1e5 of w in chunks under BAND_MIN."""
+    keep = w[(w != 0) & (np.abs(w) <= kernels._ASYMPT_SWITCH)]
+    return np.array_split(keep, -(-keep.size // 100))
+
+
+def _log_e_pair_everywhere(kappa, w):
+    """log E through ive at every element, as inputs under BAND_MIN take it
+    up to 1e5 (w nonzero and above the underflow edge)."""
+    aw = np.abs(w)
+    lead = gammaln(kappa + 0.5) + (0.5 - kappa) * np.log(aw / 2.0)
+    return lead + aw + np.log(ive(kappa - 0.5, aw) + np.sign(w) * ive(kappa + 0.5, aw))
 
 
 @pytest.mark.parametrize("kappa", [0.3, 1.0, 2.5])
-def test_log_kernel_bit_identical_off_half(kappa, monkeypatch):
-    """Off kappa = 1/2 the bracket still goes through ive, and building the
-    asymptotic branch on the far elements only changes no bit."""
-    rng = np.random.default_rng(5)
-    w = np.concatenate([
-        rng.uniform(-3e5, 3e5, 4000),
-        rng.standard_normal(1000) * 30.0,
-        [1e5, -1e5, 1e5 + 1, -(1e5 + 1), 0.0, 1e-7, -1e-7, 1e12, -1e12],
-    ])
-    scalars = [np.float64(v) for v in (1e5, -1e5, 1e5 + 1, -(1e5 + 1), 0.0, 3.5)]
-    new = log_dunkl_kernel_1d(kappa, w)
-    new_0d = [log_dunkl_kernel_1d(kappa, v) for v in scalars]
-    monkeypatch.setattr(kernels, "_log_bracket", _log_bracket_all_elements)
-    assert new.tobytes() == log_dunkl_kernel_1d(kappa, w).tobytes()
-    for v, got in zip(scalars, new_0d):
-        assert np.ndim(got) == 0
-        assert np.asarray(got).tobytes() == np.asarray(log_dunkl_kernel_1d(kappa, v)).tobytes()
+def test_log_kernel_bit_identical_off_half(route_inputs, kappa):
+    """Off kappa = 1/2 the bracket goes through ive.  Inputs under BAND_MIN
+    and 0-d inputs keep that route bit for bit up to 1e5; the batch
+    (banded) and 0-d routes, including +-1e12 and 0, are within
+    4e-15 max(1, |w|) of mpmath, except on the Bessel band at kappa = 0.3,
+    where ive's own error rules (see BESSEL_BAND_TOL)."""
+    w, checked, scalars = route_inputs
+    for chunk in _small_chunks(w):
+        assert log_dunkl_kernel_1d(kappa, chunk).tobytes() == _log_e_pair_everywhere(kappa, chunk).tobytes()
+    assert w.size >= kernels.BAND_MIN
+    got = log_dunkl_kernel_1d(kappa, w)[checked]
+    got_0d = [log_dunkl_kernel_1d(kappa, np.float64(v)) for v in scalars]
+    assert all(np.ndim(g) == 0 for g in got_0d)
+    for v, g in zip(scalars, got_0d):
+        if 0 < abs(v) <= kernels._ASYMPT_SWITCH:
+            assert np.asarray(g).tobytes() == _log_e_pair_everywhere(kappa, v).tobytes()
+    tol = 4e-15 if kappa != 0.3 else 4e-13
+    for v, g in ((w[checked], got), (scalars, np.array(got_0d, dtype=float))):
+        ref, _ = _mp_log_e_dlog(kappa, v)
+        assert np.max(np.abs(g - ref) / np.maximum(1.0, np.abs(v))) <= tol
 
 
-def _dlog_all_elements(kappa, w):
-    """dlog_dunkl_kernel_1d as it was before it evaluated the Bessel pair on
-    the mid elements only: the pair at every element, then np.where picks."""
-    w = np.asarray(w, dtype=float)
-    aw = np.abs(w)
-    small = aw < 1e-8
-    big = aw > kernels._ASYMPT_SWITCH
-    mid = ~small & ~big
-    safe = np.where(mid, aw, 1.0)
-    sign = np.sign(np.where(w == 0, 1.0, w))
-    i0, i1 = kernels._bessel_pair(kappa - 0.5, safe)
-    ratio = sign * i1 / (i0 + sign * i1)
-    out = 1.0 - 2.0 * kappa * ratio / np.where(mid, w, 1.0)
-    wb = np.where(big, w, 1.0)
-    out = np.where(big & (w > 0), 1.0 - kappa / wb, out)
-    out = np.where(big & (w < 0), -1.0 - (kappa + 1.0) / wb, out)
-    return np.where(small, 1.0 / (1.0 + 2.0 * kappa), out)
+def _dlog_pair_everywhere(kappa, w):
+    """E'/E through the scaled Bessel pair at every element, as inputs under
+    BAND_MIN take it for 1e-8 <= |w| <= 1e5."""
+    sign = np.sign(w)
+    i0, i1 = kernels._bessel_pair(kappa - 0.5, np.abs(w))
+    return 1.0 - 2.0 * kappa * (sign * i1 / (i0 + sign * i1)) / w
 
 
 @pytest.mark.parametrize("kappa", [0.3, 0.5, 1.0, 2.5])
-def test_dlog_kernel_bit_identical_to_all_elements(kappa):
-    rng = np.random.default_rng(6)
-    w = np.concatenate([
-        rng.uniform(-3e5, 3e5, 4000),
-        rng.standard_normal(1000) * 30.0,
-        np.geomspace(1e-12, 1e-4, 50),
-        [1e5, -1e5, 1e5 + 1, -(1e5 + 1), 0.0, -0.0, 1e-8, -1e-8, 5e-324, 1e12, -1e12],
-    ])
-    assert dlog_dunkl_kernel_1d(kappa, w).tobytes() == _dlog_all_elements(kappa, w).tobytes()
+def test_dlog_kernel_bit_identical_to_all_elements(route_inputs, kappa):
+    """Inputs under BAND_MIN and 0-d inputs take E'/E from the Bessel pair,
+    bit for bit, on 1e-8 <= |w| <= 1e5, and a 2-D batch gives its 1-D values
+    bit for bit.  Against mpmath: past the Hankel switch of the batch, and
+    past 1e5 on 0-d inputs, the error is absolute; on the Bessel band below,
+    the minus branch cancels."""
+    w, checked, scalars = route_inputs
+    w = np.concatenate([w, np.geomspace(1e-12, 1e-4, 50), [-0.0, 1e-8, -1e-8, 5e-324]])
+    checked = np.concatenate([checked, np.arange(w.size - 54, w.size)])
+    for chunk in _small_chunks(w):
+        chunk = chunk[np.abs(chunk) >= 1e-8]
+        assert dlog_dunkl_kernel_1d(kappa, chunk).tobytes() == _dlog_pair_everywhere(kappa, chunk).tobytes()
+    got = dlog_dunkl_kernel_1d(kappa, w)
     W = w[:5000].reshape(50, 100)
-    assert dlog_dunkl_kernel_1d(kappa, W).tobytes() == _dlog_all_elements(kappa, W).tobytes()
-    for v in (1e5 + 1, -(1e5 + 1), 0.0, 1e-9, -3.5):
-        got = dlog_dunkl_kernel_1d(kappa, np.float64(v))
-        assert np.ndim(got) == 0
-        assert np.asarray(got).tobytes() == np.asarray(_dlog_all_elements(kappa, v)).tobytes()
+    assert dlog_dunkl_kernel_1d(kappa, W).tobytes() == got[:5000].tobytes()
+    _, ref = _mp_log_e_dlog(kappa, w[checked])
+    err = np.abs(got[checked] - ref)
+    far = np.abs(w[checked]) > kernels._hankel(kappa).switch
+    assert err[far].max() <= 1e-15
+    # ive's own error, amplified on the minus branch (kappa = 0.3: 4.5e-12)
+    assert err[~far].max() <= 1e-11
+    got_0d = [dlog_dunkl_kernel_1d(kappa, np.float64(v)) for v in scalars]
+    assert all(np.ndim(g) == 0 for g in got_0d)
+    _, ref = _mp_log_e_dlog(kappa, scalars)
+    err = np.abs(np.array(got_0d, dtype=float) - ref)
+    far = np.abs(scalars) > kernels._ASYMPT_SWITCH
+    assert err[far].max() <= 1e-15
+    assert err[~far].max() <= 1e-10
 
 
 def test_z2d_product(z2sq_ones):
@@ -557,17 +671,23 @@ def test_riesz_decay_profile(z2_half_basis8):
 
 
 def _riesz_unpruned(basis, j, X, Y):
-    """riesz_kernel_many's panel sum with every row evaluated at every node."""
+    """riesz_kernel_many's panel sums A and B with every row evaluated at
+    every node, and K_j = A x_j + B y_j."""
     ev = z2_evaluator(basis)
     X, Y = np.broadcast_arrays(np.asarray(X, dtype=float), np.asarray(Y, dtype=float))
     md = orbit_distances(basis.rs.group, X, Y)
     (un, uw), (tn, tw) = kernels._riesz_nodes(ev, float(np.min(md)))
-    out = np.zeros(X.shape[:-1])
-    for u, w in zip(un, uw):
-        out += 2.0 * w * ev.riesz_integrand(u * u, X, Y, j - 1)
-    for t, w in zip(tn, tw):
-        out += w * ev.riesz_integrand(t, X, Y, j - 1) / math.sqrt(t)
-    return out / math.sqrt(math.pi)
+    nodes = [(u * u, 2.0 * w) for u, w in zip(un, uw)]
+    nodes += [(t, w / math.sqrt(t)) for t, w in zip(tn, tw)]
+    A = np.zeros(X.shape[:-1])
+    B = np.zeros(X.shape[:-1])
+    for t, w in nodes:
+        s = math.sinh(2.0 * t)
+        k = ev.heat(t, X, Y)
+        A += (w * (1.0 - math.cosh(2.0 * t) / s)) * k
+        B += (w / s) * k
+    A, B = A / math.sqrt(math.pi), B / math.sqrt(math.pi)
+    return A * X[..., j - 1] + B * Y[..., j - 1]
 
 
 @pytest.mark.parametrize(
@@ -577,7 +697,8 @@ def _riesz_unpruned(basis, j, X, Y):
 )
 def test_riesz_many_pruned_bit_identical(name, kappa, monkeypatch):
     """Skipping the rows whose heat kernel is exactly 0 at a node changes no
-    bit of the panel sum, for either pole layout."""
+    bit of the panel sums, for either pole layout.  The batch is under
+    BAND_MIN, so the prefix and the whole batch take one log E route."""
     basis = build_basis(root_system(name, multiplicity=kappa), 2)
     d = basis.rs.dim
     rng = np.random.default_rng(8)
@@ -589,25 +710,26 @@ def test_riesz_many_pruned_bit_identical(name, kappa, monkeypatch):
         np.full((1, d), 3.0), np.full((1, d), -40.0),
         np.full((1, d), 300.0),                            # pruned at most nodes
     ])
+    assert len(X) < kernels.BAND_MIN
     rows, biggest_w = [], [0.0]
-    integrand = kernels.Z2Evaluator.riesz_integrand
+    heat = kernels.Z2Evaluator.heat
     for A, B in ((X, pole), (pole, X)):
         every = np.hstack(np.broadcast_arrays(A, B))
 
-        def counted(self, t, P, Q, j):
-            """The integrand on the rows riesz_kernel_many keeps, after
+        def counted(self, t, P, Q):
+            """The heat kernel on the rows riesz_kernel_many keeps, after
             checking that it is exactly 0 on every row it skips."""
             rows.append(len(P))
             kept = {r.tobytes() for r in np.hstack([P, Q])}
             skipped = np.array([r.tobytes() not in kept for r in every])
-            assert not np.any(integrand(self, t, A, B, j)[skipped])
+            assert not np.any(heat(self, t, A, B)[skipped])
             s = math.sinh(2.0 * t)
             biggest_w[0] = max(biggest_w[0], float(np.max(np.abs(P * Q))) / s)
-            return integrand(self, t, P, Q, j)
+            return heat(self, t, P, Q)
 
         for j in range(1, d + 1):
             want = _riesz_unpruned(basis, j, A, B)
-            monkeypatch.setattr(kernels.Z2Evaluator, "riesz_integrand", counted)
+            monkeypatch.setattr(kernels.Z2Evaluator, "heat", counted)
             rows.clear()
             got = riesz_kernel_many(basis, j, A, B)
             monkeypatch.undo()
@@ -615,4 +737,29 @@ def test_riesz_many_pruned_bit_identical(name, kappa, monkeypatch):
             assert got.tobytes() == want.tobytes()
             assert min(rows) < len(X)
             assert np.count_nonzero(got) > 0
-    assert biggest_w[0] > kernels._ASYMPT_SWITCH
+    # the 0-d-and-small route takes the Hankel sums past max(1e5, switch)
+    switches = [kernels._hankel(float(k)).switch for k in basis.rs.multiplicity]
+    assert biggest_w[0] > max([kernels._ASYMPT_SWITCH] + switches)
+
+
+@pytest.mark.parametrize("name, kappa", [("z2", 0.3), ("z2", 0.5), ("z2", 1.0), ("z2^2", [0.5, 1.0])])
+def test_riesz_both_orientations_match_swapped_calls(name, kappa):
+    """One pass of the time integrals A, B gives K_j(x,y) = A x_j + B y_j and
+    K_j(y,x) = A y_j + B x_j: the first is riesz_kernel_many bit for bit, the
+    second its call with swapped arguments to rounding (the heat kernel is
+    evaluated as k_t(x,y), not k_t(y,x)).  Near the orbit A y_j and B x_j
+    nearly cancel, so there the bound is relative to their size: at orbit
+    distance 2e-3 the difference is 2.1e-12 of |K| and 2e-13 of that size."""
+    basis = build_basis(root_system(name, multiplicity=kappa), 2, exact=False)
+    d = basis.rs.dim
+    rng = np.random.default_rng(9)
+    X = rng.uniform(-4.0, 4.0, (700, d))
+    pole = np.array([[1.0, -0.5][:d]])
+    A, B, _, _ = kernels._riesz_time_integrals(basis, X, pole, KernelConfig())
+    away = orbit_distances(basis.rs.group, X, pole) >= 0.05
+    for j in range(1, d + 1):
+        direct, transposed = riesz_kernel_both(basis, j, X, pole)
+        assert direct.tobytes() == riesz_kernel_many(basis, j, X, pole).tobytes()
+        diff = np.abs(transposed - riesz_kernel_many(basis, j, pole, X))
+        assert np.max(diff / (np.abs(A * pole[0, j - 1]) + np.abs(B * X[:, j - 1]))) <= 1e-12
+        assert np.max(diff[away] / np.abs(transposed[away])) <= 1e-12
