@@ -2,7 +2,8 @@
 files, and run verification suites.
 
 Exit codes: 0 success, 1 at least one check failed, 2 configuration, I/O or
-typed numerical error (e.g. a Mehler truncation too coarse for its tail).
+typed numerical error (e.g. a Mehler truncation too coarse for its tail, or
+a Riesz kernel asked of a group other than Z2^d).
 Reports are deterministic given (config, seed); see VerifyConfig.
 """
 
@@ -14,24 +15,24 @@ import hashlib
 import json
 import os
 import sys
-from dataclasses import fields, replace
+from dataclasses import replace
 
 import numpy as np
 
 from . import hermite
 from .kernels import (
     DEFAULT_CONFIG,
-    KernelConfig,
     OrbitTooClose,
     SeriesNonConvergence,
     TruncationTooCoarse,
+    WrongGroup,
     dunkl_kernel,
     heat_kernel,
     riesz_kernel,
 )
 from .polyalg import NoExactCoordinates, NonzeroRemainder
 from .reflection import InvalidRootSystem, root_system
-from .verify import DEFAULT_VERIFY, ALL_CHECKS, VerifyConfig, run_checks
+from .verify import DEFAULT_VERIFY, ALL_CHECKS, run_checks
 
 
 class ConfigError(ValueError):
@@ -52,9 +53,9 @@ def _numbers(**bounds):
     return {"type": "array", "items": {"type": "number", **bounds}, "minItems": 1}
 
 
-# The settable fields of KernelConfig and VerifyConfig.  A name outside them
-# is left to _sub_config, which names the dataclass that lacks it; the
-# (0, 1) range of mehler_r_cap is KernelConfig's own check.
+# The settable fields of KernelConfig and VerifyConfig, and no other: the
+# seed is set at the top level only.  The (0, 1) range of mehler_r_cap is
+# KernelConfig's own check.
 _KERNEL_SCHEMA = {
     "type": "object",
     "properties": {
@@ -62,12 +63,12 @@ _KERNEL_SCHEMA = {
         "mehler_r_cap": {"type": "number"},
         "separation_floor": {"type": "number", "minimum": 0},
     },
+    "additionalProperties": False,
 }
 
 _VERIFY_SCHEMA = {
     "type": "object",
     "properties": {
-        "seed": {"type": "integer", "minimum": 0},
         "fit_t_points": _COUNT,
         "fit_t_large_points": _COUNT,
         "fit_grid_points": _COUNT,
@@ -80,6 +81,7 @@ _VERIFY_SCHEMA = {
         "norm_vectors": _COUNT,
         "lp_samples": _COUNT,
     },
+    "additionalProperties": False,
 }
 
 CONFIG_SCHEMA = {
@@ -277,20 +279,15 @@ def _get_basis(cfg, basis_file=None):
     return basis
 
 
-def _sub_config(cls, default, overrides: dict):
+def _sub_config(default, overrides: dict):
+    """default with the fields set by a config block the schema has passed."""
     if not overrides:
         return default
-    known = {f.name for f in fields(cls)}
-    unknown = set(overrides) - known
-    if unknown:
-        raise ConfigError(f"unknown {cls.__name__} fields: {sorted(unknown)}")
-    coerced = {}
-    for k, v in overrides.items():
-        coerced[k] = tuple(v) if isinstance(v, list) else v
+    coerced = {k: tuple(v) if isinstance(v, list) else v for k, v in overrides.items()}
     try:
         return replace(default, **coerced)
     except ValueError as exc:
-        raise ConfigError(f"{cls.__name__}: {exc}") from exc
+        raise ConfigError(f"{type(default).__name__}: {exc}") from exc
 
 
 def cmd_basis(args) -> int:
@@ -338,7 +335,7 @@ def _is_float(s):
 def cmd_eval(args) -> int:
     cfg = load_config(args)
     basis = _get_basis(cfg, args.basis_file)
-    kernel_cfg = _sub_config(KernelConfig, DEFAULT_CONFIG, cfg.get("kernel", {}))
+    kernel_cfg = _sub_config(DEFAULT_CONFIG, cfg.get("kernel", {}))
     d = basis.rs.dim
     what = args.what
     if what == "dunkl-kernel":
@@ -377,8 +374,8 @@ def cmd_eval(args) -> int:
 def cmd_verify(args) -> int:
     cfg = load_config(args)
     basis = _get_basis(cfg, args.basis_file)
-    kernel_cfg = _sub_config(KernelConfig, DEFAULT_CONFIG, cfg.get("kernel", {}))
-    vcfg = _sub_config(VerifyConfig, DEFAULT_VERIFY, cfg.get("verify", {}))
+    kernel_cfg = _sub_config(DEFAULT_CONFIG, cfg.get("kernel", {}))
+    vcfg = _sub_config(DEFAULT_VERIFY, cfg.get("verify", {}))
     vcfg = replace(vcfg, seed=cfg["seed"])
     names = cfg.get("checks") or []
     report = run_checks(basis, names, vcfg, kernel_cfg)
@@ -447,6 +444,7 @@ def main(argv=None) -> int:
         hermite.QuadratureNonConvergence,
         hermite.GramSingular,
         SeriesNonConvergence,
+        WrongGroup,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

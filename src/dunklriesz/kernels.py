@@ -44,7 +44,9 @@ Riesz kernel
     K_j(x,y) = pi^(-1/2) * int_0^inf k_t(x,y) [ (1-coth 2t) x_j
                + y_j / sinh 2t ] dt / sqrt(t),
 
-absolutely convergent off the orbit of x.  The t -> 0 endpoint is handled by
+absolutely convergent off the orbit of x, and evaluated on Z2^d only: the
+Mehler heat kernel of other groups cannot reach t -> 0, where its argument
+x / sinh 2t has no bound.  The t -> 0 endpoint is handled by
 the substitution t = u^2 (absorbing dt/sqrt(t)); the tail uses the
 e^{-(2 gamma + d + 2) t} decay.  A fixed Gauss-Legendre panel evaluator
 (vectorized over point batches) backs the verification harness; the adaptive
@@ -539,13 +541,9 @@ class Z2Evaluator:
 
     def riesz_integrand(self, t, X, Y, j):
         """h_t(x,y) = k_t(x,y) [ (1 - coth 2t) x_j + y_j / sinh 2t ]."""
-        return self.heat(t, X, Y) * _riesz_bracket(t, X, Y, j)
-
-
-def _riesz_bracket(t, X, Y, j):
-    """(1 - coth 2t) x_j + y_j / sinh 2t, the factor of k_t in the Riesz integrand."""
-    s, c = _sinh_coth2(t)
-    return (1.0 - c) * np.asarray(X)[..., j] + np.asarray(Y)[..., j] / s
+        s, c = _sinh_coth2(t)
+        bracket = (1.0 - c) * np.asarray(X)[..., j] + np.asarray(Y)[..., j] / s
+        return self.heat(t, X, Y) * bracket
 
 
 def z2_evaluator(rs_or_basis) -> Z2Evaluator | None:
@@ -683,10 +681,15 @@ def _check_axis(j, d):
 def riesz_kernel(basis: HermiteBasis, j: int, x, y, cfg: KernelConfig = DEFAULT_CONFIG) -> float:
     """K_j(x, y) by adaptive quadrature of the subordination time integral.
 
+    Z2^d systems only; any other basis raises WrongGroup before any
+    quadrature (see the module notes).
     j is a 1-based axis.  Requires y off the orbit of x by at least the
     separation floor; below it the integral is a genuine singularity and the
     evaluation refuses rather than returning garbage.
     """
+    ev = z2_evaluator(basis)
+    if ev is None:
+        raise WrongGroup("riesz_kernel requires a Z2^d root system")
     _check_axis(j, basis.rs.dim)
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -698,13 +701,7 @@ def riesz_kernel(basis: HermiteBasis, j: int, x, y, cfg: KernelConfig = DEFAULT_
     # quadrature of hermite.c_kappa need it
     from scipy.integrate import quad
 
-    ev = z2_evaluator(basis)
-    if ev is not None:
-        integrand = lambda t: float(ev.riesz_integrand(t, x, y, j - 1))
-    else:
-        integrand = lambda t: heat_kernel(basis, t, x, y, cfg) * float(
-            _riesz_bracket(t, x, y, j - 1)
-        )
+    integrand = lambda t: float(ev.riesz_integrand(t, x, y, j - 1))
 
     # t in (0, 1]: substitute t = u^2 so dt/sqrt(t) = 2 du
     head, err1 = quad(

@@ -39,10 +39,8 @@ from .kernels import (
     heat_kernel,
     heat_kernel_classical,
     heat_kernel_series,
-    log_dunkl_kernel_1d,
     panel_nodes,
     per_row,
-    riesz_kernel,
     riesz_kernel_both,
     riesz_kernel_many,
     z2_evaluator,
@@ -88,6 +86,10 @@ class VerifyConfig:
 
 
 DEFAULT_VERIFY = VerifyConfig()
+
+# Revision of the report's canonical payload: raised by every change that
+# moves a value a fixed config and seed produce, or adds or drops a field.
+PAYLOAD_VERSION = 2
 
 
 @dataclass(kw_only=True)
@@ -208,13 +210,16 @@ def _check(**needs):
 # identity checks
 
 
+EIGEN_TOL = 1e-10
+
+
 @_check()
 def check_eigen(basis, cfg, kernel_cfg):
     """Oscillator eigenvalue identity on every H_n up to truncation.
 
     Exact bases: the residual polynomial must vanish identically (zero
-    residual in the surd field).  Float bases: coefficient residual < 1e-10
-    relative to the largest coefficient.
+    residual in the surd field).  Float bases: coefficient residual below
+    EIGEN_TOL relative to the largest coefficient.
     """
     alg = get_algebra(basis.rs, basis.exact)
     worst = 0.0
@@ -234,10 +239,11 @@ def check_eigen(basis, cfg, kernel_cfg):
             scale = max((abs(c) for c in H_list[i].terms.values()), default=1.0)
             r = max((abs(c) for c in resid.terms.values()), default=0.0) / scale
             worst = max(worst, r)
-    ok = exact_failures == 0 if basis.exact else worst < 1e-10
+    ok = exact_failures == 0 if basis.exact else worst < EIGEN_TOL
     return CheckResult(
         status="pass" if ok else "fail",
-        residuals={"max_residual": worst, "exact_failures": exact_failures},
+        residuals={"max_residual": worst, "exact_failures": exact_failures,
+                   "eigen_tol": EIGEN_TOL},
         samples=basis.size,
         notes="zero-residual in exact arithmetic" if basis.exact else "float basis",
     )
@@ -257,7 +263,7 @@ def check_mehler(basis, cfg, kernel_cfg):
     pass level MEHLER_TOL is meaningful only with N large enough for the
     largest r in the grid (r = 0.5 needs N >= 24 for 1e-6).
     """
-    kappas = z2_evaluator(basis).kappas
+    ev = z2_evaluator(basis)
     d = basis.rs.dim
     pts = np.linspace(-1.0, 1.0, MEHLER_GRID_POINTS if d == 1 else 5)
     grids = np.meshgrid(*([pts] * d), indexing="ij")
@@ -272,10 +278,7 @@ def check_mehler(basis, cfg, kernel_cfg):
         for i, n in enumerate(basis.indices):
             lhs += np.outer(Hvals[i], Hvals[i]) * (r ** sum(n) / 2.0 ** sum(n))
         q = np.sum(box * box, axis=-1)
-        loge = np.zeros((box.shape[0], box.shape[0]))
-        for j in range(d):
-            wmat = np.outer(box[:, j], box[:, j]) * (2.0 * r / (1.0 - r * r))
-            loge += log_dunkl_kernel_1d(kappas[j], wmat)
+        loge = ev.log_E(box[:, None, :] * (2.0 * r / (1.0 - r * r)), box[None, :, :])
         rhs = (
             (1.0 - r * r) ** -(basis.gamma + d / 2.0)
             * np.exp(-r * r / (1.0 - r * r) * (q[:, None] + q[None, :]))
@@ -296,6 +299,8 @@ HEAT_T_VALUES = (0.1, 0.3, 1.0, 2.0)
 HEAT_PAIRS = 12
 HEAT_TOL = 1e-6
 HEAT_CLASSICAL_TOL = 1e-10
+HEAT_SYMMETRY_TOL = 1e-10
+HEAT_FACTOR_TOL = 1e-10
 
 
 @_check(z2="series oracle needs Z2^d")
@@ -308,6 +313,8 @@ def check_heat(basis, cfg, kernel_cfg):
     d = basis.rs.dim
     X = rng.uniform(-1.5, 1.5, (HEAT_PAIRS, d))
     Y = rng.uniform(-1.5, 1.5, (HEAT_PAIRS, d))
+    # the kappa = 0 evaluator at the same dimension, for the classical reduction
+    ev0 = Z2Evaluator(np.zeros(d), (2.0 * math.pi) ** (d / 2.0), 0.0)
     worst_series = worst_sym = worst_classical = 0.0
     printed_min_err = math.inf
     factor_err = 0.0
@@ -324,8 +331,6 @@ def check_heat(basis, cfg, kernel_cfg):
                 factor_err,
                 abs(printed / closed - 2.0 ** (basis.gamma + d / 2.0)),
             )
-        # kappa = 0 reduction at the same dimension
-        ev0 = Z2Evaluator(np.zeros(d), (2.0 * math.pi) ** (d / 2.0), 0.0)
         for xi, yi in zip(X, Y):
             red = float(ev0.heat(t, xi, yi))
             cls = heat_kernel_classical(t, xi, yi)
@@ -334,8 +339,8 @@ def check_heat(basis, cfg, kernel_cfg):
     ok = (
         worst_series < HEAT_TOL
         and worst_classical < HEAT_CLASSICAL_TOL
-        and worst_sym < 1e-10
-        and factor_err < 1e-10
+        and worst_sym < HEAT_SYMMETRY_TOL
+        and factor_err < HEAT_FACTOR_TOL
         and printed_min_err > HEAT_TOL  # the printed constant MUST fail
     )
     return CheckResult(
@@ -348,6 +353,10 @@ def check_heat(basis, cfg, kernel_cfg):
             "printed_constant_factor_err": factor_err,
             "printed_constant_min_rel_err": printed_min_err,
             "printed_expected_rel_err": expected_gap,
+            "heat_tol": HEAT_TOL,
+            "heat_classical_tol": HEAT_CLASSICAL_TOL,
+            "heat_symmetry_tol": HEAT_SYMMETRY_TOL,
+            "heat_factor_tol": HEAT_FACTOR_TOL,
         },
         samples=len(HEAT_T_VALUES) * HEAT_PAIRS,
     )
@@ -663,7 +672,8 @@ def check_lemma_bounds(basis, cfg, kernel_cfg):
         status="pass" if ok else "fail",
         config={"a": A_CONST, "b": B_CONST, "c": C_CONST},
         constants={f"C_{k}": v for k, v in fine.items()},
-        residuals={f"growth_{k}": g for k, g in growth.items()},
+        residuals={**{f"growth_{k}": g for k, g in growth.items()},
+                   "fit_growth_tol": FIT_GROWTH_TOL},
         samples=14,
     )
 
@@ -698,7 +708,7 @@ def check_kernel_decay(basis, cfg, kernel_cfg):
     # the separation floor must refuse, not fabricate
     floor_refused = False
     try:
-        riesz_kernel(basis, 1, [1.0], [1.0 + 0.1 * kernel_cfg.separation_floor], kernel_cfg)
+        riesz_kernel_many(basis, 1, [[1.0]], [[1.0 + 0.1 * kernel_cfg.separation_floor]], kernel_cfg)
     except OrbitTooClose:
         floor_refused = True
     ok = np.isfinite(fine) and growth < FIT_GROWTH_TOL and floor_refused
@@ -706,7 +716,8 @@ def check_kernel_decay(basis, cfg, kernel_cfg):
         status="pass" if ok else "fail",
         config={"separations": "geomspace(0.1, 10)"},
         constants={"C_decay": fine},
-        residuals={"growth": growth, "floor_refused": floor_refused},
+        residuals={"growth": growth, "floor_refused": floor_refused,
+                   "fit_growth_tol": FIT_GROWTH_TOL},
         samples=2 * cfg.decay_separations * 2 * len(DECAY_BASE_POINTS),
     )
 
@@ -718,6 +729,10 @@ HORM_Y_BASE = 1.0
 HORM_RADIUS = 12.0
 HORM_SLOPE_TOL = 0.05
 HORM_SE_FRAC = 0.05
+# the Monte Carlo estimate must lie within HORM_MC_SIGMAS standard errors
+# plus HORM_MC_REL relative of the quadrature value
+HORM_MC_SIGMAS = 5.0
+HORM_MC_REL = 1e-3
 
 
 def _refined_breaks(lo: float, hi: float, features, fine: float) -> np.ndarray:
@@ -778,12 +793,15 @@ def hormander_integrals(basis, y, y0, kernel_cfg):
     return float(np.sum(W * direct)), float(np.sum(W * transposed)), X.size
 
 
-def _hormander_mc(basis, y, y0, cfg, kernel_cfg, transposed, rng):
-    """Importance-sampled Monte-Carlo estimate with standard error.
+def _hormander_mc(basis, y, y0, cfg, kernel_cfg, rng):
+    """Importance-sampled Monte-Carlo estimates with standard errors, of the
+    direct and of the transposed kernel difference: ((est, se), (est, se)).
 
     Proposal density follows the kernel decay profile: distance s from the
     nearest orbit point of y sampled with density ~ s^-p, p = 2 gamma + d,
     truncated to [2 delta, L]; centers +-y and sides +- chosen uniformly.
+    The density does not depend on the orientation, so one sample serves
+    both estimates.
     """
     delta = abs(y0 - y)
     p = 2.0 * basis.gamma + basis.rs.dim
@@ -802,11 +820,11 @@ def _hormander_mc(basis, y, y0, cfg, kernel_cfg, transposed, rng):
     d1, d2 = np.abs(x - y), np.abs(x + y)
     pdf = 0.25 * (_pow_density(d1, p, lo, L) + _pow_density(d2, p, lo, L))
     inside = np.minimum(d1, d2) > lo
-    f = _kernel_differences(basis, y, y0, x[:, None], kernel_cfg)[transposed] * inside
-    vals = np.where(pdf > 0, f / np.where(pdf > 0, pdf, 1.0), 0.0)
-    est = float(np.mean(vals))
-    se = float(np.std(vals, ddof=1) / math.sqrt(n))
-    return est, se
+    out = []
+    for f in _kernel_differences(basis, y, y0, x[:, None], kernel_cfg):
+        vals = np.where(pdf > 0, f * inside / np.where(pdf > 0, pdf, 1.0), 0.0)
+        out.append((float(np.mean(vals)), float(np.std(vals, ddof=1) / math.sqrt(n))))
+    return tuple(out)
 
 
 def _pow_density(s, p, lo, L):
@@ -826,9 +844,10 @@ def check_hormander(basis, cfg, kernel_cfg):
     For each separation delta the integral over {min_g |g.x - y| > 2 delta}
     of |K(x,y) - K(x,y0)| dmu (and the transposed variant) is estimated by
     deterministic panel quadrature and cross-checked by importance-sampled
-    Monte Carlo (SE must be < HORM_SE_FRAC of the value).  Pass requires the
-    median-normalized regression slope of value against log(1/delta) to stay
-    below HORM_SLOPE_TOL for both conditions: bounded, no growth as
+    Monte Carlo, one sample per separation for both conditions (SE must be
+    < HORM_SE_FRAC of the value).  Pass requires the median-normalized
+    regression slope of value against log(1/delta) to stay below
+    HORM_SLOPE_TOL for both conditions: bounded, no growth as
     delta -> 0.  The separations should probe the small-delta regime; at
     moderate delta the integrals are still climbing toward their supremum
     and the slope criterion is meaningless.
@@ -840,17 +859,16 @@ def check_hormander(basis, cfg, kernel_cfg):
     se_ok = True
     mc_consistent = True
     npts = 0
-    quadrature = [hormander_integrals(basis, y, y + delta, kernel_cfg) for delta in deltas]
-    for transposed, label in ((False, "direct"), (True, "transposed")):
-        for delta, (*values, used) in zip(deltas, quadrature):
-            I = values[transposed]
-            est, se = _hormander_mc(basis, y, y + delta, cfg, kernel_cfg, transposed, rng)
+    for delta in deltas:
+        *values, used = hormander_integrals(basis, y, y + delta, kernel_cfg)
+        mc = _hormander_mc(basis, y, y + delta, cfg, kernel_cfg, rng)
+        for label, I, (est, se) in zip(rows, values, mc):
             if se > HORM_SE_FRAC * est:
                 se_ok = False
-            if abs(est - I) > 5.0 * se + 1e-3 * I:
+            if abs(est - I) > HORM_MC_SIGMAS * se + HORM_MC_REL * I:
                 mc_consistent = False
             rows[label].append((float(delta), I, est, se))
-            npts += used + cfg.horm_mc_samples
+        npts += used + cfg.horm_mc_samples
     slopes = {}
     for label, data in rows.items():
         vals = np.array([r[1] for r in data])
@@ -873,6 +891,10 @@ def check_hormander(basis, cfg, kernel_cfg):
             "mc_consistent": mc_consistent,
             "table_direct": [list(r) for r in rows["direct"]],
             "table_transposed": [list(r) for r in rows["transposed"]],
+            "horm_slope_tol": HORM_SLOPE_TOL,
+            "horm_se_frac": HORM_SE_FRAC,
+            "horm_mc_sigmas": HORM_MC_SIGMAS,
+            "horm_mc_rel": HORM_MC_REL,
         },
         samples=npts,
     )
@@ -923,7 +945,8 @@ def check_riesz_l2(basis, cfg, kernel_cfg):
     return CheckResult(
         status="pass" if ok else "fail",
         constants={"max_norm": worst_norm, "max_pair_sum": worst_pair},
-        residuals={"adjoint_residual": worst_adj},
+        residuals={"adjoint_residual": worst_adj, "riesz_norm_tol": RIESZ_NORM_TOL,
+                   "adjoint_tol": ADJOINT_TOL},
         samples=d * cfg.norm_vectors,
     )
 
@@ -1002,6 +1025,7 @@ def check_integral_representation(basis, cfg, kernel_cfg):
             "max_rel_err": worst,
             "rel_err_at_basis_truncation": worst_at_basis_n,
             **per_point,
+            "io_tol": IO_TOL,
         },
         samples=len(IO_POINTS),
     )
@@ -1012,6 +1036,7 @@ LP_DEGREE = 20
 LP_GRID_HALF_WIDTH = 12.0
 LP_GRID_POINTS = 4801
 LP_P2_SLACK = 0.05
+LP_MEDIAN_RATIO = 10.0            # max ratio below this multiple of the median
 
 
 @_check(z2_1d="needs d=1 Z2")
@@ -1040,7 +1065,7 @@ def check_lp_empirical(basis, cfg, kernel_cfg):
         vals = np.array(vals)
         stats[f"p={p}_max"] = float(np.max(vals))
         stats[f"p={p}_median"] = float(np.median(vals))
-        if np.max(vals) >= 10.0 * np.median(vals):
+        if np.max(vals) >= LP_MEDIAN_RATIO * np.median(vals):
             ok = False
     if stats["p=2.0_max"] > math.sqrt(2.0) + LP_P2_SLACK:
         ok = False
@@ -1048,6 +1073,7 @@ def check_lp_empirical(basis, cfg, kernel_cfg):
         status="pass" if ok else "fail",
         config={"exponents": list(LP_EXPONENTS), "degree": deg},
         constants=stats,
+        residuals={"lp_p2_slack": LP_P2_SLACK, "lp_median_ratio": LP_MEDIAN_RATIO},
         samples=cfg.lp_samples * len(LP_EXPONENTS),
         notes="SOFT EVIDENCE: Lp boundedness is not numerically provable",
     )
@@ -1082,5 +1108,6 @@ def run_checks(
     results = [ALL_CHECKS[name](basis, cfg, kernel_cfg) for name in names]
     return VerificationReport(
         checks=results,
-        config={**_summary(basis), "seed": cfg.seed, "checks": names},
+        config={**_summary(basis), "seed": cfg.seed, "checks": names,
+                "payload_version": PAYLOAD_VERSION},
     )

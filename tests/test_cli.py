@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import fields
 
 import pytest
 
@@ -65,6 +66,15 @@ def test_eval_dunkl_kernel_kappa0(tmp_path):
     for row in rows:
         x, y = float(row[0]), float(row[1])
         assert float(row[2]) == pytest.approx(math.exp(x * y), rel=1e-10)
+
+
+def test_eval_riesz_off_z2_exits_2(tmp_path, capsys):
+    """The Riesz kernel is Z2^d only; any other group stops at once."""
+    (tmp_path / "pts.csv").write_text("1,1.0,0.0,2.5,0.5\n")
+    code = run(["eval", "--group", "a2", "--kappa", "1", "--degree", "4",
+                "--what", "riesz-kernel", "--points", "pts.csv", "--out", "rk.csv"], tmp_path)
+    assert code == 2
+    assert "Z2^d" in capsys.readouterr().err
 
 
 def test_eval_riesz_orbit_flagged_not_fatal(tmp_path):
@@ -140,10 +150,13 @@ def test_config_unknown_key_rejected(tmp_path):
 def test_config_cannot_set_tolerance(tmp_path, capsys, block, field):
     """Pass tolerances are fixed: a config that sets one is rejected before
     any check runs, so it cannot move a verdict."""
+    (name, inner), = block.items()
+    (key, _), = inner.items()
+    assert key not in {f.name for f in fields(getattr(dunklriesz, field))}
     cfg = {"group": "z2", "kappa": 0.5, "degree": 12, "checks": ["mehler"], **block}
     (tmp_path / "cfg.json").write_text(json.dumps(cfg))
     assert run(["verify", "--config", "cfg.json", "--out", "rep"], tmp_path) == 2
-    assert f"unknown {field} fields" in capsys.readouterr().err
+    assert f"config.{name}: unexpected key {key!r}" in capsys.readouterr().err
     assert not (tmp_path / "rep.json").exists()
 
 
@@ -374,6 +387,7 @@ CONFIG_TABLE = [
     {"verify": {"horm_separations": [0.01, 0]}},
     {"verify": {"horm_separations": [0.005, 0.01]}},
     {"verify": {"seed": True}},
+    {"verify": {"seed": 5}},
     {"kernel": {"separation_floor": "a"}},
     {"kernel": {"separation_floor": -1e-6}},
     {"kernel": {"series_truncation": 0}},
@@ -419,10 +433,9 @@ print(json.dumps(seen))
 
 
 def test_start_up_imports_only_what_runs(tmp_path):
-    """Importing the CLI and a Z2 verify, kernel_decay included (it reaches
-    riesz_kernel), load none of scipy.integrate, scipy.optimize or
-    jsonschema; an a2 basis, whose c_kappa is an angular quadrature, loads
-    scipy.integrate."""
+    """Importing the CLI and a Z2 verify, kernel_decay included, load none
+    of scipy.integrate, scipy.optimize or jsonschema; an a2 basis, whose
+    c_kappa is an angular quadrature, loads scipy.integrate."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(dunklriesz.__file__)))
     env = {**os.environ, "PYTHONPATH": src}
     out = subprocess.run([sys.executable, "-c", START_UP], cwd=tmp_path, env=env,

@@ -379,6 +379,20 @@ def test_z2d_wrong_group(a2_one):
         dunkl_kernel_z2d(a2_one, np.zeros(2), np.zeros(2))
 
 
+@pytest.mark.parametrize("group, kappa", [("a2", 1), ("b2", [1, 2])])
+def test_riesz_kernel_wrong_group(group, kappa, monkeypatch):
+    """Off Z2^d the Riesz kernel stops before any quadrature or heat kernel."""
+    basis = build_basis(root_system(group, multiplicity=kappa), 2, exact=False)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a heat kernel was evaluated")
+
+    monkeypatch.setattr(kernels, "heat_kernel", forbidden)
+    monkeypatch.setattr(kernels, "dunkl_kernel_mehler", forbidden)
+    with pytest.raises(WrongGroup, match=r"Z2\^d"):
+        riesz_kernel(basis, 1, np.zeros(2), np.array([0.5, 0.3]))
+
+
 def test_kernel_symmetry_scaling_invariance(z2sq_ones):
     rng = np.random.default_rng(3)
     for _ in range(20):

@@ -277,6 +277,129 @@ def test_hormander_quadrature_shares_both_orientations(kappa, monkeypatch):
         assert transposed == pytest.approx(ref_transposed, rel=1e-16 / d**2)
 
 
+def _spy_kernel_differences(monkeypatch):
+    """Record the nodes and the result of every verify._kernel_differences call."""
+    from dunklriesz import verify
+
+    calls = []
+    real = verify._kernel_differences
+
+    def spy(basis, y, y0, X, kernel_cfg):
+        out = real(basis, y, y0, X, kernel_cfg)
+        calls.append((X[:, 0].copy(), out))
+        return out
+
+    monkeypatch.setattr(verify, "_kernel_differences", spy)
+    return calls
+
+
+def test_check_hormander_one_pass_per_separation(z2_half_basis8, monkeypatch):
+    """Per separation, one quadrature pass and then one Monte Carlo pass,
+    whose sample serves both orientations; `samples` counts each quadrature
+    node and each Monte Carlo point once."""
+    from dunklriesz.kernels import KernelConfig
+    from dunklriesz.verify import hormander_integrals
+
+    seps, n = FAST.horm_separations, FAST.horm_mc_samples
+    nodes = [hormander_integrals(z2_half_basis8, 1.0, 1.0 + d, KernelConfig())[2] for d in seps]
+    calls = _spy_kernel_differences(monkeypatch)
+    r = check_hormander(z2_half_basis8, FAST)
+    assert [x.size for x, _ in calls] == [m for k in nodes for m in (k, n)]
+    assert r.samples == sum(nodes) + len(seps) * n
+    assert len(r.residuals["table_direct"]) == len(r.residuals["table_transposed"]) == len(seps)
+
+
+def test_hormander_mc_one_sample_for_both_orientations(z2_half_basis8, monkeypatch):
+    """The sample is drawn from the s^-p proposal around +-y as documented,
+    and each orientation's (est, se) is the plain importance-sampling
+    estimator over it: mean and standard error of f / pdf, with f the kernel
+    difference inside the region and 0 outside."""
+    from dunklriesz.kernels import KernelConfig
+    from dunklriesz.verify import HORM_RADIUS, _hormander_mc
+
+    calls = _spy_kernel_differences(monkeypatch)
+    y, delta, n = 1.0, 0.01, FAST.horm_mc_samples
+    mc = _hormander_mc(z2_half_basis8, y, y + delta, FAST, KernelConfig(),
+                       np.random.default_rng(5))
+    (x, diffs), = calls
+    # z2 at kappa = 1/2: p = 2 gamma + 1 = 2, so the proposal's inverse cdf
+    # is s = 1 / (1/lo - u (1/lo - 1/L))
+    lo, L = 2.0 * delta, y + HORM_RADIUS
+    rng = np.random.default_rng(5)
+    u, centers, sides = rng.random(n), rng.random(n), rng.random(n)
+    s = 1.0 / (1.0 / lo - u * (1.0 / lo - 1.0 / L))
+    want_x = np.where(centers < 0.5, y, -y) + np.where(sides < 0.5, 1.0, -1.0) * s
+    np.testing.assert_allclose(x, want_x, rtol=0, atol=1e-13)
+
+    def density(t):
+        return np.where((t >= lo) & (t <= L), 1.0 / (1.0 / lo - 1.0 / L) / t**2, 0.0)
+
+    pdf = 0.25 * (density(np.abs(x - y)) + density(np.abs(x + y)))
+    inside = np.minimum(np.abs(x - y), np.abs(x + y)) > lo
+    assert len(mc) == len(diffs) == 2
+    for (est, se), f in zip(mc, diffs):
+        vals = np.where(inside, f / pdf, 0.0)
+        assert est == pytest.approx(np.mean(vals), rel=1e-13)
+        assert se == pytest.approx(np.std(vals, ddof=1) / math.sqrt(n), rel=1e-12)
+
+
+def _verdict(entry) -> str:
+    """A check's status re-derived from its report entry alone: the values
+    it measured against the gates it records.  A skipped check measures
+    nothing."""
+    c, k, r = entry["config"], entry["constants"], entry["residuals"]
+    if not (k or r):
+        return "skip"
+    name = entry["name"]
+    if name == "eigen":
+        ok = r["exact_failures"] == 0 if c["exact"] else r["max_residual"] < r["eigen_tol"]
+    elif name == "mehler":
+        ok = r["max_rel_err"] < r["tolerance"]
+    elif name == "heat":
+        ok = (r["series_vs_closed"] < r["heat_tol"]
+              and r["classical_reduction"] < r["heat_classical_tol"]
+              and r["symmetry"] < r["heat_symmetry_tol"]
+              and r["printed_constant_factor_err"] < r["heat_factor_tol"]
+              and r["printed_constant_min_rel_err"] > r["heat_tol"])
+    elif name == "lemma_bounds":
+        growth = [v for key, v in r.items() if key.startswith("growth_")]
+        ok = (len(growth) == len(k) == 14 and all(map(math.isfinite, k.values()))
+              and all(g < r["fit_growth_tol"] for g in growth))
+    elif name == "kernel_decay":
+        ok = (math.isfinite(k["C_decay"]) and r["growth"] < r["fit_growth_tol"]
+              and r["floor_refused"])
+    elif name == "hormander":
+        rows = r["table_direct"] + r["table_transposed"]
+        ok = (all(se <= r["horm_se_frac"] * est for _, _, est, se in rows)
+              and all(abs(est - I) <= r["horm_mc_sigmas"] * se + r["horm_mc_rel"] * I
+                      for _, I, est, se in rows)
+              and k["slope_direct"] <= r["horm_slope_tol"]
+              and k["slope_transposed"] <= r["horm_slope_tol"])
+    elif name == "riesz_l2":
+        ok = (k["max_norm"] <= math.sqrt(2.0) + r["riesz_norm_tol"]
+              and r["adjoint_residual"] <= r["adjoint_tol"]
+              and k["max_pair_sum"] <= 2.0 + r["riesz_norm_tol"])
+    elif name == "integral_representation":
+        ok = r["max_rel_err"] < r["io_tol"]
+    elif name == "lp_empirical":
+        ok = (all(k[key] < r["lp_median_ratio"] * k[key.replace("_max", "_median")]
+                  for key in k if key.endswith("_max"))
+              and k["p=2.0_max"] <= math.sqrt(2.0) + r["lp_p2_slack"])
+    return "pass" if ok else "fail"
+
+
+def test_report_entries_carry_their_gates(z2_half, a2_basis2):
+    """Every check's status follows from its report entry alone, on z2 at
+    N = 12 (mehler fails there by design) and on a2, where seven checks
+    skip; the report states its payload revision."""
+    for basis, skipped in ((build_basis(z2_half, 12), 0), (a2_basis2, 7)):
+        data = json.loads(run_checks(basis, None, FAST).to_json())
+        assert data["config"]["payload_version"] == 2
+        statuses = [c["status"] for c in data["checks"]]
+        assert statuses.count("skip") == skipped and statuses.count("pass") >= 2
+        assert [_verdict(c) for c in data["checks"]] == statuses
+
+
 def test_run_checks_report_structure(z2_half_basis8):
     rep = run_checks(z2_half_basis8, ["eigen", "heat"], FAST)
     assert [c.name for c in rep.checks] == ["eigen", "heat"]
