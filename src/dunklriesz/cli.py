@@ -59,7 +59,6 @@ def _numbers(**bounds):
 _KERNEL_SCHEMA = {
     "type": "object",
     "properties": {
-        "series_truncation": _COUNT,
         "mehler_r_cap": {"type": "number"},
         "separation_floor": {"type": "number", "minimum": 0},
     },
@@ -349,24 +348,28 @@ def cmd_eval(args) -> int:
         for row in points:
             if not (row[0].is_integer() and 1 <= row[0] <= d):
                 raise ConfigError(f"points row {row}: Riesz axis j must be one of 1..{d}")
+    # every row is evaluated before the output is opened, so a typed error
+    # leaves no partial file
+    rows = []
+    for row in points:
+        try:
+            if what == "dunkl-kernel":
+                x, y = np.array(row[:d]), np.array(row[d:])
+                val = dunkl_kernel(basis, x, y, kernel_cfg)
+            elif what == "heat-kernel":
+                t, x, y = row[0], np.array(row[1 : 1 + d]), np.array(row[1 + d :])
+                val = heat_kernel(basis, t, x, y, kernel_cfg)
+            else:
+                j, x, y = int(row[0]), np.array(row[1 : 1 + d]), np.array(row[1 + d :])
+                val = riesz_kernel(basis, j, x, y, kernel_cfg)
+            rows.append(row + [repr(float(val)), "ok"])
+        except OrbitTooClose:
+            rows.append(row + ["", "orbit-too-close"])
     out_path = cfg.get("out") or "eval.csv"
     with open(out_path, "w", newline="") as fh:
         wr = csv.writer(fh)
         wr.writerow(header + ["value", "status"])
-        for row in points:
-            try:
-                if what == "dunkl-kernel":
-                    x, y = np.array(row[:d]), np.array(row[d:])
-                    val = dunkl_kernel(basis, x, y, kernel_cfg)
-                elif what == "heat-kernel":
-                    t, x, y = row[0], np.array(row[1 : 1 + d]), np.array(row[1 + d :])
-                    val = heat_kernel(basis, t, x, y, kernel_cfg)
-                else:
-                    j, x, y = int(row[0]), np.array(row[1 : 1 + d]), np.array(row[1 + d :])
-                    val = riesz_kernel(basis, j, x, y, kernel_cfg)
-                wr.writerow(row + [repr(float(val)), "ok"])
-            except OrbitTooClose:
-                wr.writerow(row + ["", "orbit-too-close"])
+        wr.writerows(rows)
     print(f"written: {out_path}")
     return 0
 

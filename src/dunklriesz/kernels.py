@@ -39,6 +39,17 @@ classical Hermite kernel at kappa = 0.  `prefactor="printed"` switches to the
 m_kappa variant, which is off by exactly 2^(gamma+d/2); the verification
 suite asserts that it fails the spectral-series comparison.
 
+Near the orbit the exponent and log E, each about q/(2 sinh 2t) with
+q = |x|^2 + |y|^2, cancel.  So Z2^d takes, with md^2 = sum_j (|x_j| - |y_j|)^2,
+w_j = x_j y_j / sinh 2t and tanh t = (cosh 2t - 1)/sinh 2t, the equal form
+
+    log k_t = -log c_kappa - (gamma + d/2) log sinh 2t - md^2 / (2 sinh 2t)
+              - q tanh(t) / 2 + sum_j log(e^{-|w_j|} E_kappa(w_j)),
+
+whose terms after the second are all <= 0, and likewise log tau_x(e^{-c|.|^2})(-y)
+= -c md^2 + sum_j log(e^{-|v_j|} E_kappa(v_j)), v_j = 2c x_j y_j.  Both come
+from the t-free pair terms md^2, q and x_j y_j, symmetric in (x, y).
+
 Riesz kernel
 ------------
     K_j(x,y) = pi^(-1/2) * int_0^inf k_t(x,y) [ (1-coth 2t) x_j
@@ -62,14 +73,15 @@ A y_j + B x_j: one heat evaluation per node serves every axis and both
 orientations (riesz_kernel_both).
 
 The panel evaluator skips, at each node, the rows whose heat kernel is
-exactly 0.0.  From E_kappa(w) <= e^{|w|} and cosh 2t >= 1,
+exactly 0.0.  The first three terms of log k_t above bound it, since the
+others are <= 0:
 
-    log k_t(x,y) <= -log c_kappa - (gamma + d/2) log sinh 2t - md^2 / (2 sinh 2t)
+    log k_t(x,y) <= -log c_kappa - (gamma + d/2) log sinh 2t - md^2 / (2 sinh 2t).
 
-with md = min_g |g.x - y|; once this bound (widened by a rounding slack) is
-below -745.2, exp returns exactly 0.0 and the row would add exactly +-0.0
-to its sum.  Skipping it changes no bit of the result, as long as the rows
-left take the same log E route as the whole batch would (see BAND_MIN).
+Once this bound is below -745.2, exp returns exactly 0.0 and the row would
+add exactly +-0.0 to its sum.  Skipping it changes no bit of the result, as
+long as the rows left take the same log E route as the whole batch would
+(see BAND_MIN).
 """
 
 from __future__ import annotations
@@ -84,7 +96,7 @@ from scipy.special import gammaln, i0e, i1e, ive
 from numpy.polynomial.legendre import leggauss
 
 from .hermite import HermiteBasis, QuadratureNonConvergence, c_kappa
-from .reflection import gamma, min_orbit_distance, orbit_distances
+from .reflection import gamma
 
 
 class SeriesNonConvergence(ArithmeticError):
@@ -107,12 +119,11 @@ class OrbitTooClose(ValueError):
 class KernelConfig:
     """The settable knobs of the kernel evaluators.
 
-    Only the series truncation, the Mehler r cap and the Riesz separation
-    floor are settable.  Tail and quadrature tolerances and the panel plans
-    are module constants next to the evaluator that reads them.
+    Only the Mehler r cap and the Riesz separation floor are settable.  Tail
+    and quadrature tolerances and the panel plans are module constants next
+    to the evaluator that reads them.
     """
 
-    series_truncation: int = 64       # max index for the 1-D series evaluator
     mehler_r_cap: float = 0.5         # per-point r = min(cap, 1/(1+|x||y|))
     separation_floor: float = 1e-6
 
@@ -130,24 +141,22 @@ DEFAULT_CONFIG = KernelConfig()
 SERIES_TAIL_TOL = 1e-12
 
 
-def dunkl_kernel_1d(kappa: float, u: float, v: float, cfg: KernelConfig = DEFAULT_CONFIG) -> float:
+def dunkl_kernel_1d(kappa: float, u: float, v: float, terms: int = 64) -> float:
     """E_kappa(u, v) for the rank-one system by the defining power series.
 
-    a_0 = 1, a_n = v a_{n-1} / (n + 2 kappa [n odd]); returns sum a_n u^n.
-    Raises SeriesNonConvergence when the tail bound at the truncation index
+    a_0 = 1, a_n = v a_{n-1} / (n + 2 kappa [n odd]); returns the sum of a_n u^n
+    to n = terms.  Raises SeriesNonConvergence when the tail bound past it
     exceeds tolerance (large |u v|); the Bessel route has no such cap.
     """
     total, term = 1.0, 1.0
     w = u * v
-    for n in range(1, cfg.series_truncation + 1):
+    for n in range(1, terms + 1):
         term = term * w / (n + 2.0 * kappa * (n % 2))
         total += term
     # geometric tail bound once |w| < n/2
-    n = cfg.series_truncation + 1
+    n = terms + 1
     if abs(w) > n / 2.0:
-        raise SeriesNonConvergence(
-            f"|uv|={abs(w):.3g} too large for series truncation {cfg.series_truncation}"
-        )
+        raise SeriesNonConvergence(f"|uv|={abs(w):.3g} too large for series truncation {terms}")
     tail = abs(term) * (abs(w) / n) / (1.0 - abs(w) / n)
     if tail > SERIES_TAIL_TOL * max(1.0, abs(total)):
         raise SeriesNonConvergence(f"series tail {tail:.3g} above tolerance")
@@ -241,15 +250,15 @@ def _horner1(coeffs, z):
     return r * z
 
 
-def _log_e_hankel(kappa: float, w: np.ndarray) -> np.ndarray:
-    """log E_kappa(w) from the Hankel sums, for |w| past the switch."""
+def _log_e_hankel(kappa: float, w: np.ndarray, scaled: bool) -> np.ndarray:
+    """log E_kappa(w), less |w| if scaled, from the Hankel sums past the switch."""
     h = _hankel(kappa)
     x = np.abs(w)
     pos = w > 0
     s = _horner1(h.pm, 1.0 / x)
     power = np.where(pos, kappa, kappa + 1.0)
-    return np.where(pos, h.log_c[0], h.log_c[1]) - power * np.log(x) + x + np.log1p(
-        np.where(pos, s.real, s.imag))
+    return (np.where(pos, h.log_c[0], h.log_c[1]) - power * np.log(x) + (0.0 if scaled else x)
+            + np.log1p(np.where(pos, s.real, s.imag)))
 
 
 @functools.cache
@@ -297,9 +306,9 @@ def _underflow_edge(nu: float) -> float:
     return float(np.int64(lo).view(np.float64))
 
 
-def _log_e_bessel(kappa: float, w: np.ndarray, aw: np.ndarray) -> np.ndarray:
+def _log_e_bessel(kappa: float, w: np.ndarray, aw: np.ndarray, scaled: bool) -> np.ndarray:
     """log E_kappa(w) = lead + |w| + log(e^{-|w|} [I_nu + sgn(w) I_{nu+1}]),
-    given aw = |w|.
+    given aw = |w|; without the + |w| if scaled.
 
     Where |w| is so small that the scaled Bessel pair underflows to 0 (large
     kappa) or is NaN (kappa < 1/2), the leading small-argument value
@@ -319,15 +328,16 @@ def _log_e_bessel(kappa: float, w: np.ndarray, aw: np.ndarray) -> np.ndarray:
     if kappa != 0.5:
         lead = lead + (0.5 - kappa) * np.log(safe / 2.0)
     i0, i1 = _bessel_pair(nu, safe)
-    out = lead + safe + np.log(i0 + sign * i1)
+    out = lead + (0.0 if scaled else safe) + np.log(i0 + sign * i1)
     if every:
         return np.asarray(out)
     # log E at w = 0 and below the edge; + 0.0 turns w = -0 into 0
-    return np.where(direct, out, w / (2.0 * kappa + 1.0) + 0.0)
+    return np.where(direct, out, w / (2.0 * kappa + 1.0) + (-aw if scaled else 0.0))
 
 
-def log_dunkl_kernel_1d(kappa: float, w) -> np.ndarray:
+def log_dunkl_kernel_1d(kappa: float, w, scaled: bool = False) -> np.ndarray:
     """log E_kappa at product argument w = u*v, vectorized; exact at kappa=0.
+    scaled=True gives log(e^{-|w|} E_kappa(w)) <= 0: the bands without + |w|.
 
     E grows like e^w w^{-kappa} as w -> +inf and (for kappa > 0) like
     e^{|w|} |w|^{-kappa-1} as w -> -inf; both regimes stay finite in log scale.
@@ -339,25 +349,26 @@ def log_dunkl_kernel_1d(kappa: float, w) -> np.ndarray:
     the Hankel sums past it.
     """
     w = np.asarray(w, dtype=float)
-    if kappa == 0.0:
-        return w + 0.0
     aw = np.abs(w)
+    if kappa == 0.0:
+        return w - aw if scaled else w + 0.0
     far = aw > _hankel_past(kappa, w.size)
     if w.size < BAND_MIN:
         if not far.any():
-            return _log_e_bessel(kappa, w, aw)
+            return _log_e_bessel(kappa, w, aw, scaled)
         near = None
     else:
         near = aw < 1.0
     out = np.empty(w.shape)
     mid = ~far
     if near is not None and near.any():
-        out[near] = np.log1p(_horner1(_series_coeffs(kappa), w[near]))
+        series = np.log1p(_horner1(_series_coeffs(kappa), w[near]))
+        out[near] = series - aw[near] if scaled else series
         mid &= ~near
     if mid.any():
-        out[mid] = _log_e_bessel(kappa, w[mid], aw[mid])
+        out[mid] = _log_e_bessel(kappa, w[mid], aw[mid], scaled)
     if far.any():
-        out[far] = _log_e_hankel(kappa, w[far])
+        out[far] = _log_e_hankel(kappa, w[far], scaled)
     return out
 
 
@@ -502,24 +513,32 @@ class Z2Evaluator:
         self.gamma = gamma
 
     def log_E(self, X, Y):
+        return self._log_e(np.rollaxis(np.multiply(X, Y, dtype=float), -1))
+
+    def _log_e(self, W, scaled=False):
+        """sum_j log E_kappa_j(w_j), or of log(e^{-|w_j|} E), over axis 0 of W."""
+        return sum(log_dunkl_kernel_1d(k, w, scaled) for k, w in zip(self.kappas, W))
+
+    def _pairs(self, X, Y):
+        """The t-free pair terms (md^2, q, x_j y_j) of the module notes, on axis 0."""
         X = np.asarray(X, dtype=float)
         Y = np.asarray(Y, dtype=float)
-        return sum(
-            log_dunkl_kernel_1d(self.kappas[j], X[..., j] * Y[..., j])
-            for j in range(self.d)
-        )
+        md2 = ((np.abs(X) - np.abs(Y)) ** 2).sum(-1)
+        q = (X * X).sum(-1) + (Y * Y).sum(-1)
+        return np.concatenate([[md2, q], np.rollaxis(X * Y, -1)])
+
+    def _log_front(self, s):
+        """-log c_kappa - (gamma + d/2) log sinh 2t, given s = sinh 2t."""
+        return -math.log(self.c_kappa) - (self.gamma + self.d / 2.0) * per_row(math.log, s)
+
+    def _log_heat(self, t, P):
+        """log k_t from pair terms P, in the non-cancelling form of the module notes."""
+        s = per_row(lambda u: math.sinh(2.0 * u), t)
+        return (self._log_front(s) - P[0] / (2.0 * s) - 0.5 * per_row(math.tanh, t) * P[1]
+                + self._log_e(P[2:] / s, scaled=True))
 
     def log_heat(self, t, X, Y):
-        X = np.asarray(X, dtype=float)
-        Y = np.asarray(Y, dtype=float)
-        s, c = _sinh_coth2(t)
-        q = np.sum(X * X, axis=-1) + np.sum(Y * Y, axis=-1)
-        return (
-            -math.log(self.c_kappa)
-            - (self.gamma + self.d / 2.0) * per_row(math.log, s)
-            - 0.5 * c * q
-            + self.log_E(X / column(s), Y)
-        )
+        return self._log_heat(t, self._pairs(X, Y))
 
     def heat(self, t, X, Y):
         return np.exp(self.log_heat(t, X, Y))
@@ -533,17 +552,9 @@ class Z2Evaluator:
         return -c * Y[..., i] + (X[..., i] / s) * dlog_dunkl_kernel_1d(self.kappas[i], w)
 
     def log_gaussian_translate(self, c: float, X, Y):
-        """log of tau_x(e^{-c|.|^2})(-y) = e^{-c(|x|^2+|y|^2)} E(2c y, x)."""
-        X = np.asarray(X, dtype=float)
-        Y = np.asarray(Y, dtype=float)
-        q = np.sum(X * X, axis=-1) + np.sum(Y * Y, axis=-1)
-        return -c * q + self.log_E(column(2.0 * c) * Y, X)
-
-    def riesz_integrand(self, t, X, Y, j):
-        """h_t(x,y) = k_t(x,y) [ (1 - coth 2t) x_j + y_j / sinh 2t ]."""
-        s, c = _sinh_coth2(t)
-        bracket = (1.0 - c) * np.asarray(X)[..., j] + np.asarray(Y)[..., j] / s
-        return self.heat(t, X, Y) * bracket
+        """log of tau_x(e^{-c|.|^2})(-y) = e^{-c(|x|^2+|y|^2)} E(2c y, x) (module notes)."""
+        P = self._pairs(X, Y)
+        return -c * P[0] + self._log_e(2.0 * c * P[2:], scaled=True)
 
 
 def z2_evaluator(rs_or_basis) -> Z2Evaluator | None:
@@ -691,9 +702,8 @@ def riesz_kernel(basis: HermiteBasis, j: int, x, y, cfg: KernelConfig = DEFAULT_
     if ev is None:
         raise WrongGroup("riesz_kernel requires a Z2^d root system")
     _check_axis(j, basis.rs.dim)
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    md = min_orbit_distance(basis.rs.group, x, y)
+    P = ev._pairs(x, y)
+    md = math.sqrt(P[0])
     if md <= cfg.separation_floor:
         raise OrbitTooClose(f"orbit distance {md:.2e} below floor {cfg.separation_floor:.2e}")
     # imported on use: scipy.integrate, which loads scipy.optimize, is the
@@ -701,7 +711,9 @@ def riesz_kernel(basis: HermiteBasis, j: int, x, y, cfg: KernelConfig = DEFAULT_
     # quadrature of hermite.c_kappa need it
     from scipy.integrate import quad
 
-    integrand = lambda t: float(ev.riesz_integrand(t, x, y, j - 1))
+    def integrand(t):  # k_t(x,y) [ (1 - coth 2t) x_j + y_j / sinh 2t ]
+        s, c = _sinh_coth2(t)
+        return math.exp(ev._log_heat(t, P)) * ((1.0 - c) * x[j - 1] + y[j - 1] / s)
 
     # t in (0, 1]: substitute t = u^2 so dt/sqrt(t) = 2 du
     head, err1 = quad(
@@ -755,12 +767,9 @@ TAIL_PANEL_NODES = 16
 # exp(x) is exactly 0.0 for x below about -745.13, half the least subnormal
 LOG_ZERO = -745.2
 # The pruning bound holds for the exact log k_t; the computed one also
-# carries rounding.  Its O(log) terms (c_kappa, sinh 2t, the Bessel bracket)
-# are off by far less than PRUNE_MARGIN nats.  The cancelling terms
-# coth(2t) q/2 and sum_j |w_j|, both below q/sinh 2t with q = |x|^2 + |y|^2,
-# are off by a few ulp of it, which PRUNE_REL * q / sinh 2t covers.
+# carries rounding, of its terms and of the scaled log E (<= 0 only to
+# rounding), far less than PRUNE_MARGIN nats.
 PRUNE_MARGIN = 2.0
-PRUNE_REL = 1e-12
 
 
 def _riesz_nodes(ev: Z2Evaluator, md_min: float):
@@ -798,60 +807,46 @@ def _riesz_time_integrals(basis: HermiteBasis, X, Y, cfg: KernelConfig):
 
     Fixed Gauss-Legendre panels (geometric refinement of the u = sqrt(t)
     endpoint); cross-checked against the adaptive scalar route in the tests.
-    Rows whose heat kernel is exactly 0.0 at a node are not evaluated there.
-    With md the orbit distance of a row (symmetric in x and y),
-    E_kappa(w) <= e^{|w|} per axis and coth 2t >= 1/sinh 2t give
-
-        log k_t(x,y) <= -log c_kappa - (gamma + d/2) log sinh 2t
-                        - md^2 / (2 sinh 2t),
-
-    and a row is skipped once this bound, widened by the rounding slack
-    PRUNE_MARGIN + PRUNE_REL q / (2 sinh 2t), is below LOG_ZERO.  The rows
-    are sorted once by md^2 - PRUNE_REL q, so each node evaluates a prefix.
-    A skipped element would add exactly +-0.0 to accumulators that are
-    never -0.0, and every evaluated element goes through the same operations
-    in the same node order.  So the result is the unpruned sum bit for bit
-    wherever log E takes the same route on the prefix as on the whole batch
-    (see BAND_MIN); where the prefix is the smaller side of BAND_MIN, the
-    two routes differ by rounding.
+    Rows whose heat kernel is exactly 0.0 at a node are not evaluated there:
+    a row is skipped once the leading terms of log k_t (module notes),
+    widened by PRUNE_MARGIN, are below LOG_ZERO.  The rows are sorted once
+    by the md^2 those terms subtract, so each node evaluates a prefix of the
+    pair terms, computed once.  A skipped element would add exactly +-0.0
+    to accumulators that are never -0.0, and every evaluated element goes
+    through the same operations in the same node order.  So the result is
+    the unpruned sum bit for bit wherever log E takes the same route on the
+    prefix as on the whole batch (see BAND_MIN); where the prefix is the
+    smaller side of BAND_MIN, the two routes differ by rounding.
     """
     ev = z2_evaluator(basis)
     if ev is None:
         raise WrongGroup("riesz_kernel_many requires a Z2^d system")
-    X = np.asarray(X, dtype=float)
-    Y = np.asarray(Y, dtype=float)
-    X, Y = np.broadcast_arrays(X, Y)
-    md = orbit_distances(basis.rs.group, X, Y)
+    X, Y = np.broadcast_arrays(np.asarray(X, dtype=float), np.asarray(Y, dtype=float))
+    P = ev._pairs(X, Y).reshape(ev.d + 2, -1)
+    md = np.sqrt(P[0])
     if np.any(md <= cfg.separation_floor):
         raise OrbitTooClose("a point pair sits below the separation floor")
     (un, uw), (tn, tw) = _riesz_nodes(ev, float(np.min(md)))
-
-    q = np.sum(X * X, axis=-1) + np.sum(Y * Y, axis=-1)
-    key = (md * md - PRUNE_REL * q).ravel()
-    order = np.argsort(key, kind="stable")
-    key = key[order]
-    Xs = X.reshape(-1, ev.d)[order]
-    Ys = Y.reshape(-1, ev.d)[order]
-    log_c = math.log(ev.c_kappa)
+    order = np.argsort(P[0], kind="stable")
+    P = P[:, order]
 
     # (t, weight of dt/sqrt(t)) per node: t = u^2 gives dt/sqrt(t) = 2 du
     nodes = [(u * u, 2.0 * w) for u, w in zip(un, uw)]
     nodes += [(t, w / math.sqrt(t)) for t, w in zip(tn, tw)]
-    A = np.zeros(key.size)
-    B = np.zeros(key.size)
+    A = np.zeros(md.size)
+    B = np.zeros(md.size)
     for t, w in nodes:
         s, c = _sinh_coth2(t)
-        lead = -log_c - (ev.gamma + ev.d / 2.0) * math.log(s)
         # the number of leading rows at which k_t can be nonzero
-        n = np.searchsorted(key, 2.0 * s * (lead + PRUNE_MARGIN - LOG_ZERO), side="right")
+        n = np.searchsorted(P[0], 2 * s * (ev._log_front(s) + PRUNE_MARGIN - LOG_ZERO), "right")
         if n:
-            k = ev.heat(t, Xs[:n], Ys[:n])
+            k = np.exp(ev._log_heat(t, P[:, :n]))
             A[:n] += (w * (1.0 - c)) * k
             B[:n] += (w / s) * k
-    out = np.empty((2, key.size))
+    out = np.empty((2, md.size))
     out[0, order] = A
     out[1, order] = B
-    out = out.reshape((2,) + md.shape) / math.sqrt(math.pi)
+    out = out.reshape((2,) + X.shape[:-1]) / math.sqrt(math.pi)
     return out[0], out[1], X, Y
 
 

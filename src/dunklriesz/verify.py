@@ -89,7 +89,7 @@ DEFAULT_VERIFY = VerifyConfig()
 
 # Revision of the report's canonical payload: raised by every change that
 # moves a value a fixed config and seed produce, or adds or drops a field.
-PAYLOAD_VERSION = 2
+PAYLOAD_VERSION = 3
 
 
 @dataclass(kw_only=True)

@@ -69,12 +69,25 @@ def test_eval_dunkl_kernel_kappa0(tmp_path):
 
 
 def test_eval_riesz_off_z2_exits_2(tmp_path, capsys):
-    """The Riesz kernel is Z2^d only; any other group stops at once."""
+    """The Riesz kernel is Z2^d only; any other group stops at once, and
+    writes no output file."""
     (tmp_path / "pts.csv").write_text("1,1.0,0.0,2.5,0.5\n")
     code = run(["eval", "--group", "a2", "--kappa", "1", "--degree", "4",
                 "--what", "riesz-kernel", "--points", "pts.csv", "--out", "rk.csv"], tmp_path)
     assert code == 2
     assert "Z2^d" in capsys.readouterr().err
+    assert not (tmp_path / "rk.csv").exists()
+
+
+def test_eval_typed_error_keeps_existing_output(tmp_path):
+    """A typed error during evaluation leaves an existing output file as it
+    was, not a partial CSV."""
+    (tmp_path / "pts.csv").write_text("1,1.0,0.0,2.5,0.5\n")
+    (tmp_path / "rk.csv").write_bytes(b"old,bytes\n")
+    code = run(["eval", "--group", "a2", "--kappa", "1", "--degree", "4",
+                "--what", "riesz-kernel", "--points", "pts.csv", "--out", "rk.csv"], tmp_path)
+    assert code == 2
+    assert (tmp_path / "rk.csv").read_bytes() == b"old,bytes\n"
 
 
 def test_eval_riesz_orbit_flagged_not_fatal(tmp_path):

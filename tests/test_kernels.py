@@ -28,7 +28,7 @@ from dunklriesz.kernels import (
     riesz_kernel_many,
     z2_evaluator,
 )
-from dunklriesz.reflection import min_orbit_distance, orbit_distances, root_system
+from dunklriesz.reflection import root_system
 
 
 def series_oracle(kappa: Fraction, u: Fraction, v: Fraction, terms=60) -> float:
@@ -62,13 +62,13 @@ def test_series_half_at_one():
 
 def test_series_cap_raises():
     with pytest.raises(SeriesNonConvergence):
-        dunkl_kernel_1d(0.5, 10.0, 10.0, KernelConfig(series_truncation=64))
+        dunkl_kernel_1d(0.5, 10.0, 10.0, terms=64)
 
 
 @pytest.mark.parametrize("kappa", [0.25, 0.5, 1.0, 2.0])
 @pytest.mark.parametrize("w", [-40.0, -3.0, 0.0, 0.5, 7.0, 30.0])
 def test_log_kernel_vs_series(kappa, w):
-    sv = dunkl_kernel_1d(kappa, 1.0, w, KernelConfig(series_truncation=300))
+    sv = dunkl_kernel_1d(kappa, 1.0, w, terms=300)
     assert math.exp(float(log_dunkl_kernel_1d(kappa, w))) == pytest.approx(sv, rel=5e-11)
 
 
@@ -617,15 +617,54 @@ def _riesz_mpmath(basis, x, y, md):
 @pytest.mark.parametrize("kappa", [1.0, 2.5])
 def test_riesz_many_near_orbit_matches_mpmath(kappa, md):
     """A batch whose nearest pair is md apart gets a first u-panel of md/8,
-    fine enough for the integrand's peak near u ~ md.  The error left is
-    rounding in the float integrand, whose exponent terms of size
-    q / sinh 2t cancel to md^2 / sinh 2t: about 1e-6 at the peak for
-    x = 2, md = 1e-5.  A first panel floored at 1e-4 was 1.6e-2 off."""
+    fine enough for the integrand's peak near u ~ md.  The heat exponent
+    subtracts md^2 / (2 sinh 2t) itself, with no cancelling pair of terms of
+    size q / sinh 2t, so what is left is 4.8e-10 at x = 2, md = 1e-5 (the
+    cancelling form was 2.6e-6 off there; a first panel floored at 1e-4,
+    1.6e-2)."""
     basis = build_basis(root_system("z2", multiplicity=kappa), 2, exact=False)
     x = np.array([[0.5], [2.0]])
     got = riesz_kernel_many(basis, 1, x, x + md)
     want = [_riesz_mpmath(basis, xi, xi + md, md) for xi in x[:, 0]]
-    assert np.max(np.abs(got / want - 1.0)) <= 5e-6
+    assert np.max(np.abs(got / want - 1.0)) <= 2e-9
+
+
+@pytest.mark.parametrize("kappa", [1.0, 2.5])
+def test_log_heat_near_orbit_matches_mpmath(kappa):
+    """log k_t near the orbit, md = |y| - |x| from 1e-5 to 1e-2 and t from
+    md^2/4 to 0.1, against the cancelling textbook form in mpmath at 40
+    digits.  The float form subtracts md^2 / (2 sinh 2t) directly, so it
+    stays within 5e-14 max(1, |log k|) where the cancelling one was 2e-7."""
+    mp = pytest.importorskip("mpmath")
+    ev = z2_evaluator(build_basis(root_system("z2", multiplicity=kappa), 2, exact=False))
+    worst = 0.0
+    for x in (0.5, 2.0):
+        for md in (1e-5, 1e-4, 1e-2):
+            for t in np.geomspace(md * md / 4.0, 0.1, 9):
+                got = float(ev.log_heat(t, [x], [x + md]))
+                with mp.workdps(40):
+                    k, s = mp.mpf(kappa), mp.sinh(2 * mp.mpf(t))
+                    X, Y = mp.mpf(x), mp.mpf(x + md)
+                    w = X * Y / s
+                    log_e = (mp.loggamma(k + 0.5) + (0.5 - k) * mp.log(w / 2)
+                             + mp.log(mp.besseli(k - 0.5, w) + mp.besseli(k + 0.5, w)))
+                    want = float(-mp.log(ev.c_kappa) - (k + 0.5) * mp.log(s)
+                                 - mp.coth(2 * mp.mpf(t)) * (X * X + Y * Y) / 2 + log_e)
+                worst = max(worst, abs(got - want) / max(1.0, abs(want)))
+    assert worst <= 5e-14
+
+
+def test_heat_kernel_symmetric_bit_for_bit(z2sq_ones):
+    """k_t is built from pair terms that are symmetric in (x, y), so the two
+    orientations agree bit for bit, near the orbit too."""
+    basis = build_basis(z2sq_ones, 2, exact=False)
+    rng = np.random.default_rng(4)
+    X = rng.normal(scale=2.0, size=(200, 2))
+    Y = np.concatenate([rng.normal(scale=2.0, size=(150, 2)), -X[150:] + 1e-4])
+    for t in rng.uniform(1e-3, 2.0, 20):
+        assert heat_kernel(basis, t, X, Y).tobytes() == heat_kernel(basis, t, Y, X).tobytes()
+    for x, y, t in zip(X[:50], Y[:50], rng.uniform(1e-3, 2.0, 50)):
+        assert heat_kernel(basis, t, x, y) == heat_kernel(basis, t, y, x)
 
 
 @pytest.mark.parametrize("group, kappa, j", [("z2", 0.5, 0), ("z2", 0.5, 2), ("z2^2", [1, 1], 3)])
@@ -662,8 +701,10 @@ def test_riesz_coarse_quadrature_oracle(z2_half_basis8):
     ev = z2_evaluator(z2_half_basis8)
     x, y = np.array([1.0]), np.array([2.5])
 
-    def integrand(t):
-        return float(ev.riesz_integrand(t, x, y, 0)) / math.sqrt(t)
+    def integrand(t):  # k_t(x,y) [ (1 - coth 2t) x + y / sinh 2t ] / sqrt(t)
+        s = math.sinh(2.0 * t)
+        bracket = (1.0 - math.cosh(2.0 * t) / s) * x[0] + y[0] / s
+        return float(ev.heat(t, x, y)) * bracket / math.sqrt(t)
 
     # log-substitution t = e^s on (0,1], plain quad on [1, 30]
     head, _ = quad(lambda s: integrand(math.exp(s)) * math.exp(s), -30, 0, limit=300)
@@ -689,7 +730,7 @@ def _riesz_unpruned(basis, j, X, Y):
     every node, and K_j = A x_j + B y_j."""
     ev = z2_evaluator(basis)
     X, Y = np.broadcast_arrays(np.asarray(X, dtype=float), np.asarray(Y, dtype=float))
-    md = orbit_distances(basis.rs.group, X, Y)
+    md = np.sqrt(ev._pairs(X, Y)[0])
     (un, uw), (tn, tw) = kernels._riesz_nodes(ev, float(np.min(md)))
     nodes = [(u * u, 2.0 * w) for u, w in zip(un, uw)]
     nodes += [(t, w / math.sqrt(t)) for t, w in zip(tn, tw)]
@@ -726,24 +767,24 @@ def test_riesz_many_pruned_bit_identical(name, kappa, monkeypatch):
     ])
     assert len(X) < kernels.BAND_MIN
     rows, biggest_w = [], [0.0]
-    heat = kernels.Z2Evaluator.heat
+    log_heat = kernels.Z2Evaluator._log_heat
     for A, B in ((X, pole), (pole, X)):
-        every = np.hstack(np.broadcast_arrays(A, B))
+        every = z2_evaluator(basis)._pairs(A, B)
 
-        def counted(self, t, P, Q):
-            """The heat kernel on the rows riesz_kernel_many keeps, after
-            checking that it is exactly 0 on every row it skips."""
-            rows.append(len(P))
-            kept = {r.tobytes() for r in np.hstack([P, Q])}
-            skipped = np.array([r.tobytes() not in kept for r in every])
-            assert not np.any(heat(self, t, A, B)[skipped])
+        def counted(self, t, P):
+            """log k_t at one node on the pair terms riesz_kernel_many keeps,
+            after checking that k_t is exactly 0 on every pair it skips."""
+            rows.append(P.shape[1])
+            kept = {r.tobytes() for r in P.T}
+            skipped = np.array([r.tobytes() not in kept for r in every.T])
+            assert not np.any(np.exp(log_heat(self, t, every))[skipped])
             s = math.sinh(2.0 * t)
-            biggest_w[0] = max(biggest_w[0], float(np.max(np.abs(P * Q))) / s)
-            return heat(self, t, P, Q)
+            biggest_w[0] = max(biggest_w[0], float(np.max(np.abs(P[2:]))) / s)
+            return log_heat(self, t, P)
 
         for j in range(1, d + 1):
             want = _riesz_unpruned(basis, j, A, B)
-            monkeypatch.setattr(kernels.Z2Evaluator, "heat", counted)
+            monkeypatch.setattr(kernels.Z2Evaluator, "_log_heat", counted)
             rows.clear()
             got = riesz_kernel_many(basis, j, A, B)
             monkeypatch.undo()
@@ -759,21 +800,15 @@ def test_riesz_many_pruned_bit_identical(name, kappa, monkeypatch):
 @pytest.mark.parametrize("name, kappa", [("z2", 0.3), ("z2", 0.5), ("z2", 1.0), ("z2^2", [0.5, 1.0])])
 def test_riesz_both_orientations_match_swapped_calls(name, kappa):
     """One pass of the time integrals A, B gives K_j(x,y) = A x_j + B y_j and
-    K_j(y,x) = A y_j + B x_j: the first is riesz_kernel_many bit for bit, the
-    second its call with swapped arguments to rounding (the heat kernel is
-    evaluated as k_t(x,y), not k_t(y,x)).  Near the orbit A y_j and B x_j
-    nearly cancel, so there the bound is relative to their size: at orbit
-    distance 2e-3 the difference is 2.1e-12 of |K| and 2e-13 of that size."""
+    K_j(y,x) = A y_j + B x_j: the first is riesz_kernel_many bit for bit, and
+    so is the second with swapped arguments, since the heat kernel is built
+    from pair terms that are symmetric in (x, y)."""
     basis = build_basis(root_system(name, multiplicity=kappa), 2, exact=False)
     d = basis.rs.dim
     rng = np.random.default_rng(9)
     X = rng.uniform(-4.0, 4.0, (700, d))
     pole = np.array([[1.0, -0.5][:d]])
-    A, B, _, _ = kernels._riesz_time_integrals(basis, X, pole, KernelConfig())
-    away = orbit_distances(basis.rs.group, X, pole) >= 0.05
     for j in range(1, d + 1):
         direct, transposed = riesz_kernel_both(basis, j, X, pole)
         assert direct.tobytes() == riesz_kernel_many(basis, j, X, pole).tobytes()
-        diff = np.abs(transposed - riesz_kernel_many(basis, j, pole, X))
-        assert np.max(diff / (np.abs(A * pole[0, j - 1]) + np.abs(B * X[:, j - 1]))) <= 1e-12
-        assert np.max(diff[away] / np.abs(transposed[away])) <= 1e-12
+        assert transposed.tobytes() == riesz_kernel_many(basis, j, pole, X).tobytes()
