@@ -20,12 +20,12 @@ Evaluator dispatch
     about ten times faster, and scipy.special.ive for every other kappa.
   The pair costs about 60 ns an element per function, while each sum is a
   numpy Horner loop costing tens of microseconds per call.  So only batches
-  of at least BAND_MIN = 512 elements take the three bands; smaller batches
-  and 0-d inputs keep the Bessel pair up to max(1e5, switch) and the Hankel
-  sum past it.  Both routes stay finite and accurate for the arguments
-  ~ x*y/sinh(2t) -> +-infinity that the Riesz time integral produces; the
-  spec'd power-series recursion (dunkl_kernel_1d) is kept as the
-  independent cross-check.
+  of at least BAND_MIN = 512 elements, and every block of the Riesz panels,
+  take the three bands; smaller batches and 0-d inputs keep the Bessel pair
+  up to max(1e5, switch) and the Hankel sum past it.  Both routes stay
+  finite and accurate for the arguments ~ x*y/sinh(2t) -> +-infinity that
+  the Riesz time integral produces; the spec'd power-series recursion
+  (dunkl_kernel_1d) is kept as the independent cross-check.
 * any other reflection group: Mehler inversion through a built Hermite basis.
 
 Heat kernel
@@ -69,8 +69,8 @@ The panel evaluator accumulates two time integrals that do not depend on j,
     B = pi^(-1/2) int k_t / sinh 2t dt / sqrt(t),
 
 so K_j(x,y) = A x_j + B y_j and, k_t being symmetric, K_j(y,x) =
-A y_j + B x_j: one heat evaluation per node serves every axis and both
-orientations (riesz_kernel_both).
+A y_j + B x_j: one heat evaluation per node and row serves every axis and
+both orientations (riesz_kernel_both).
 
 The panel evaluator skips, at each node, the rows whose heat kernel is
 exactly 0.0.  The first three terms of log k_t above bound it, since the
@@ -79,9 +79,14 @@ others are <= 0:
     log k_t(x,y) <= -log c_kappa - (gamma + d/2) log sinh 2t - md^2 / (2 sinh 2t).
 
 Once this bound is below -745.2, exp returns exactly 0.0 and the row would
-add exactly +-0.0 to its sum.  Skipping it changes no bit of the result, as
-long as the rows left take the same log E route as the whole batch would
-(see BAND_MIN).
+add exactly +-0.0 to its sum.  With the rows sorted by md^2, the rows left
+at a node are a prefix of the batch.  Consecutive nodes are evaluated
+together, as one nodes x rows block as wide as the longest prefix among
+them (PANEL_BLOCK_ELEMS); a row past its own node's prefix is exactly 0.0
+there too.  The panels take log E by band for every element, whatever the
+size of the block (_log_e_bands), and add the nodes in order, so a row's
+panel sums do not depend on the other rows of its batch, only on the nodes
+that the batch's nearest pair sets.
 """
 
 from __future__ import annotations
@@ -243,11 +248,11 @@ def _hankel_past(kappa: float, size: int) -> float:
 
 def _horner1(coeffs, z):
     """z (c_1 + z (c_2 + ...)), the sum that follows the leading 1."""
-    r = np.full(z.shape, coeffs[-1])
+    r = coeffs[-1] * z
     for c in coeffs[-2::-1]:
-        r *= z
         r += c
-    return r * z
+        r *= z
+    return r
 
 
 def _log_e_hankel(kappa: float, w: np.ndarray, scaled: bool) -> np.ndarray:
@@ -255,10 +260,13 @@ def _log_e_hankel(kappa: float, w: np.ndarray, scaled: bool) -> np.ndarray:
     h = _hankel(kappa)
     x = np.abs(w)
     pos = w > 0
-    s = _horner1(h.pm, 1.0 / x)
-    power = np.where(pos, kappa, kappa + 1.0)
-    return (np.where(pos, h.log_c[0], h.log_c[1]) - power * np.log(x) + (0.0 if scaled else x)
-            + np.log1p(np.where(pos, s.real, s.imag)))
+    # z = 1/x cast to complex once, not by every step of the Horner loop
+    s = _horner1(h.pm, (1.0 / x).astype(complex))
+    out = np.where(pos, h.log_c[0], h.log_c[1]) - (kappa + ~pos) * np.log(x)
+    if not scaled:
+        out += x
+    out += np.log1p(np.where(pos, s.real, s.imag))
+    return out
 
 
 @functools.cache
@@ -335,33 +343,19 @@ def _log_e_bessel(kappa: float, w: np.ndarray, aw: np.ndarray, scaled: bool) -> 
     return np.where(direct, out, w / (2.0 * kappa + 1.0) + (-aw if scaled else 0.0))
 
 
-def log_dunkl_kernel_1d(kappa: float, w, scaled: bool = False) -> np.ndarray:
-    """log E_kappa at product argument w = u*v, vectorized; exact at kappa=0.
-    scaled=True gives log(e^{-|w|} E_kappa(w)) <= 0: the bands without + |w|.
-
-    E grows like e^w w^{-kappa} as w -> +inf and (for kappa > 0) like
-    e^{|w|} |w|^{-kappa-1} as w -> -inf; both regimes stay finite in log scale.
-
-    A batch of at least BAND_MIN elements is cut in three bands: |w| < 1
-    takes log1p of the power series, |w| past the Hankel switch of kappa the
-    Hankel sums, and only the band in between the scaled Bessel pair.
-    Smaller and 0-d inputs take the Bessel pair up to max(1e5, switch) and
-    the Hankel sums past it.
-    """
-    w = np.asarray(w, dtype=float)
+def _log_e_bands(kappa: float, w: np.ndarray, scaled: bool) -> np.ndarray:
+    """log E_kappa(w), or log(e^{-|w|} E) if scaled, with the route of each
+    element set by (kappa, |w|) alone: log1p of the power series below
+    |w| = 1, the Hankel sums past the switch of kappa, and the scaled Bessel
+    pair in between.  Exact at kappa = 0."""
     aw = np.abs(w)
     if kappa == 0.0:
         return w - aw if scaled else w + 0.0
-    far = aw > _hankel_past(kappa, w.size)
-    if w.size < BAND_MIN:
-        if not far.any():
-            return _log_e_bessel(kappa, w, aw, scaled)
-        near = None
-    else:
-        near = aw < 1.0
+    near = aw < 1.0
+    far = aw > _hankel(kappa).switch
     out = np.empty(w.shape)
     mid = ~far
-    if near is not None and near.any():
+    if near.any():
         series = np.log1p(_horner1(_series_coeffs(kappa), w[near]))
         out[near] = series - aw[near] if scaled else series
         mid &= ~near
@@ -369,6 +363,32 @@ def log_dunkl_kernel_1d(kappa: float, w, scaled: bool = False) -> np.ndarray:
         out[mid] = _log_e_bessel(kappa, w[mid], aw[mid], scaled)
     if far.any():
         out[far] = _log_e_hankel(kappa, w[far], scaled)
+    return out
+
+
+def log_dunkl_kernel_1d(kappa: float, w, scaled: bool = False) -> np.ndarray:
+    """log E_kappa at product argument w = u*v, vectorized; exact at kappa=0.
+    scaled=True gives log(e^{-|w|} E_kappa(w)) <= 0: the bands without + |w|.
+
+    E grows like e^w w^{-kappa} as w -> +inf and (for kappa > 0) like
+    e^{|w|} |w|^{-kappa-1} as w -> -inf; both regimes stay finite in log scale.
+
+    A batch of at least BAND_MIN elements takes the three bands of
+    _log_e_bands.  Smaller and 0-d inputs take the Bessel pair up to
+    max(1e5, switch) and the Hankel sums past it.
+    """
+    w = np.asarray(w, dtype=float)
+    if kappa == 0.0 or w.size >= BAND_MIN:
+        return _log_e_bands(kappa, w, scaled)
+    aw = np.abs(w)
+    far = aw > _hankel_past(kappa, w.size)
+    if not far.any():
+        return _log_e_bessel(kappa, w, aw, scaled)
+    out = np.empty(w.shape)
+    mid = ~far
+    if mid.any():
+        out[mid] = _log_e_bessel(kappa, w[mid], aw[mid], scaled)
+    out[far] = _log_e_hankel(kappa, w[far], scaled)
     return out
 
 
@@ -537,6 +557,21 @@ class Z2Evaluator:
         return (self._log_front(s) - P[0] / (2.0 * s) - 0.5 * per_row(math.tanh, t) * P[1]
                 + self._log_e(P[2:] / s, scaled=True))
 
+    def _log_heat_block(self, t, s, front, P):
+        """log k_t at every node of a block (axis 0) and every pair of P
+        (axis 1), given per node t, s = sinh 2t and front = _log_front(s).
+        Each element is _log_heat's at its own float t, with log E taken by
+        (kappa, |w|) alone (_log_e_bands), whatever the shape of the block."""
+        s = s[:, None]
+        log_e = _log_e_bands(self.kappas[0], P[2] / s, True)
+        for k, w in zip(self.kappas[1:], P[3:]):
+            log_e += _log_e_bands(k, w / s, True)
+        out = P[0] / (2.0 * s)
+        np.subtract(front[:, None], out, out=out)
+        out -= (0.5 * per_row(math.tanh, t))[:, None] * P[1]
+        out += log_e
+        return out
+
     def log_heat(self, t, X, Y):
         return self._log_heat(t, self._pairs(X, Y))
 
@@ -553,7 +588,10 @@ class Z2Evaluator:
 
     def log_gaussian_translate(self, c: float, X, Y):
         """log of tau_x(e^{-c|.|^2})(-y) = e^{-c(|x|^2+|y|^2)} E(2c y, x) (module notes)."""
-        P = self._pairs(X, Y)
+        return self._log_gaussian_translate(c, self._pairs(X, Y))
+
+    def _log_gaussian_translate(self, c, P):
+        """log_gaussian_translate from pair terms P."""
         return -c * P[0] + self._log_e(2.0 * c * P[2:], scaled=True)
 
 
@@ -770,6 +808,12 @@ LOG_ZERO = -745.2
 # carries rounding, of its terms and of the scaled log E (<= 0 only to
 # rounding), far less than PRUNE_MARGIN nats.
 PRUNE_MARGIN = 2.0
+# The most elements (nodes x rows) one block of panel nodes evaluates at once.
+# Measured on a z2 kappa=1/2 hormander check: 8k and 12k elements ran
+# fastest; 4k pays more fixed numpy cost per block, and from 16k on the
+# block's temporaries are handed back to the system and faulted in again
+# block after block (up to 0.3 s of system time at 32k).
+PANEL_BLOCK_ELEMS = 8192
 
 
 def _riesz_nodes(ev: Z2Evaluator, md_min: float):
@@ -796,6 +840,21 @@ def _riesz_nodes(ev: Z2Evaluator, md_min: float):
     return head, panel_nodes(np.array(tb), TAIL_PANEL_NODES)
 
 
+def _node_blocks(prefix):
+    """(nodes, longest prefix) for runs of consecutive nodes with a nonempty
+    prefix, each run as long as (nodes x longest prefix) stays within
+    PANEL_BLOCK_ELEMS; a node whose prefix alone exceeds it is a block."""
+    block, n = [], 0
+    for i in np.flatnonzero(prefix):
+        if block and (len(block) + 1) * max(n, prefix[i]) > PANEL_BLOCK_ELEMS:
+            yield block, n
+            block, n = [], 0
+        block.append(i)
+        n = max(n, prefix[i])
+    if block:
+        yield block, n
+
+
 def _riesz_time_integrals(basis: HermiteBasis, X, Y, cfg: KernelConfig):
     """(A, B, X, Y) with X, Y broadcast and A, B the panel sums of
 
@@ -803,25 +862,33 @@ def _riesz_time_integrals(basis: HermiteBasis, X, Y, cfg: KernelConfig):
         B = pi^(-1/2) int k_t(x,y) / sinh 2t dt / sqrt(t),
 
     so that K_j(x,y) = A x_j + B y_j for every axis j and, k_t being
-    symmetric, K_j(y,x) = A y_j + B x_j.  Z2^d systems only.
+    symmetric, K_j(y,x) = A y_j + B x_j.  Z2^d systems only; an empty batch
+    gives empty sums, and a coordinate that is not finite raises ValueError.
 
     Fixed Gauss-Legendre panels (geometric refinement of the u = sqrt(t)
     endpoint); cross-checked against the adaptive scalar route in the tests.
-    Rows whose heat kernel is exactly 0.0 at a node are not evaluated there:
-    a row is skipped once the leading terms of log k_t (module notes),
-    widened by PRUNE_MARGIN, are below LOG_ZERO.  The rows are sorted once
-    by the md^2 those terms subtract, so each node evaluates a prefix of the
-    pair terms, computed once.  A skipped element would add exactly +-0.0
-    to accumulators that are never -0.0, and every evaluated element goes
-    through the same operations in the same node order.  So the result is
-    the unpruned sum bit for bit wherever log E takes the same route on the
-    prefix as on the whole batch (see BAND_MIN); where the prefix is the
-    smaller side of BAND_MIN, the two routes differ by rounding.
+    The rows are sorted once by the md^2 that the leading terms of log k_t
+    (module notes) subtract, and at each node only a prefix of them can have
+    k_t != 0: past it those terms, widened by PRUNE_MARGIN, are below
+    LOG_ZERO.  Consecutive nodes are grouped into blocks of at most
+    PANEL_BLOCK_ELEMS (nodes x longest prefix) elements, and each block is
+    evaluated as one nodes x rows array by _log_heat_block.  A row past its
+    node's own prefix gives exactly 0.0 there and adds exactly +-0.0 to
+    accumulators that are never -0.0; nodes with an empty prefix are left
+    out.  A and B are accumulated in node order, and log E takes each
+    element's route from (kappa, |w|) alone.  So every row's sums are the
+    unpruned sums bit for bit, whatever the batch around it, as long as the
+    nodes (the batch's nearest pair) are the same.
     """
     ev = z2_evaluator(basis)
     if ev is None:
         raise WrongGroup("riesz_kernel_many requires a Z2^d system")
     X, Y = np.broadcast_arrays(np.asarray(X, dtype=float), np.asarray(Y, dtype=float))
+    if not (np.isfinite(X).all() and np.isfinite(Y).all()):
+        raise ValueError("Riesz panels need finite coordinates")
+    if X.size == 0:
+        empty = np.zeros(X.shape[:-1])
+        return empty, empty, X, Y
     P = ev._pairs(X, Y).reshape(ev.d + 2, -1)
     md = np.sqrt(P[0])
     if np.any(md <= cfg.separation_floor):
@@ -830,19 +897,22 @@ def _riesz_time_integrals(basis: HermiteBasis, X, Y, cfg: KernelConfig):
     order = np.argsort(P[0], kind="stable")
     P = P[:, order]
 
-    # (t, weight of dt/sqrt(t)) per node: t = u^2 gives dt/sqrt(t) = 2 du
-    nodes = [(u * u, 2.0 * w) for u, w in zip(un, uw)]
-    nodes += [(t, w / math.sqrt(t)) for t, w in zip(tn, tw)]
+    # per node: t and the weight of dt/sqrt(t) (t = u^2 gives dt/sqrt(t) = 2 du)
+    t = np.concatenate([un * un, tn])
+    w = np.concatenate([2.0 * uw, tw / per_row(math.sqrt, tn)])
+    s, c = _sinh_coth2(t)
+    front = ev._log_front(s)
+    # the number of leading rows at which k_t can be nonzero
+    prefix = np.searchsorted(P[0], 2 * s * (front + PRUNE_MARGIN - LOG_ZERO), "right")
+    wa, wb = w * (1.0 - c), w / s
     A = np.zeros(md.size)
     B = np.zeros(md.size)
-    for t, w in nodes:
-        s, c = _sinh_coth2(t)
-        # the number of leading rows at which k_t can be nonzero
-        n = np.searchsorted(P[0], 2 * s * (ev._log_front(s) + PRUNE_MARGIN - LOG_ZERO), "right")
-        if n:
-            k = np.exp(ev._log_heat(t, P[:, :n]))
-            A[:n] += (w * (1.0 - c)) * k
-            B[:n] += (w / s) * k
+    for block, n in _node_blocks(prefix):
+        k = ev._log_heat_block(t[block], s[block], front[block], P[:, :n])
+        np.exp(k, out=k)
+        for ka, kb in zip(wa[block, None] * k, wb[block, None] * k):  # in node order
+            A[:n] += ka
+            B[:n] += kb
     out = np.empty((2, md.size))
     out[0, order] = A
     out[1, order] = B

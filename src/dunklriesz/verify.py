@@ -27,7 +27,6 @@ import time
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .hermite import HermiteBasis, build_basis, hermite_functions_1d
 from .kernels import (
@@ -89,7 +88,7 @@ DEFAULT_VERIFY = VerifyConfig()
 
 # Revision of the report's canonical payload: raised by every change that
 # moves a value a fixed config and seed produce, or adds or drops a field.
-PAYLOAD_VERSION = 3
+PAYLOAD_VERSION = 4
 
 
 @dataclass(kw_only=True)
@@ -429,14 +428,16 @@ _PIECES = {
     "dl0": lambda p: np.log(np.abs(
         -0.5 * (column(p.tanh) * (p.Y + p.X) + (p.Y - p.X) / column(p.tanh)))),
     "base0": lambda p: p.log_k0 + A_CONST * p.sm / p.t,
-    "log_heat": lambda p: p.ev.log_heat(p.t, p.X, p.Y),
+    "pairs": lambda p: p.ev._pairs(p.X, p.Y),
+    "log_heat": lambda p: p.ev._log_heat(p.t, p.pairs),
     "dl": lambda p: np.log(np.stack(
         [np.abs(p.ev.dlog_heat_dy(p.t, p.X, p.Y, i)) for i in range(p.d)], -1)),
-    "base1": lambda p: p.log_heat - p.ev.log_gaussian_translate(B_CONST / p.t, p.X, p.Y),
-    "tau_b": lambda p: p.ev.log_gaussian_translate(B_CONST, p.X, p.Y),
-    "tau_sum": lambda p: logsumexp(np.stack(
-        [p.ev.log_gaussian_translate(C_CONST / p.t, Xc, p.Y)
-         for Xc in [p.X] + [reflect(alpha, p.X) for alpha in p.roots]]), axis=0),
+    "base1": lambda p: p.log_heat - p.ev._log_gaussian_translate(B_CONST / p.t, p.pairs),
+    "tau_b": lambda p: p.ev._log_gaussian_translate(B_CONST, p.pairs),
+    "tau_sum": lambda p: np.logaddexp.reduce(np.stack(
+        [p.ev._log_gaussian_translate(C_CONST / p.t, P)
+         for P in [p.pairs] + [p.ev._pairs(reflect(alpha, p.X), p.Y) for alpha in p.roots]]),
+        axis=0),
 }
 
 

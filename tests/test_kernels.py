@@ -1,4 +1,5 @@
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -28,7 +29,7 @@ from dunklriesz.kernels import (
     riesz_kernel_many,
     z2_evaluator,
 )
-from dunklriesz.reflection import root_system
+from dunklriesz.reflection import orbit_distances, root_system
 
 
 def series_oracle(kappa: Fraction, u: Fraction, v: Fraction, terms=60) -> float:
@@ -727,20 +728,21 @@ def test_riesz_decay_profile(z2_half_basis8):
 
 def _riesz_unpruned(basis, j, X, Y):
     """riesz_kernel_many's panel sums A and B with every row evaluated at
-    every node, and K_j = A x_j + B y_j."""
+    every node, one node at a time, through the same per-element log E
+    bands as the node blocks, and K_j = A x_j + B y_j."""
     ev = z2_evaluator(basis)
     X, Y = np.broadcast_arrays(np.asarray(X, dtype=float), np.asarray(Y, dtype=float))
-    md = np.sqrt(ev._pairs(X, Y)[0])
-    (un, uw), (tn, tw) = kernels._riesz_nodes(ev, float(np.min(md)))
+    P = ev._pairs(X, Y)
+    (un, uw), (tn, tw) = kernels._riesz_nodes(ev, float(np.min(np.sqrt(P[0]))))
     nodes = [(u * u, 2.0 * w) for u, w in zip(un, uw)]
     nodes += [(t, w / math.sqrt(t)) for t, w in zip(tn, tw)]
     A = np.zeros(X.shape[:-1])
     B = np.zeros(X.shape[:-1])
     for t, w in nodes:
-        s = math.sinh(2.0 * t)
-        k = ev.heat(t, X, Y)
-        A += (w * (1.0 - math.cosh(2.0 * t) / s)) * k
-        B += (w / s) * k
+        s = np.array([math.sinh(2.0 * t)])
+        k = np.exp(ev._log_heat_block(np.array([t]), s, ev._log_front(s), P))[0]
+        A += (w * (1.0 - math.cosh(2.0 * t) / s[0])) * k
+        B += (w / s[0]) * k
     A, B = A / math.sqrt(math.pi), B / math.sqrt(math.pi)
     return A * X[..., j - 1] + B * Y[..., j - 1]
 
@@ -751,9 +753,9 @@ def _riesz_unpruned(basis, j, X, Y):
      ("z2", Fraction(5, 2)), ("z2^2", [Fraction(1, 2), Fraction(1)])],
 )
 def test_riesz_many_pruned_bit_identical(name, kappa, monkeypatch):
-    """Skipping the rows whose heat kernel is exactly 0 at a node changes no
-    bit of the panel sums, for either pole layout.  The batch is under
-    BAND_MIN, so the prefix and the whole batch take one log E route."""
+    """Skipping the rows whose heat kernel is exactly 0 at a node, and
+    evaluating the nodes in blocks, changes no bit of the panel sums, for
+    either pole layout."""
     basis = build_basis(root_system(name, multiplicity=kappa), 2)
     d = basis.rs.dim
     rng = np.random.default_rng(8)
@@ -765,26 +767,23 @@ def test_riesz_many_pruned_bit_identical(name, kappa, monkeypatch):
         np.full((1, d), 3.0), np.full((1, d), -40.0),
         np.full((1, d), 300.0),                            # pruned at most nodes
     ])
-    assert len(X) < kernels.BAND_MIN
-    rows, biggest_w = [], [0.0]
-    log_heat = kernels.Z2Evaluator._log_heat
+    rows = []
+    log_heat_block = kernels.Z2Evaluator._log_heat_block
     for A, B in ((X, pole), (pole, X)):
         every = z2_evaluator(basis)._pairs(A, B)
 
-        def counted(self, t, P):
-            """log k_t at one node on the pair terms riesz_kernel_many keeps,
-            after checking that k_t is exactly 0 on every pair it skips."""
+        def counted(self, t, s, front, P):
+            """log k_t on one block of nodes, on the pair terms riesz_kernel_many
+            keeps, after checking that k_t is exactly 0 on every pair it skips."""
             rows.append(P.shape[1])
             kept = {r.tobytes() for r in P.T}
             skipped = np.array([r.tobytes() not in kept for r in every.T])
-            assert not np.any(np.exp(log_heat(self, t, every))[skipped])
-            s = math.sinh(2.0 * t)
-            biggest_w[0] = max(biggest_w[0], float(np.max(np.abs(P[2:]))) / s)
-            return log_heat(self, t, P)
+            assert not np.any(np.exp(log_heat_block(self, t, s, front, every))[:, skipped])
+            return log_heat_block(self, t, s, front, P)
 
         for j in range(1, d + 1):
             want = _riesz_unpruned(basis, j, A, B)
-            monkeypatch.setattr(kernels.Z2Evaluator, "_log_heat", counted)
+            monkeypatch.setattr(kernels.Z2Evaluator, "_log_heat_block", counted)
             rows.clear()
             got = riesz_kernel_many(basis, j, A, B)
             monkeypatch.undo()
@@ -792,9 +791,90 @@ def test_riesz_many_pruned_bit_identical(name, kappa, monkeypatch):
             assert got.tobytes() == want.tobytes()
             assert min(rows) < len(X)
             assert np.count_nonzero(got) > 0
-    # the 0-d-and-small route takes the Hankel sums past max(1e5, switch)
-    switches = [kernels._hankel(float(k)).switch for k in basis.rs.multiplicity]
-    assert biggest_w[0] > max([kernels._ASYMPT_SWITCH] + switches)
+
+
+@pytest.mark.parametrize("name, kappa", [("z2", 0.3), ("z2", 0.5), ("z2^2", [0.5, 1.0])])
+def test_log_heat_block_matches_log_heat(name, kappa):
+    """Each row of a block of nodes is _log_heat at that node's float t, bit
+    for bit, on a batch past BAND_MIN, where both take log E by band."""
+    basis = build_basis(root_system(name, multiplicity=kappa), 2, exact=False)
+    ev = z2_evaluator(basis)
+    rng = np.random.default_rng(12)
+    P = ev._pairs(rng.uniform(-6.0, 6.0, (kernels.BAND_MIN, basis.rs.dim)), [[1.0, -0.5][: basis.rs.dim]])
+    t = np.array([1e-4, 0.03, 0.7, 2.5])
+    s = np.array([math.sinh(2.0 * u) for u in t])
+    block = ev._log_heat_block(t, s, ev._log_front(s), P)
+    for i, u in enumerate(t):
+        assert block[i].tobytes() == ev._log_heat(float(u), P).tobytes()
+
+
+def _mc_batch(rng, n, pole, d):
+    """n points around the orbit of the pole, at distances 2e-3 to 13 spread
+    like the Hormander Monte Carlo sample."""
+    dist = 1.0 / (1.0 / 2e-3 - rng.random(n) * (1.0 / 2e-3 - 1.0 / 13.0))
+    side = rng.choice([-1.0, 1.0], (n, d))
+    return rng.choice([-1.0, 1.0], (n, 1)) * pole + side * dist[:, None] / math.sqrt(d)
+
+
+@pytest.mark.parametrize("name, kappa", [("z2", 0.3), ("z2", 0.5), ("z2", 1.0), ("z2^2", [0.5, 1.0])])
+def test_riesz_row_independent_of_its_batch(name, kappa):
+    """A row's panel values are the same bits alone (with the batch's
+    nearest pair, so that the nodes are the same) as inside a 4,000-row
+    batch: each element takes log E by (kappa, |w|) alone, and each row's
+    sums keep their node order."""
+    basis = build_basis(root_system(name, multiplicity=kappa), 2, exact=False)
+    d = basis.rs.dim
+    rng = np.random.default_rng(10)
+    pole = np.array([[1.0, -0.5][:d]])
+    X = np.concatenate([_mc_batch(rng, 3000, pole, d), rng.uniform(-12.0, 12.0, (1000, d))])
+    nearest = int(np.argmin(orbit_distances(basis.rs.group, X, pole)))
+    direct, transposed = riesz_kernel_both(basis, d, X, pole)
+    for i in rng.choice(len(X), 12, replace=False):
+        alone = riesz_kernel_both(basis, d, X[[i, nearest]], pole)
+        assert alone[0][0].tobytes() == direct[i].tobytes()
+        assert alone[1][0].tobytes() == transposed[i].tobytes()
+
+
+def test_riesz_panel_pass_evaluates_log_e_per_block(monkeypatch):
+    """A 4,000-row panel pass takes log E once per block of nodes, not once
+    per node: it has about 370 nodes at which some row is nonzero."""
+    basis = build_basis(root_system("z2", multiplicity=0.5), 2, exact=False)
+    X = _mc_batch(np.random.default_rng(11), 4000, np.array([[1.0]]), 1)
+    calls = [0]
+
+    def counting(f):
+        def wrapped(*args):
+            calls[0] += 1
+            return f(*args)
+        return wrapped
+
+    monkeypatch.setattr(kernels, "_log_e_bands", counting(kernels._log_e_bands))
+    monkeypatch.setattr(kernels.Z2Evaluator, "_log_e", counting(kernels.Z2Evaluator._log_e))
+    riesz_kernel_both(basis, 1, X, [[1.0]])
+    assert 0 < calls[0] < 200
+
+
+@pytest.mark.parametrize("shape", [(0, 1), (2, 0, 1)])
+def test_riesz_panels_empty_batch(z2_half_basis8, shape):
+    """An empty batch gives empty arrays of the broadcast shape."""
+    X = np.empty(shape)
+    for got in (riesz_kernel_many(z2_half_basis8, 1, X, [[1.0]]),
+                *riesz_kernel_both(z2_half_basis8, 1, [[1.0]], X)):
+        assert got.shape == shape[:-1]
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_riesz_panels_reject_non_finite(z2_half_basis8, bad):
+    """A coordinate that is not finite raises ValueError before any node is
+    built, and no numpy warning is emitted on the way."""
+    X = np.array([[0.5], [bad], [2.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for args in ((X, [[1.0]]), ([[1.0]], X)):
+            with pytest.raises(ValueError, match="finite"):
+                riesz_kernel_both(z2_half_basis8, 1, *args)
+            with pytest.raises(ValueError, match="finite"):
+                riesz_kernel_many(z2_half_basis8, 1, *args)
 
 
 @pytest.mark.parametrize("name, kappa", [("z2", 0.3), ("z2", 0.5), ("z2", 1.0), ("z2^2", [0.5, 1.0])])

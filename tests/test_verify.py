@@ -394,7 +394,7 @@ def test_report_entries_carry_their_gates(z2_half, a2_basis2):
     skip; the report states its payload revision."""
     for basis, skipped in ((build_basis(z2_half, 12), 0), (a2_basis2, 7)):
         data = json.loads(run_checks(basis, None, FAST).to_json())
-        assert data["config"]["payload_version"] == 3
+        assert data["config"]["payload_version"] == 4
         statuses = [c["status"] for c in data["checks"]]
         assert statuses.count("skip") == skipped and statuses.count("pass") >= 2
         assert [_verdict(c) for c in data["checks"]] == statuses
