@@ -28,13 +28,16 @@ class NonClosedSystem(InvalidRootSystem):
 
 
 def reflect(alpha, x):
-    """Reflection across the hyperplane orthogonal to alpha (|alpha|^2 = 2).
+    """Reflection across the hyperplane orthogonal to alpha, x - 2 (x.u) u
+    with the unit root u: for an axis root sqrt(2) e_j, u = e_j exactly and
+    x_j becomes -x_j bit for bit.
 
     Accepts a single point (d,) or a batch (..., d); pure and involutive.
     """
-    alpha = np.asarray(alpha, dtype=float)
+    u = np.asarray(alpha, dtype=float)
+    u = u / np.linalg.norm(u)
     x = np.asarray(x, dtype=float)
-    return x - np.tensordot(x, alpha, axes=(-1, -1))[..., None] * alpha
+    return x - 2.0 * np.tensordot(x, u, axes=(-1, -1))[..., None] * u
 
 
 def reflection_matrix(alpha) -> np.ndarray:

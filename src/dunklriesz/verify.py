@@ -46,7 +46,7 @@ from .kernels import (
 )
 from .polyalg import get_algebra
 from .qfield import Surd
-from .reflection import orbit_distances, reflect, weight
+from .reflection import orbit_distances, weight
 from .spectral import delta_matrix, operator_norm, riesz_matrix
 
 
@@ -88,7 +88,7 @@ DEFAULT_VERIFY = VerifyConfig()
 
 # Revision of the report's canonical payload: raised by every change that
 # moves a value a fixed config and seed produce, or adds or drops a field.
-PAYLOAD_VERSION = 4
+PAYLOAD_VERSION = 5
 
 
 @dataclass(kw_only=True)
@@ -414,6 +414,15 @@ def _cross(A, B):
     return np.max(A[..., None, :] + B[..., :, None], axis=(-2, -1))
 
 
+def _reflected_pairs(P, alpha):
+    """The pair terms of (reflect(alpha, X), Y) from those of (X, Y), for an
+    axis root alpha of Z2^d: md^2 and q stay, and x_j y_j changes sign."""
+    j = 2 + int(np.argmax(np.abs(alpha)))
+    Q = P.copy()
+    Q[j] = -Q[j]
+    return Q
+
+
 # Kernel pieces shared by the lemma ratios, as functions of a LemmaPieces p;
 # log_k0 and dl0 are the classical (kappa = 0) kernel and d/dy of its log.
 _PIECES = {
@@ -436,7 +445,7 @@ _PIECES = {
     "tau_b": lambda p: p.ev._log_gaussian_translate(B_CONST, p.pairs),
     "tau_sum": lambda p: np.logaddexp.reduce(np.stack(
         [p.ev._log_gaussian_translate(C_CONST / p.t, P)
-         for P in [p.pairs] + [p.ev._pairs(reflect(alpha, p.X), p.Y) for alpha in p.roots]]),
+         for P in [p.pairs] + [_reflected_pairs(p.pairs, alpha) for alpha in p.roots]]),
         axis=0),
 }
 

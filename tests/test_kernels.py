@@ -617,12 +617,14 @@ def _riesz_mpmath(basis, x, y, md):
 @pytest.mark.parametrize("md", [1e-5, 1e-4])
 @pytest.mark.parametrize("kappa", [1.0, 2.5])
 def test_riesz_many_near_orbit_matches_mpmath(kappa, md):
-    """A batch whose nearest pair is md apart gets a first u-panel of md/8,
-    fine enough for the integrand's peak near u ~ md.  The heat exponent
-    subtracts md^2 / (2 sinh 2t) itself, with no cancelling pair of terms of
-    size q / sinh 2t, so what is left is 4.8e-10 at x = 2, md = 1e-5 (the
-    cancelling form was 2.6e-6 off there; a first panel floored at 1e-4,
-    1.6e-2)."""
+    """A batch whose nearest pair is md apart starts its lattice in log t
+    where that pair's heat kernel is still exactly 0, well below the
+    integrand's peak near t ~ md^2, and the step in log t is the same at
+    every scale.  The heat exponent subtracts md^2 / (2 sinh 2t) itself,
+    with no cancelling pair of terms of size q / sinh 2t, so what is left is
+    1.5e-10 at x = 2, md = 1e-5 (4.8e-10 on Gauss-Legendre u-panels from
+    md/8; the cancelling form was 2.6e-6 off there; a first panel floored at
+    1e-4, 1.6e-2)."""
     basis = build_basis(root_system("z2", multiplicity=kappa), 2, exact=False)
     x = np.array([[0.5], [2.0]])
     got = riesz_kernel_many(basis, 1, x, x + md)
@@ -728,17 +730,14 @@ def test_riesz_decay_profile(z2_half_basis8):
 
 def _riesz_unpruned(basis, j, X, Y):
     """riesz_kernel_many's panel sums A and B with every row evaluated at
-    every node, one node at a time, through the same per-element log E
-    bands as the node blocks, and K_j = A x_j + B y_j."""
+    every lattice node of the batch, one node at a time, through the same
+    per-element log E bands as the node blocks, and K_j = A x_j + B y_j."""
     ev = z2_evaluator(basis)
     X, Y = np.broadcast_arrays(np.asarray(X, dtype=float), np.asarray(Y, dtype=float))
     P = ev._pairs(X, Y)
-    (un, uw), (tn, tw) = kernels._riesz_nodes(ev, float(np.min(np.sqrt(P[0]))))
-    nodes = [(u * u, 2.0 * w) for u, w in zip(un, uw)]
-    nodes += [(t, w / math.sqrt(t)) for t, w in zip(tn, tw)]
     A = np.zeros(X.shape[:-1])
     B = np.zeros(X.shape[:-1])
-    for t, w in nodes:
+    for t, w, _, _ in zip(*kernels._riesz_lattice(ev, float(np.min(P[0])))):
         s = np.array([math.sinh(2.0 * t)])
         k = np.exp(ev._log_heat_block(np.array([t]), s, ev._log_front(s), P))[0]
         A += (w * (1.0 - math.cosh(2.0 * t) / s[0])) * k
@@ -808,20 +807,20 @@ def test_log_heat_block_matches_log_heat(name, kappa):
         assert block[i].tobytes() == ev._log_heat(float(u), P).tobytes()
 
 
-def _mc_batch(rng, n, pole, d):
-    """n points around the orbit of the pole, at distances 2e-3 to 13 spread
+def _mc_batch(rng, n, pole, d, near=2e-3):
+    """n points around the orbit of the pole, at distances near to 13 spread
     like the Hormander Monte Carlo sample."""
-    dist = 1.0 / (1.0 / 2e-3 - rng.random(n) * (1.0 / 2e-3 - 1.0 / 13.0))
+    dist = 1.0 / (1.0 / near - rng.random(n) * (1.0 / near - 1.0 / 13.0))
     side = rng.choice([-1.0, 1.0], (n, d))
     return rng.choice([-1.0, 1.0], (n, 1)) * pole + side * dist[:, None] / math.sqrt(d)
 
 
 @pytest.mark.parametrize("name, kappa", [("z2", 0.3), ("z2", 0.5), ("z2", 1.0), ("z2^2", [0.5, 1.0])])
 def test_riesz_row_independent_of_its_batch(name, kappa):
-    """A row's panel values are the same bits alone (with the batch's
-    nearest pair, so that the nodes are the same) as inside a 4,000-row
-    batch: each element takes log E by (kappa, |w|) alone, and each row's
-    sums keep their node order."""
+    """A row's panel values are the same bits alone as inside a 4,000-row
+    batch: the lattice is the same for every batch, the row is exactly 0.0
+    at the nodes below its own first one, each element takes log E by
+    (kappa, |w|) alone, and each row's sums keep their node order."""
     basis = build_basis(root_system(name, multiplicity=kappa), 2, exact=False)
     d = basis.rs.dim
     rng = np.random.default_rng(10)
@@ -829,15 +828,49 @@ def test_riesz_row_independent_of_its_batch(name, kappa):
     X = np.concatenate([_mc_batch(rng, 3000, pole, d), rng.uniform(-12.0, 12.0, (1000, d))])
     nearest = int(np.argmin(orbit_distances(basis.rs.group, X, pole)))
     direct, transposed = riesz_kernel_both(basis, d, X, pole)
-    for i in rng.choice(len(X), 12, replace=False):
-        alone = riesz_kernel_both(basis, d, X[[i, nearest]], pole)
+    for i in [nearest, *rng.choice(len(X), 12, replace=False)]:
+        alone = riesz_kernel_both(basis, d, X[[i]], pole)
         assert alone[0][0].tobytes() == direct[i].tobytes()
         assert alone[1][0].tobytes() == transposed[i].tobytes()
 
 
+@pytest.mark.parametrize("kappa", [0.5, 1.0, 2.5])
+def test_riesz_lattice_converged(kappa, monkeypatch):
+    """The lattice step is past convergence: near the orbit (md from 1e-5)
+    and far from it, A and B move by at most 2e-14 relative on the lattice
+    at a third of the step."""
+    basis = build_basis(root_system("z2", multiplicity=kappa), 2, exact=False)
+    rng = np.random.default_rng(13)
+    pole = np.array([[1.0]])
+    X = np.concatenate([_mc_batch(rng, 600, pole, 1, near=1e-5), rng.uniform(-13.0, 13.0, (200, 1))])
+    A, B, _, _ = kernels._riesz_time_integrals(basis, X, pole, kernels.DEFAULT_CONFIG)
+    monkeypatch.setattr(kernels, "LATTICE_STEP", kernels.LATTICE_STEP / 3.0)
+    A3, B3, _, _ = kernels._riesz_time_integrals(basis, X, pole, kernels.DEFAULT_CONFIG)
+    assert np.max(np.abs(A / A3 - 1.0)) <= 2e-14
+    assert np.max(np.abs(B / B3 - 1.0)) <= 2e-14
+
+
+def test_riesz_panel_pass_element_count(monkeypatch):
+    """A 4,000-row pass of the Hormander Monte Carlo shape evaluates the heat
+    kernel on at most 1.0 M (node, row) elements (about 1.45 M on the
+    Gauss-Legendre u-panels the lattice replaced)."""
+    basis = build_basis(root_system("z2", multiplicity=0.5), 2, exact=False)
+    X = _mc_batch(np.random.default_rng(11), 4000, np.array([[1.0]]), 1)
+    elems = [0]
+    log_heat_block = kernels.Z2Evaluator._log_heat_block
+
+    def counted(self, t, s, front, P):
+        elems[0] += t.size * P.shape[1]
+        return log_heat_block(self, t, s, front, P)
+
+    monkeypatch.setattr(kernels.Z2Evaluator, "_log_heat_block", counted)
+    riesz_kernel_both(basis, 1, X, [[1.0]])
+    assert 0 < elems[0] <= 1_000_000
+
+
 def test_riesz_panel_pass_evaluates_log_e_per_block(monkeypatch):
     """A 4,000-row panel pass takes log E once per block of nodes, not once
-    per node: it has about 370 nodes at which some row is nonzero."""
+    per node: it has about 250 lattice nodes at which some row is nonzero."""
     basis = build_basis(root_system("z2", multiplicity=0.5), 2, exact=False)
     X = _mc_batch(np.random.default_rng(11), 4000, np.array([[1.0]]), 1)
     calls = [0]

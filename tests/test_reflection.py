@@ -31,6 +31,19 @@ def test_reflect_fixes_hyperplane():
     assert reflect(alpha, x) == pytest.approx(x)
 
 
+@pytest.mark.parametrize("name", ["z2", "z2^2"])
+def test_reflect_axis_root_negates_bit_for_bit(name):
+    """For an axis root sqrt(2) e_j, reflect negates x_j exactly and leaves
+    the other coordinates as they are."""
+    rs = root_system(name, multiplicity=1)
+    X = np.random.default_rng(3).uniform(-5.0, 5.0, (100_000, rs.dim))
+    for alpha in rs.positive_roots:
+        j = int(np.argmax(np.abs(alpha)))
+        want = X.copy()
+        want[:, j] = -want[:, j]
+        assert reflect(alpha, X).tobytes() == want.tobytes()
+
+
 @given(st.lists(st.floats(-5, 5), min_size=2, max_size=2),
        st.floats(0.1, math.pi - 0.1))
 def test_reflect_involutive(x, theta):

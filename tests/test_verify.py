@@ -8,7 +8,7 @@ import pytest
 from scipy.optimize import minimize
 
 from dunklriesz.hermite import build_basis
-from dunklriesz.reflection import root_system
+from dunklriesz.reflection import reflect, root_system
 from dunklriesz.verify import (
     ALL_CHECKS,
     FIT_BOX,
@@ -19,6 +19,7 @@ from dunklriesz.verify import (
     VerifyConfig,
     _lemma_bound_fits,
     _polish,
+    _reflected_pairs,
     check_eigen,
     check_heat,
     check_hormander,
@@ -131,6 +132,16 @@ def test_lemma_ratio_shared_pieces_match_fresh(lemma_points, mixed_t_rows, name)
                     ratio(shared)
             fresh = LemmaPieces(basis, t, X, Y)
             np.testing.assert_array_equal(LEMMA_RATIOS[name](shared), LEMMA_RATIOS[name](fresh))
+
+
+def test_reflected_pairs_match_reflected_points(lemma_points):
+    """The pair terms that tau_sum takes for each root, the shared pairs
+    with x_j y_j negated, are those of the reflected points bit for bit."""
+    for basis, X, Y in lemma_points:
+        p = LemmaPieces(basis, 0.3, X, Y)
+        for alpha in p.roots:
+            want = p.ev._pairs(reflect(alpha, X), Y)
+            assert _reflected_pairs(p.pairs, alpha).tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("name", list(LEMMA_RATIOS))
@@ -394,7 +405,7 @@ def test_report_entries_carry_their_gates(z2_half, a2_basis2):
     skip; the report states its payload revision."""
     for basis, skipped in ((build_basis(z2_half, 12), 0), (a2_basis2, 7)):
         data = json.loads(run_checks(basis, None, FAST).to_json())
-        assert data["config"]["payload_version"] == 4
+        assert data["config"]["payload_version"] == 5
         statuses = [c["status"] for c in data["checks"]]
         assert statuses.count("skip") == skipped and statuses.count("pass") >= 2
         assert [_verdict(c) for c in data["checks"]] == statuses
