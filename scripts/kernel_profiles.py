@@ -22,7 +22,6 @@ from dunklriesz.hermite import build_basis
 from dunklriesz.kernels import heat_kernel, heat_kernel_classical, riesz_kernel_many
 from dunklriesz.reflection import root_system, weight
 from dunklriesz.verify import hormander_integrals
-from dunklriesz.kernels import DEFAULT_CONFIG
 
 
 def main():
@@ -62,7 +61,7 @@ def main():
         wr = csv.writer(fh)
         wr.writerow(["delta", "integral_direct", "integral_transposed"])
         for delta in np.geomspace(1e-3, 1.0, 16):
-            I1, I2, _ = hormander_integrals(basis, 1.0, 1.0 + float(delta), DEFAULT_CONFIG)
+            I1, I2, _ = hormander_integrals(basis, 1.0, 1.0 + float(delta))
             wr.writerow([delta, I1, I2])
 
     print(f"profiles written to {args.out_dir}/")

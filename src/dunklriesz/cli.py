@@ -22,6 +22,7 @@ import numpy as np
 from . import hermite
 from .kernels import (
     DEFAULT_CONFIG,
+    SEPARATION_FLOOR,
     OrbitTooClose,
     SeriesNonConvergence,
     TruncationTooCoarse,
@@ -32,7 +33,7 @@ from .kernels import (
 )
 from .polyalg import NoExactCoordinates, NonzeroRemainder
 from .reflection import InvalidRootSystem, root_system
-from .verify import DEFAULT_VERIFY, ALL_CHECKS, run_checks
+from .verify import DEFAULT_VERIFY, ALL_CHECKS, HORM_RADIUS, run_checks
 
 
 class ConfigError(ValueError):
@@ -53,14 +54,13 @@ def _numbers(**bounds):
     return {"type": "array", "items": {"type": "number", **bounds}, "minItems": 1}
 
 
-# The settable fields of KernelConfig and VerifyConfig, and no other: the
-# seed is set at the top level only.  The (0, 1) range of mehler_r_cap is
-# KernelConfig's own check.
+# The settable fields of KernelConfig and VerifyConfig, and no other, each
+# with the range its reader accepts: the seed is set at the top level only.
+# Only eval reads the kernel block.
 _KERNEL_SCHEMA = {
     "type": "object",
     "properties": {
-        "mehler_r_cap": {"type": "number"},
-        "separation_floor": {"type": "number", "minimum": 0},
+        "mehler_r_cap": {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1},
     },
     "additionalProperties": False,
 }
@@ -74,7 +74,10 @@ _VERIFY_SCHEMA = {
         "fit_ridge_points": _COUNT,
         "mehler_r_values": _numbers(exclusiveMinimum=0, exclusiveMaximum=1),
         "decay_separations": _COUNT,
-        "horm_separations": _numbers(exclusiveMinimum=0),
+        # a Hormander region keeps its nodes past 2 delta > SEPARATION_FLOOR
+        # from the orbit, and is empty once 2 delta reaches HORM_RADIUS
+        "horm_separations": _numbers(exclusiveMinimum=SEPARATION_FLOOR,
+                                     exclusiveMaximum=HORM_RADIUS / 2),
         # the Monte Carlo standard error needs two samples
         "horm_mc_samples": {"type": "integer", "minimum": 2},
         "norm_vectors": _COUNT,
@@ -282,11 +285,8 @@ def _sub_config(default, overrides: dict):
     """default with the fields set by a config block the schema has passed."""
     if not overrides:
         return default
-    coerced = {k: tuple(v) if isinstance(v, list) else v for k, v in overrides.items()}
-    try:
-        return replace(default, **coerced)
-    except ValueError as exc:
-        raise ConfigError(f"{type(default).__name__}: {exc}") from exc
+    return replace(default, **{k: tuple(v) if isinstance(v, list) else v
+                               for k, v in overrides.items()})
 
 
 def cmd_basis(args) -> int:
@@ -361,7 +361,7 @@ def cmd_eval(args) -> int:
                 val = heat_kernel(basis, t, x, y, kernel_cfg)
             else:
                 j, x, y = int(row[0]), np.array(row[1 : 1 + d]), np.array(row[1 + d :])
-                val = riesz_kernel(basis, j, x, y, kernel_cfg)
+                val = riesz_kernel(basis, j, x, y)
             rows.append(row + [repr(float(val)), "ok"])
         except OrbitTooClose:
             rows.append(row + ["", "orbit-too-close"])
@@ -377,11 +377,10 @@ def cmd_eval(args) -> int:
 def cmd_verify(args) -> int:
     cfg = load_config(args)
     basis = _get_basis(cfg, args.basis_file)
-    kernel_cfg = _sub_config(DEFAULT_CONFIG, cfg.get("kernel", {}))
     vcfg = _sub_config(DEFAULT_VERIFY, cfg.get("verify", {}))
     vcfg = replace(vcfg, seed=cfg["seed"])
     names = cfg.get("checks") or []
-    report = run_checks(basis, names, vcfg, kernel_cfg)
+    report = run_checks(basis, names, vcfg)
     out = cfg.get("out") or "report"
     with open(out + ".json", "w") as fh:
         fh.write(report.to_json())

@@ -119,20 +119,20 @@ class WrongGroup(ValueError):
 
 
 class OrbitTooClose(ValueError):
-    """Riesz kernel requested below the orbit separation floor."""
+    """Riesz kernel requested at orbit distance SEPARATION_FLOOR or less."""
 
 
 @dataclass(frozen=True)
 class KernelConfig:
     """The settable knobs of the kernel evaluators.
 
-    Only the Mehler r cap and the Riesz separation floor are settable.  Tail
-    and quadrature tolerances and the panel plans are module constants next
-    to the evaluator that reads them.
+    Only the Mehler r cap of the general-group Dunkl and heat kernels is
+    settable.  Tail and quadrature tolerances, the panel plans and the Riesz
+    separation floor are module constants next to the evaluator that reads
+    them.
     """
 
     mehler_r_cap: float = 0.5         # per-point r = min(cap, 1/(1+|x||y|))
-    separation_floor: float = 1e-6
 
     def __post_init__(self):
         if not 0.0 < self.mehler_r_cap < 1.0:
@@ -549,6 +549,14 @@ class Z2Evaluator:
         q = (X * X).sum(-1) + (Y * Y).sum(-1)
         return np.concatenate([[md2, q], np.rollaxis(X * Y, -1)])
 
+    def _reflected_pairs(self, P, alpha):
+        """The pair terms of (reflect(alpha, X), Y) from those P of (X, Y),
+        for an axis root alpha: md^2 and q stay, and x_j y_j changes sign."""
+        Q = P.copy()
+        j = 2 + int(np.argmax(np.abs(alpha)))
+        Q[j] = -Q[j]
+        return Q
+
     def _log_front(self, s):
         """-log c_kappa - (gamma + d/2) log sinh 2t, given s = sinh 2t."""
         return -math.log(self.c_kappa) - (self.gamma + self.d / 2.0) * per_row(math.log, s)
@@ -722,6 +730,9 @@ def gaussian_translate(basis_or_rs, c: float, x, y, cfg: KernelConfig = DEFAULT_
 
 QUAD_REL_TOL = 1e-10                  # adaptive Riesz integration
 T_SPLIT = 1.0
+# The orbit distance at or below which both Riesz routes refuse: there the
+# time integral is a genuine singularity.
+SEPARATION_FLOOR = 1e-6
 
 
 def _check_axis(j, d):
@@ -729,13 +740,13 @@ def _check_axis(j, d):
         raise ValueError(f"Riesz axis j = {j!r} is not one of 1..{d}")
 
 
-def riesz_kernel(basis: HermiteBasis, j: int, x, y, cfg: KernelConfig = DEFAULT_CONFIG) -> float:
+def riesz_kernel(basis: HermiteBasis, j: int, x, y) -> float:
     """K_j(x, y) by adaptive quadrature of the subordination time integral.
 
     Z2^d systems only; any other basis raises WrongGroup before any
     quadrature (see the module notes).
-    j is a 1-based axis.  Requires y off the orbit of x by at least the
-    separation floor; below it the integral is a genuine singularity and the
+    j is a 1-based axis.  Requires y off the orbit of x by more than
+    SEPARATION_FLOOR; at or below it the integral is a genuine singularity and the
     evaluation refuses rather than returning garbage.
     """
     ev = z2_evaluator(basis)
@@ -744,8 +755,8 @@ def riesz_kernel(basis: HermiteBasis, j: int, x, y, cfg: KernelConfig = DEFAULT_
     _check_axis(j, basis.rs.dim)
     P = ev._pairs(x, y)
     md = math.sqrt(P[0])
-    if md <= cfg.separation_floor:
-        raise OrbitTooClose(f"orbit distance {md:.2e} below floor {cfg.separation_floor:.2e}")
+    if md <= SEPARATION_FLOOR:
+        raise OrbitTooClose(f"orbit distance {md:.2e} below floor {SEPARATION_FLOOR:.2e}")
     # imported on use: scipy.integrate, which loads scipy.optimize, is the
     # costliest import of the package, and only this route and the angular
     # quadrature of hermite.c_kappa need it
@@ -861,7 +872,7 @@ def _node_blocks(prefix):
         yield block, n
 
 
-def _riesz_time_integrals(basis: HermiteBasis, X, Y, cfg: KernelConfig):
+def _riesz_time_integrals(basis: HermiteBasis, X, Y):
     """(A, B, X, Y) with X, Y broadcast and A, B the panel sums of
 
         A = pi^(-1/2) int k_t(x,y) (1 - coth 2t) dt / sqrt(t),
@@ -897,7 +908,7 @@ def _riesz_time_integrals(basis: HermiteBasis, X, Y, cfg: KernelConfig):
         return empty, empty, X, Y
     P = ev._pairs(X, Y).reshape(ev.d + 2, -1)
     md = np.sqrt(P[0])
-    if np.any(md <= cfg.separation_floor):
+    if np.any(md <= SEPARATION_FLOOR):
         raise OrbitTooClose("a point pair sits below the separation floor")
     order = np.argsort(P[0], kind="stable")
     P = P[:, order]
@@ -919,20 +930,16 @@ def _riesz_time_integrals(basis: HermiteBasis, X, Y, cfg: KernelConfig):
     return out[0], out[1], X, Y
 
 
-def riesz_kernel_many(
-    basis: HermiteBasis, j: int, X, Y, cfg: KernelConfig = DEFAULT_CONFIG
-) -> np.ndarray:
+def riesz_kernel_many(basis: HermiteBasis, j: int, X, Y) -> np.ndarray:
     """Vectorized K_j over broadcast batches X, Y of shape (..., d), by the
     panel sums of _riesz_time_integrals.  Z2^d systems only."""
-    return riesz_kernel_both(basis, j, X, Y, cfg)[0]
+    return riesz_kernel_both(basis, j, X, Y)[0]
 
 
-def riesz_kernel_both(
-    basis: HermiteBasis, j: int, X, Y, cfg: KernelConfig = DEFAULT_CONFIG
-) -> tuple[np.ndarray, np.ndarray]:
+def riesz_kernel_both(basis: HermiteBasis, j: int, X, Y) -> tuple[np.ndarray, np.ndarray]:
     """(K_j(X, Y), K_j(Y, X)) from one panel pass: the time integrals A, B
     serve both orientations.  Z2^d systems only."""
     _check_axis(j, basis.rs.dim)
-    A, B, X, Y = _riesz_time_integrals(basis, X, Y, cfg)
+    A, B, X, Y = _riesz_time_integrals(basis, X, Y)
     x, y = X[..., j - 1], Y[..., j - 1]
     return A * x + B * y, A * y + B * x

@@ -30,8 +30,7 @@ import numpy as np
 
 from .hermite import HermiteBasis, build_basis, hermite_functions_1d
 from .kernels import (
-    DEFAULT_CONFIG,
-    KernelConfig,
+    SEPARATION_FLOOR,
     OrbitTooClose,
     Z2Evaluator,
     column,
@@ -151,6 +150,12 @@ def _json_default(obj):
     raise TypeError(f"not serializable: {type(obj)}")
 
 
+def _worst(*residuals) -> float:
+    """The largest residual, NaN if any is NaN: Python's max drops a NaN that
+    is not its first argument, and a NaN residual must fail its gate."""
+    return float(np.max(residuals))
+
+
 def _summary(basis: HermiteBasis) -> dict:
     return {
         "group": basis.rs.name,
@@ -173,7 +178,7 @@ _REQUIREMENTS = {
 
 
 def _check(**needs):
-    """Make `body(basis, cfg, kernel_cfg) -> CheckResult` a named check.
+    """Make `body(basis, cfg) -> CheckResult` a named check.
 
     `needs` maps requirement names (keys of `_REQUIREMENTS`), in the order
     they are tested, to the note of the skip result returned when the basis
@@ -186,14 +191,13 @@ def _check(**needs):
         name = body.__name__.removeprefix("check_")
 
         @functools.wraps(body)
-        def check(basis: HermiteBasis, cfg: VerifyConfig = DEFAULT_VERIFY,
-                  kernel_cfg: KernelConfig = DEFAULT_CONFIG) -> CheckResult:
+        def check(basis: HermiteBasis, cfg: VerifyConfig = DEFAULT_VERIFY) -> CheckResult:
             for need, note in needs.items():
                 if not _REQUIREMENTS[need](basis):
                     return CheckResult(name=name, status="skip", config=_summary(basis),
                                        notes=note, seed=cfg.seed)
             t0 = time.perf_counter()
-            result = body(basis, cfg, kernel_cfg)
+            result = body(basis, cfg)
             result.name = name
             result.config = {**_summary(basis), **result.config}
             result.seed = cfg.seed
@@ -213,7 +217,7 @@ EIGEN_TOL = 1e-10
 
 
 @_check()
-def check_eigen(basis, cfg, kernel_cfg):
+def check_eigen(basis, cfg):
     """Oscillator eigenvalue identity on every H_n up to truncation.
 
     Exact bases: the residual polynomial must vanish identically (zero
@@ -231,13 +235,12 @@ def check_eigen(basis, cfg, kernel_cfg):
             resid = alg.conjugated_oscillator(H_list[i]) - H_list[i].scale(lam_x)
             if not resid.is_zero():
                 exact_failures += 1
-                worst = max(worst, max(abs(float(c)) for c in resid.terms.values()))
+                worst = _worst(worst, *(abs(float(c)) for c in resid.terms.values()))
         else:
             lam_f = lam + 2.0 * basis.gamma
             resid = alg.conjugated_oscillator(H_list[i]) - H_list[i].scale(lam_f)
             scale = max((abs(c) for c in H_list[i].terms.values()), default=1.0)
-            r = max((abs(c) for c in resid.terms.values()), default=0.0) / scale
-            worst = max(worst, r)
+            worst = _worst(worst, *(abs(c) / scale for c in resid.terms.values()))
     ok = exact_failures == 0 if basis.exact else worst < EIGEN_TOL
     return CheckResult(
         status="pass" if ok else "fail",
@@ -254,7 +257,7 @@ MEHLER_TOL = 1e-6
 
 @_check(z2="independent evaluator needs Z2^d",
         degree_12="truncation below the N >= 12 contract")
-def check_mehler(basis, cfg, kernel_cfg):
+def check_mehler(basis, cfg):
     """Truncated Mehler sum against the closed form, on a (r, x, y) grid.
 
     Needs an independent kernel evaluator, so the group must be Z2^d.  The
@@ -284,7 +287,7 @@ def check_mehler(basis, cfg, kernel_cfg):
             * np.exp(loge)
         )
         rel = np.abs(lhs - rhs) / np.abs(rhs)
-        worst = max(worst, float(np.max(rel)))
+        worst = _worst(worst, np.max(rel))
         count += rel.size
     return CheckResult(
         status="pass" if worst < MEHLER_TOL else "fail",
@@ -303,7 +306,7 @@ HEAT_FACTOR_TOL = 1e-10
 
 
 @_check(z2="series oracle needs Z2^d")
-def check_heat(basis, cfg, kernel_cfg):
+def check_heat(basis, cfg):
     """Heat kernel: closed form vs spectral series; classical reduction;
     symmetry; and the printed-constant discrepancy (must be off by exactly
     2^(gamma + d/2) and must fail the series comparison)."""
@@ -321,19 +324,16 @@ def check_heat(basis, cfg, kernel_cfg):
         for xi, yi in zip(X, Y):
             closed = heat_kernel(basis, t, xi, yi)
             series = heat_kernel_series(kappas, t, xi, yi)
-            worst_series = max(worst_series, abs(closed - series) / abs(series))
+            worst_series = _worst(worst_series, abs(closed - series) / abs(series))
             sym = heat_kernel(basis, t, yi, xi)
-            worst_sym = max(worst_sym, abs(closed - sym) / abs(closed))
+            worst_sym = _worst(worst_sym, abs(closed - sym) / abs(closed))
             printed = heat_kernel(basis, t, xi, yi, prefactor="printed")
-            printed_min_err = min(printed_min_err, abs(printed - series) / abs(series))
-            factor_err = max(
-                factor_err,
-                abs(printed / closed - 2.0 ** (basis.gamma + d / 2.0)),
-            )
+            printed_min_err = float(np.min((printed_min_err, abs(printed - series) / abs(series))))
+            factor_err = _worst(factor_err, abs(printed / closed - 2.0 ** (basis.gamma + d / 2.0)))
         for xi, yi in zip(X, Y):
             red = float(ev0.heat(t, xi, yi))
             cls = heat_kernel_classical(t, xi, yi)
-            worst_classical = max(worst_classical, abs(red - cls) / abs(cls))
+            worst_classical = _worst(worst_classical, abs(red - cls) / abs(cls))
     expected_gap = 2.0 ** (basis.gamma + d / 2.0) - 1.0
     ok = (
         worst_series < HEAT_TOL
@@ -414,15 +414,6 @@ def _cross(A, B):
     return np.max(A[..., None, :] + B[..., :, None], axis=(-2, -1))
 
 
-def _reflected_pairs(P, alpha):
-    """The pair terms of (reflect(alpha, X), Y) from those of (X, Y), for an
-    axis root alpha of Z2^d: md^2 and q stay, and x_j y_j changes sign."""
-    j = 2 + int(np.argmax(np.abs(alpha)))
-    Q = P.copy()
-    Q[j] = -Q[j]
-    return Q
-
-
 # Kernel pieces shared by the lemma ratios, as functions of a LemmaPieces p;
 # log_k0 and dl0 are the classical (kappa = 0) kernel and d/dy of its log.
 _PIECES = {
@@ -445,7 +436,7 @@ _PIECES = {
     "tau_b": lambda p: p.ev._log_gaussian_translate(B_CONST, p.pairs),
     "tau_sum": lambda p: np.logaddexp.reduce(np.stack(
         [p.ev._log_gaussian_translate(C_CONST / p.t, P)
-         for P in [p.pairs] + [_reflected_pairs(p.pairs, alpha) for alpha in p.roots]]),
+         for P in [p.pairs] + [p.ev._reflected_pairs(p.pairs, alpha) for alpha in p.roots]]),
         axis=0),
 }
 
@@ -656,7 +647,7 @@ def _lemma_bound_fits(basis: HermiteBasis, cfg: VerifyConfig, refine: int) -> di
 
 
 @_check(z2="closed-form kernels need Z2^d")
-def check_lemma_bounds(basis, cfg, kernel_cfg):
+def check_lemma_bounds(basis, cfg):
     """All 14 kernel inequalities via the constant-fit stability protocol.
 
     Six classical bounds, six Dunkl bounds with the Gaussian-translation right
@@ -670,7 +661,7 @@ def check_lemma_bounds(basis, cfg, kernel_cfg):
     runs = [(name, seed) for fit in fits for name, (_, seeds) in fit.items() for seed in seeds]
     sups = iter(-_polish(basis, runs).fun)
     coarse, fine = (
-        {name: math.exp(max(max(itertools.islice(sups, len(seeds)), default=-math.inf), grid))
+        {name: math.exp(_worst(grid, *itertools.islice(sups, len(seeds))))
          for name, (grid, seeds) in fit.items()}
         for fit in fits
     )
@@ -692,7 +683,7 @@ DECAY_BASE_POINTS = (0.7, 1.3)
 
 
 @_check(z2_1d="fast vectorized kernel route needs d=1 Z2")
-def check_kernel_decay(basis, cfg, kernel_cfg):
+def check_kernel_decay(basis, cfg):
     """|K_j| * (orbit distance)^(2 gamma + d) bounded, stable under refinement.
 
     Log-spaced separations in [0.1, 10] along both orbit directions; also
@@ -708,8 +699,8 @@ def check_kernel_decay(basis, cfg, kernel_cfg):
                 X = np.full((n_sep, 1), x0)
                 Y = direction * X + direction * seps[:, None]
                 md = orbit_distances(basis.rs.group, X, Y)
-                K = riesz_kernel_many(basis, 1, X, Y, kernel_cfg)
-                best = max(best, float(np.max(np.abs(K) * md**power)))
+                K = riesz_kernel_many(basis, 1, X, Y)
+                best = _worst(best, np.max(np.abs(K) * md**power))
         return best
 
     coarse = cfit(cfg.decay_separations)
@@ -718,7 +709,7 @@ def check_kernel_decay(basis, cfg, kernel_cfg):
     # the separation floor must refuse, not fabricate
     floor_refused = False
     try:
-        riesz_kernel_many(basis, 1, [[1.0]], [[1.0 + 0.1 * kernel_cfg.separation_floor]], kernel_cfg)
+        riesz_kernel_many(basis, 1, [[1.0]], [[1.0 + 0.1 * SEPARATION_FLOOR]])
     except OrbitTooClose:
         floor_refused = True
     ok = np.isfinite(fine) and growth < FIT_GROWTH_TOL and floor_refused
@@ -773,17 +764,16 @@ def _region_segments(y: float, delta: float, R: float):
     return segs, [e for h in holes for e in h]
 
 
-def _kernel_differences(basis, y, y0, X, kernel_cfg):
+def _kernel_differences(basis, y, y0, X):
     """(|K(x, y) - K(x, y0)| w(x), |K(y, x) - K(y0, x)| w(x)) at the nodes X:
     the direct and the transposed kernel difference, from one panel pass
     per pole."""
-    (d, t), (d0, t0) = (riesz_kernel_both(basis, 1, X, np.array([[p]]), kernel_cfg)
-                        for p in (y, y0))
+    (d, t), (d0, t0) = (riesz_kernel_both(basis, 1, X, np.array([[p]])) for p in (y, y0))
     w = weight(basis.rs, X)
     return np.abs(d - d0) * w, np.abs(t - t0) * w
 
 
-def hormander_integrals(basis, y, y0, kernel_cfg):
+def hormander_integrals(basis, y, y0):
     """Deterministic panel quadrature of int |K(.,y)-K(.,y0)| w dx over
     {min(|x-y|, |x+y|) > 2|y0-y|}, and of the transposed kernel difference
     on the same nodes.
@@ -799,11 +789,11 @@ def hormander_integrals(basis, y, y0, kernel_cfg):
     ))
     X = np.concatenate(nodes)[:, None]
     W = np.concatenate(wts)
-    direct, transposed = _kernel_differences(basis, y, y0, X, kernel_cfg)
+    direct, transposed = _kernel_differences(basis, y, y0, X)
     return float(np.sum(W * direct)), float(np.sum(W * transposed)), X.size
 
 
-def _hormander_mc(basis, y, y0, cfg, kernel_cfg, rng):
+def _hormander_mc(basis, y, y0, cfg, rng):
     """Importance-sampled Monte-Carlo estimates with standard errors, of the
     direct and of the transposed kernel difference: ((est, se), (est, se)).
 
@@ -831,7 +821,7 @@ def _hormander_mc(basis, y, y0, cfg, kernel_cfg, rng):
     pdf = 0.25 * (_pow_density(d1, p, lo, L) + _pow_density(d2, p, lo, L))
     inside = np.minimum(d1, d2) > lo
     out = []
-    for f in _kernel_differences(basis, y, y0, x[:, None], kernel_cfg):
+    for f in _kernel_differences(basis, y, y0, x[:, None]):
         vals = np.where(pdf > 0, f * inside / np.where(pdf > 0, pdf, 1.0), 0.0)
         out.append((float(np.mean(vals)), float(np.std(vals, ddof=1) / math.sqrt(n))))
     return tuple(out)
@@ -848,7 +838,7 @@ def _pow_density(s, p, lo, L):
 
 
 @_check(z2_1d="needs d=1 Z2")
-def check_hormander(basis, cfg, kernel_cfg):
+def check_hormander(basis, cfg):
     """Hormander-type conditions for K_j and its transpose.
 
     For each separation delta the integral over {min_g |g.x - y| > 2 delta}
@@ -870,13 +860,12 @@ def check_hormander(basis, cfg, kernel_cfg):
     mc_consistent = True
     npts = 0
     for delta in deltas:
-        *values, used = hormander_integrals(basis, y, y + delta, kernel_cfg)
-        mc = _hormander_mc(basis, y, y + delta, cfg, kernel_cfg, rng)
+        *values, used = hormander_integrals(basis, y, y + delta)
+        mc = _hormander_mc(basis, y, y + delta, cfg, rng)
         for label, I, (est, se) in zip(rows, values, mc):
-            if se > HORM_SE_FRAC * est:
-                se_ok = False
-            if abs(est - I) > HORM_MC_SIGMAS * se + HORM_MC_REL * I:
-                mc_consistent = False
+            # written so that a NaN fails
+            se_ok &= bool(se <= HORM_SE_FRAC * est)
+            mc_consistent &= bool(abs(est - I) <= HORM_MC_SIGMAS * se + HORM_MC_REL * I)
             rows[label].append((float(delta), I, est, se))
         npts += used + cfg.horm_mc_samples
     slopes = {}
@@ -918,7 +907,7 @@ ADJOINT_TOL = 1e-10
 
 
 @_check()
-def check_riesz_l2(basis, cfg, kernel_cfg):
+def check_riesz_l2(basis, cfg):
     """Riesz transform L2 package: norm <= sqrt(2), adjointness, and the
     two-term inequality |R v|^2 + |R* v|^2 <= 2 |v|^2 on safe shells."""
     d = basis.rs.dim
@@ -930,23 +919,18 @@ def check_riesz_l2(basis, cfg, kernel_cfg):
     for j in range(1, d + 1):
         R = riesz_matrix(basis, j)
         Rs = riesz_matrix(basis, j, adjoint=True)
-        worst_norm = max(worst_norm, operator_norm(R))
+        worst_norm = _worst(worst_norm, operator_norm(R))
         D = delta_matrix(basis, j, "lower")
         Dr = delta_matrix(basis, j, "raise")
         # adjointness on every entry the truncation leaves intact
         rows = [i for i, n in enumerate(basis.indices) if sum(n) <= safe]
-        worst_adj = max(
-            worst_adj, float(np.max(np.abs(D.values - Dr.values.T)[rows, :]))
-        )
+        worst_adj = _worst(worst_adj, np.max(np.abs(D.values - Dr.values.T)[rows, :]))
         A = R.restrict_columns(safe)
         B = Rs.restrict_columns(safe)
         for _ in range(cfg.norm_vectors):
             v = rng.normal(size=A.shape[1])
             v /= np.linalg.norm(v)
-            worst_pair = max(
-                worst_pair,
-                float(np.linalg.norm(A @ v) ** 2 + np.linalg.norm(B @ v) ** 2),
-            )
+            worst_pair = _worst(worst_pair, np.linalg.norm(A @ v) ** 2 + np.linalg.norm(B @ v) ** 2)
     ok = (
         worst_norm <= math.sqrt(2.0) + RIESZ_NORM_TOL
         and worst_adj <= ADJOINT_TOL
@@ -986,7 +970,7 @@ IO_QUAD_POINTS = 240
 
 
 @_check(z2_1d="needs d=1 Z2")
-def check_integral_representation(basis, cfg, kernel_cfg):
+def check_integral_representation(basis, cfg):
     """Spectral route vs kernel quadrature for a bump supported off the orbit.
 
     d=1 Z2 only.  The spectral route uses the per-degree ladder action (the
@@ -1015,11 +999,11 @@ def check_integral_representation(basis, cfg, kernel_cfg):
         terms = Rf * hx[:-1]
         spectral = float(np.sum(terms))
         spectral_basis = float(np.sum(terms[: basis.N]))
-        Kv = riesz_kernel_many(basis, 1, np.array([[x]]), yq[:, None], kernel_cfg)
+        Kv = riesz_kernel_many(basis, 1, np.array([[x]]), yq[:, None])
         kernel_route = float(np.sum(wq * Kv * fv * wk))
         rel = abs(spectral - kernel_route) / abs(kernel_route)
-        worst = max(worst, rel)
-        worst_at_basis_n = max(
+        worst = _worst(worst, rel)
+        worst_at_basis_n = _worst(
             worst_at_basis_n, abs(spectral_basis - kernel_route) / abs(kernel_route)
         )
         per_point[f"x={x}"] = {
@@ -1050,7 +1034,7 @@ LP_MEDIAN_RATIO = 10.0            # max ratio below this multiple of the median
 
 
 @_check(z2_1d="needs d=1 Z2")
-def check_lp_empirical(basis, cfg, kernel_cfg):
+def check_lp_empirical(basis, cfg):
     """SOFT EVIDENCE for Lp boundedness: |R f|_p / |f|_p over random
     band-limited f.  Not a proof and explicitly labeled as such; at p = 2 the
     max ratio must respect the sqrt(2) bound up to quadrature slack."""
@@ -1075,10 +1059,8 @@ def check_lp_empirical(basis, cfg, kernel_cfg):
         vals = np.array(vals)
         stats[f"p={p}_max"] = float(np.max(vals))
         stats[f"p={p}_median"] = float(np.median(vals))
-        if np.max(vals) >= LP_MEDIAN_RATIO * np.median(vals):
-            ok = False
-    if stats["p=2.0_max"] > math.sqrt(2.0) + LP_P2_SLACK:
-        ok = False
+        ok &= bool(np.max(vals) < LP_MEDIAN_RATIO * np.median(vals))  # NaN fails
+    ok &= stats["p=2.0_max"] <= math.sqrt(2.0) + LP_P2_SLACK
     return CheckResult(
         status="pass" if ok else "fail",
         config={"exponents": list(LP_EXPONENTS), "degree": deg},
@@ -1105,17 +1087,13 @@ ALL_CHECKS = {
 }
 
 
-def run_checks(
-    basis: HermiteBasis,
-    names=None,
-    cfg: VerifyConfig = DEFAULT_VERIFY,
-    kernel_cfg: KernelConfig = DEFAULT_CONFIG,
-) -> VerificationReport:
+def run_checks(basis: HermiteBasis, names=None,
+               cfg: VerifyConfig = DEFAULT_VERIFY) -> VerificationReport:
     names = list(ALL_CHECKS) if names is None else list(names)
     unknown = [n for n in names if n not in ALL_CHECKS]
     if unknown:
         raise ValueError(f"unknown checks: {unknown}")
-    results = [ALL_CHECKS[name](basis, cfg, kernel_cfg) for name in names]
+    results = [ALL_CHECKS[name](basis, cfg) for name in names]
     return VerificationReport(
         checks=results,
         config={**_summary(basis), "seed": cfg.seed, "checks": names,

@@ -144,7 +144,7 @@ def test_config_file_with_overrides(tmp_path):
         "degree": 8,
         "checks": ["eigen"],
         "verify": {"lp_samples": 5},
-        "kernel": {"separation_floor": 1e-5},
+        "kernel": {"mehler_r_cap": 0.25},
     }
     (tmp_path / "cfg.json").write_text(json.dumps(cfg))
     code = run(["verify", "--config", "cfg.json", "--out", "rep"], tmp_path)
@@ -159,6 +159,7 @@ def test_config_unknown_key_rejected(tmp_path):
 @pytest.mark.parametrize("block, field", [
     ({"verify": {"mehler_tol": 1e-3}}, "VerifyConfig"),
     ({"kernel": {"quad_rel_tol": 1e-3}}, "KernelConfig"),
+    ({"kernel": {"separation_floor": 1e-5}}, "KernelConfig"),
 ])
 def test_config_cannot_set_tolerance(tmp_path, capsys, block, field):
     """Pass tolerances are fixed: a config that sets one is rejected before
@@ -326,8 +327,21 @@ def test_config_kernel_value_out_of_range_exits_2(tmp_path, capsys):
     (tmp_path / "cfg.json").write_text(json.dumps(cfg))
     assert run(["verify", "--config", "cfg.json", "--out", "rep"], tmp_path) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: KernelConfig: ") and "Traceback" not in err
+    assert err.startswith("error: config validation failed: config.kernel.mehler_r_cap: 2 ")
+    assert "Traceback" not in err
     assert not (tmp_path / "rep.json").exists()
+
+
+def test_horm_separations_at_the_ends_of_their_range_run(tmp_path, capsys):
+    """Separations just above the Riesz separation floor and just below half
+    the Hormander radius run the check to a verdict: no traceback, a report."""
+    cfg = {"degree": 4, "checks": ["hormander"],
+           "verify": {"horm_separations": [1.1e-6, 5.9], "horm_mc_samples": 50}}
+    (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+    assert run(["verify", "--config", "cfg.json", "--out", "rep"], tmp_path) in (0, 1)
+    assert "Traceback" not in capsys.readouterr().err
+    report = json.loads((tmp_path / "rep.json").read_text())
+    assert report["checks"][0]["config"]["separations"] == [1.1e-6, 5.9]
 
 
 def test_config_file_must_hold_an_object(tmp_path, capsys):
@@ -399,6 +413,8 @@ CONFIG_TABLE = [
     {"verify": {"mehler_r_values": []}},
     {"verify": {"horm_separations": [0.01, 0]}},
     {"verify": {"horm_separations": [0.005, 0.01]}},
+    {"verify": {"horm_separations": [1e-9]}},
+    {"verify": {"horm_separations": [50]}},
     {"verify": {"seed": True}},
     {"verify": {"seed": 5}},
     {"kernel": {"separation_floor": "a"}},

@@ -843,9 +843,9 @@ def test_riesz_lattice_converged(kappa, monkeypatch):
     rng = np.random.default_rng(13)
     pole = np.array([[1.0]])
     X = np.concatenate([_mc_batch(rng, 600, pole, 1, near=1e-5), rng.uniform(-13.0, 13.0, (200, 1))])
-    A, B, _, _ = kernels._riesz_time_integrals(basis, X, pole, kernels.DEFAULT_CONFIG)
+    A, B, _, _ = kernels._riesz_time_integrals(basis, X, pole)
     monkeypatch.setattr(kernels, "LATTICE_STEP", kernels.LATTICE_STEP / 3.0)
-    A3, B3, _, _ = kernels._riesz_time_integrals(basis, X, pole, kernels.DEFAULT_CONFIG)
+    A3, B3, _, _ = kernels._riesz_time_integrals(basis, X, pole)
     assert np.max(np.abs(A / A3 - 1.0)) <= 2e-14
     assert np.max(np.abs(B / B3 - 1.0)) <= 2e-14
 

@@ -1,6 +1,7 @@
 import csv
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -25,3 +26,20 @@ def test_kernel_profiles_writes_finite_csvs(tmp_path):
         assert len(rows) == lines
         assert all(len(row) == len(rows[0]) == 3 for row in rows)
         assert all(math.isfinite(float(v)) for row in rows[1:] for v in row)
+
+
+def test_run_verification_writes_reports_and_digests(tmp_path):
+    """scripts/run_verification.py, whose sha256 column fingerprints the
+    canonical payload, runs a one-configuration panel: exit 0, one JSON and
+    CSV report pair, and a 16-hex-digit digest in the summary row."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(dunklriesz.__file__)))
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run(
+        [sys.executable, str(SCRIPTS / "run_verification.py"), "--configs", "z2:0.5",
+         "--degree", "8", "--checks", "eigen", "kernel_decay", "riesz_l2", "--out-dir", "out"],
+        cwd=tmp_path, env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert sorted(os.listdir(tmp_path / "out")) == ["report_z2_0.5.csv", "report_z2_0.5.json"]
+    header, row = [line.split() for line in done.stdout.splitlines() if line.strip()]
+    assert header[-1] == "sha256" and row[0] == "z2:0.5"
+    assert re.fullmatch(r"[0-9a-f]{16}", row[-1])

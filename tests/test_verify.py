@@ -19,7 +19,6 @@ from dunklriesz.verify import (
     VerifyConfig,
     _lemma_bound_fits,
     _polish,
-    _reflected_pairs,
     check_eigen,
     check_heat,
     check_hormander,
@@ -141,7 +140,7 @@ def test_reflected_pairs_match_reflected_points(lemma_points):
         p = LemmaPieces(basis, 0.3, X, Y)
         for alpha in p.roots:
             want = p.ev._pairs(reflect(alpha, X), Y)
-            assert _reflected_pairs(p.pairs, alpha).tobytes() == want.tobytes()
+            assert p.ev._reflected_pairs(p.pairs, alpha).tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("name", list(LEMMA_RATIOS))
@@ -216,6 +215,15 @@ def test_check_mehler_n12_fails_at_half(z2_half):
     assert 1e-5 < r.residuals["max_rel_err"] < 1e-3
 
 
+def test_check_mehler_nan_residual_fails(z2_half):
+    """At r = 0.999 the closed form overflows to inf * 0 = NaN; the NaN is
+    carried to max_rel_err, and the check fails instead of passing."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        r = check_mehler(build_basis(z2_half, 12), replace(FAST, mehler_r_values=(0.1, 0.999)))
+    assert r.status == "fail"
+    assert math.isnan(r.residuals["max_rel_err"])
+
+
 def test_check_mehler_n24_passes(z2_half):
     r = check_mehler(build_basis(z2_half, 24), FAST)
     assert r.status == "pass"
@@ -261,6 +269,20 @@ def test_check_hormander_fast(z2_half_basis8):
     assert r.residuals["mc_se_ok"] and r.residuals["mc_consistent"]
 
 
+def test_nan_monte_carlo_and_lp_ratios_fail(z2_half_basis8, monkeypatch):
+    """A NaN Monte Carlo estimate fails both Hormander gates, and NaN Lp
+    ratios fail the Lp check: each gate is written so that NaN fails."""
+    from dunklriesz import verify
+
+    nan = (math.nan, math.nan)
+    monkeypatch.setattr(verify, "_hormander_mc", lambda *args: (nan, nan))
+    r = check_hormander(z2_half_basis8, FAST)
+    assert r.status == "fail"
+    assert r.residuals["mc_se_ok"] is False and r.residuals["mc_consistent"] is False
+    monkeypatch.setattr(verify, "_riesz_1d", lambda kap, coeffs: np.full(len(coeffs) - 1, math.nan))
+    assert check_lp_empirical(z2_half_basis8, FAST).status == "fail"
+
+
 @pytest.mark.parametrize("kappa", [0.5, 1.0])
 def test_hormander_quadrature_shares_both_orientations(kappa, monkeypatch):
     """hormander_integrals takes the direct and the transposed quadrature
@@ -271,18 +293,17 @@ def test_hormander_quadrature_shares_both_orientations(kappa, monkeypatch):
     rounding as delta shrinks: 1.6e-11 relative at delta = 1e-3, 1.8e-14 at
     2e-2."""
     from dunklriesz import verify
-    from dunklriesz.kernels import KernelConfig, riesz_kernel_many
+    from dunklriesz.kernels import riesz_kernel_many
 
     basis = build_basis(root_system("z2", multiplicity=kappa), 2, exact=False)
-    cfg = KernelConfig()
-    shared = [verify.hormander_integrals(basis, 1.0, 1.0 + d, cfg) for d in (0.001, 0.02)]
+    shared = [verify.hormander_integrals(basis, 1.0, 1.0 + d) for d in (0.001, 0.02)]
 
-    def separately(basis, j, X, Y, cfg):
-        return riesz_kernel_many(basis, j, X, Y, cfg), riesz_kernel_many(basis, j, Y, X, cfg)
+    def separately(basis, j, X, Y):
+        return riesz_kernel_many(basis, j, X, Y), riesz_kernel_many(basis, j, Y, X)
 
     monkeypatch.setattr(verify, "riesz_kernel_both", separately)
     for d, (direct, transposed, nodes) in zip((0.001, 0.02), shared):
-        ref_direct, ref_transposed, ref_nodes = verify.hormander_integrals(basis, 1.0, 1.0 + d, cfg)
+        ref_direct, ref_transposed, ref_nodes = verify.hormander_integrals(basis, 1.0, 1.0 + d)
         assert nodes == ref_nodes > 0
         assert direct == ref_direct
         assert transposed == pytest.approx(ref_transposed, rel=1e-16 / d**2)
@@ -295,8 +316,8 @@ def _spy_kernel_differences(monkeypatch):
     calls = []
     real = verify._kernel_differences
 
-    def spy(basis, y, y0, X, kernel_cfg):
-        out = real(basis, y, y0, X, kernel_cfg)
+    def spy(basis, y, y0, X):
+        out = real(basis, y, y0, X)
         calls.append((X[:, 0].copy(), out))
         return out
 
@@ -308,11 +329,10 @@ def test_check_hormander_one_pass_per_separation(z2_half_basis8, monkeypatch):
     """Per separation, one quadrature pass and then one Monte Carlo pass,
     whose sample serves both orientations; `samples` counts each quadrature
     node and each Monte Carlo point once."""
-    from dunklriesz.kernels import KernelConfig
     from dunklriesz.verify import hormander_integrals
 
     seps, n = FAST.horm_separations, FAST.horm_mc_samples
-    nodes = [hormander_integrals(z2_half_basis8, 1.0, 1.0 + d, KernelConfig())[2] for d in seps]
+    nodes = [hormander_integrals(z2_half_basis8, 1.0, 1.0 + d)[2] for d in seps]
     calls = _spy_kernel_differences(monkeypatch)
     r = check_hormander(z2_half_basis8, FAST)
     assert [x.size for x, _ in calls] == [m for k in nodes for m in (k, n)]
@@ -325,13 +345,11 @@ def test_hormander_mc_one_sample_for_both_orientations(z2_half_basis8, monkeypat
     and each orientation's (est, se) is the plain importance-sampling
     estimator over it: mean and standard error of f / pdf, with f the kernel
     difference inside the region and 0 outside."""
-    from dunklriesz.kernels import KernelConfig
     from dunklriesz.verify import HORM_RADIUS, _hormander_mc
 
     calls = _spy_kernel_differences(monkeypatch)
     y, delta, n = 1.0, 0.01, FAST.horm_mc_samples
-    mc = _hormander_mc(z2_half_basis8, y, y + delta, FAST, KernelConfig(),
-                       np.random.default_rng(5))
+    mc = _hormander_mc(z2_half_basis8, y, y + delta, FAST, np.random.default_rng(5))
     (x, diffs), = calls
     # z2 at kappa = 1/2: p = 2 gamma + 1 = 2, so the proposal's inverse cdf
     # is s = 1 / (1/lo - u (1/lo - 1/L))
