@@ -274,8 +274,18 @@ def c_kappa(rs: RootSystem) -> float:
 
     Z2^d: closed form prod_j 2^(2 kappa_j + 1/2) Gamma(kappa_j + 1/2); the
     extra 2^kappa_j comes from the sqrt(2)-normalized roots inside w_kappa.
-    Other groups: exact radial factor times angular quadrature (d=2), or the
-    exact Gaussian-moment expansion when all multiplicities are integers.
+    d = 2: every planar group is dihedral.  Its m = rs.num_roots roots fall
+    into n = len(rs.orbits) orbits of m/n roots at equal angles, whose product
+    on the unit circle is 2^(1 - m/(2n)) times |sin((m/n) theta + phi)| for one
+    orbit and the matching |cos| for the other.  So c_kappa is the radial
+    factor 2^gamma Gamma(gamma + 1) times a Beta integral (DLMF 5.12),
+
+        int_0^2pi w_kappa = 2^e 2 Gamma(k1 + 1/2) Gamma(k2 + 1/2) / Gamma(k1 + k2 + 1),
+
+    e = (k1 + k2)(2 - m/n), k2 = 0 for one orbit: the dihedral case of the
+    Macdonald-Mehta integral, whatever the rotation phi.
+    d >= 3: the exact Gaussian-moment expansion when all multiplicities are
+    integers.
     """
     axis_k = rs.axis_kappas()
     if axis_k is not None:
@@ -286,35 +296,13 @@ def c_kappa(rs: RootSystem) -> float:
                 )
             )
         )
-    g = gamma(rs)
-    d = rs.dim
-    if d == 2:
-        from scipy.integrate import quad  # on use; see kernels.riesz_kernel
-
-        # w_kappa(r theta) = r^(2 gamma) w_kappa(theta): radial part exact
-        radial = 2.0 ** (g + d / 2.0 - 1.0) * math.gamma(g + d / 2.0)
-        root_angles = np.arctan2(rs.positive_roots[:, 1], rs.positive_roots[:, 0])
-        breaks = sorted(
-            set(
-                float(a % np.pi + k * np.pi)
-                for a in (root_angles + np.pi / 2)  # mirrors, where w vanishes
-                for k in range(2)
-            )
-        )
-
-        def w_theta(t):
-            from .reflection import weight
-
-            return weight(rs, np.array([np.cos(t), np.sin(t)]))
-
-        total = 0.0
-        pts = [0.0] + [b for b in breaks if 0.0 < b < 2 * np.pi] + [2 * np.pi]
-        for lo, hi in zip(pts[:-1], pts[1:]):
-            val, err = quad(w_theta, lo, hi, limit=200, epsrel=1e-11, epsabs=0.0)
-            if not np.isfinite(val) or (abs(val) > 0 and err / max(abs(val), 1e-300) > 1e-7):
-                raise QuadratureNonConvergence("angular integral did not converge")
-            total += val
-        return radial * total
+    if rs.dim == 2:
+        g = gamma(rs)
+        k1, k2 = [float(rs.multiplicity[o[0]]) for o in rs.orbits] + [0.0] * (2 - len(rs.orbits))
+        e = (k1 + k2) * (2.0 - rs.num_roots / len(rs.orbits))
+        angular = (2.0 ** (e + 1.0) * math.gamma(k1 + 0.5) * math.gamma(k2 + 0.5)
+                   / math.gamma(k1 + k2 + 1.0))
+        return 2.0**g * math.gamma(g + 1.0) * angular
     if rs.multiplicity_exact is not None and all(
         f.denominator == 1 for f in rs.multiplicity_exact
     ):

@@ -100,7 +100,6 @@ from fractions import Fraction
 
 import numpy as np
 from scipy.special import gammaln, i0e, i1e, ive
-from numpy.polynomial.legendre import leggauss
 
 from .hermite import HermiteBasis, QuadratureNonConvergence, c_kappa
 from .reflection import gamma
@@ -741,7 +740,8 @@ def _check_axis(j, d):
 
 
 def riesz_kernel(basis: HermiteBasis, j: int, x, y) -> float:
-    """K_j(x, y) by adaptive quadrature of the subordination time integral.
+    """K_j(x, y) by adaptive quadrature of the subordination time integral:
+    the reference route, and the library's one use of scipy.integrate.
 
     Z2^d systems only; any other basis raises WrongGroup before any
     quadrature (see the module notes).
@@ -758,8 +758,7 @@ def riesz_kernel(basis: HermiteBasis, j: int, x, y) -> float:
     if md <= SEPARATION_FLOOR:
         raise OrbitTooClose(f"orbit distance {md:.2e} below floor {SEPARATION_FLOOR:.2e}")
     # imported on use: scipy.integrate, which loads scipy.optimize, is the
-    # costliest import of the package, and only this route and the angular
-    # quadrature of hermite.c_kappa need it
+    # costliest import of the package, and only this route needs it
     from scipy.integrate import quad
 
     def integrand(t):  # k_t(x,y) [ (1 - coth 2t) x_j + y_j / sinh 2t ]
@@ -790,26 +789,6 @@ def riesz_kernel(basis: HermiteBasis, j: int, x, y) -> float:
             f"riesz quadrature error {err1 + err2:.2e} vs value {total:.2e}"
         )
     return total
-
-
-@functools.lru_cache(maxsize=None)
-def _leggauss(n_nodes):
-    """The n-node Gauss-Legendre rule, built once and shared read-only."""
-    rule = leggauss(n_nodes)
-    for a in rule:
-        a.flags.writeable = False
-    return rule
-
-
-def panel_nodes(breaks, n_nodes):
-    """Gauss-Legendre nodes/weights tiled over consecutive panels."""
-    xs, ws = _leggauss(n_nodes)
-    nodes, weights = [], []
-    for lo, hi in zip(breaks[:-1], breaks[1:]):
-        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-        nodes.append(mid + half * xs)
-        weights.append(half * ws)
-    return np.concatenate(nodes), np.concatenate(weights)
 
 
 # exp(x) is exactly 0.0 for x below about -745.13, half the least subnormal

@@ -330,12 +330,13 @@ def _validate_roots(roots: np.ndarray):
     norms = np.einsum("ij,ij->i", roots, roots)
     if not np.allclose(norms, 2.0, atol=ROOT_NORM_TOL * 10):
         raise InvalidRootSystem("roots must satisfy |alpha|^2 = 2")
-    # reduced: no positive root is a positive multiple of another
+    # reduced: no positive root is a multiple of another, so that each
+    # mirror enters w_kappa once
     m = roots.shape[0]
     for i in range(m):
         for j in range(i + 1, m):
-            if np.linalg.norm(roots[i] - roots[j]) < 1e-9:
-                raise InvalidRootSystem("duplicate positive root")
+            if min(np.linalg.norm(roots[i] - roots[j]), np.linalg.norm(roots[i] + roots[j])) < 1e-9:
+                raise InvalidRootSystem("duplicate positive root (or its negative)")
     # closure: sigma_alpha(beta) lands in R = R+ u -R+
     full = np.vstack([roots, -roots])
     for a in roots:

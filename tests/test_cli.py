@@ -452,28 +452,45 @@ def loaded():
 import dunklriesz.cli
 seen = [loaded()]
 from dunklriesz.cli import main
-main(["verify", "--group", "z2", "--kappa", "0.5", "--degree", "6",
-      "--checks", "eigen,heat,kernel_decay", "--out", "rep"])
-seen.append(loaded())
-main(["basis", "--group", "a2", "--kappa", "1", "--degree", "2", "--out", "b.json"])
-seen.append(loaded())
+for argv in (
+    ["verify", "--group", "z2", "--kappa", "0.5", "--degree", "6",
+     "--checks", "eigen,heat,kernel_decay", "--out", "rep"],
+    ["basis", "--group", "a2", "--kappa", "1", "--degree", "2", "--out", "b.json"],
+    ["basis", "--group", "b2", "--kappa", "0.25,0.7", "--degree", "2", "--out", "b2.json"],
+    ["basis", "--config", "roots.json", "--degree", "2", "--out", "roots_basis.json"],
+    ["verify", "--config", "exact_cfg.json", "--checks", "eigen,riesz_l2", "--out", "exact"],
+    ["eval", "--group", "z2", "--kappa", "0.5", "--degree", "4",
+     "--what", "riesz-kernel", "--points", "pts.csv", "--out", "rk.csv"],
+):
+    assert main(argv) == 0, argv
+    seen.append(loaded())
 print(json.dumps(seen))
 """
 
 
 def test_start_up_imports_only_what_runs(tmp_path):
-    """Importing the CLI and a Z2 verify, kernel_decay included, load none
-    of scipy.integrate, scipy.optimize or jsonschema; an a2 basis, whose
-    c_kappa is an angular quadrature, loads scipy.integrate."""
+    """Importing the CLI, a Z2 verify with kernel_decay, a basis of a2, b2
+    and explicit planar roots (whose c_kappa is a closed form) and an exact
+    a2 verify load none of scipy.integrate, scipy.optimize or jsonschema;
+    the adaptive Riesz kernel of `eval --what riesz-kernel` loads
+    scipy.integrate."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(dunklriesz.__file__)))
     env = {**os.environ, "PYTHONPATH": src}
+    (tmp_path / "roots.json").write_text(json.dumps(
+        {"roots": [[1.0, 0.2], [-0.2, 1.0]], "kappa": [0.3, 1.2]}))
+    (tmp_path / "exact_cfg.json").write_text(json.dumps(
+        {"group": "a2", "kappa": 1, "degree": 4, "arithmetic": "exact"}))
+    (tmp_path / "pts.csv").write_text("1,1.0,2.5\n")
     out = subprocess.run([sys.executable, "-c", START_UP], cwd=tmp_path, env=env,
                          capture_output=True, text=True, check=True).stdout.splitlines()
-    after_import, after_verify, after_a2 = json.loads(out[-1])
-    assert after_import == after_verify == []
-    assert "scipy.integrate" in after_a2
+    *before_eval, after_eval = json.loads(out[-1])
+    assert before_eval == [[]] * 6
+    assert "scipy.integrate" in after_eval
     rep = json.loads((tmp_path / "rep.json").read_text())
     assert {c["name"]: c["status"] for c in rep["checks"]} == {
         "eigen": "pass", "heat": "pass", "kernel_decay": "pass"}
+    exact = json.loads((tmp_path / "exact.json").read_text())
+    assert exact["config"]["exact"] is True
+    assert {c["name"]: c["status"] for c in exact["checks"]} == {"eigen": "pass", "riesz_l2": "pass"}
     c_kappa = json.loads((tmp_path / "b.json").read_text())["constants"]["c_kappa"]
     assert c_kappa == pytest.approx(_c_kappa_moments(root_system("a2", multiplicity=1)), rel=1e-9)

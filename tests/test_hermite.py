@@ -20,7 +20,7 @@ from dunklriesz.hermite import (
 )
 from dunklriesz.polyalg import get_algebra
 from dunklriesz.qfield import Surd
-from dunklriesz.reflection import root_system
+from dunklriesz.reflection import root_system, weight
 
 
 def test_enumerate_indices_graded_lex():
@@ -128,6 +128,47 @@ def test_c_kappa_quadrature_oracle(z2_half):
 
     val, err = quad(lambda u: math.exp(-u * u / 2) * (2 * u * u) ** 0.5, -30, 30, limit=400)
     assert c_kappa(z2_half) == pytest.approx(val, rel=1e-9)
+
+
+def _angular_quadrature_c_kappa(rs):
+    """c_kappa of a planar group as the radial factor times adaptive quadrature
+    of w_kappa over the circle, split at the mirrors where w_kappa vanishes."""
+    from scipy.integrate import quad
+
+    g = float(np.sum(rs.multiplicity))
+    mirrors = np.arctan2(rs.positive_roots[:, 1], rs.positive_roots[:, 0]) + np.pi / 2
+    breaks = sorted({float(a % np.pi + k * np.pi) for a in mirrors for k in range(2)})
+    pts = [0.0] + [b for b in breaks if 0.0 < b < 2 * np.pi] + [2 * np.pi]
+    total = 0.0
+    for lo, hi in zip(pts[:-1], pts[1:]):
+        val, err = quad(lambda t: weight(rs, np.array([np.cos(t), np.sin(t)])),
+                        lo, hi, limit=200, epsrel=1e-13, epsabs=0.0)
+        assert err <= 1e-12 * abs(val)
+        total += val
+    return 2.0**g * math.gamma(g + 1.0) * total
+
+
+def _rotated(roots, phi):
+    c, s = math.cos(phi), math.sin(phi)
+    return np.asarray(roots) @ np.array([[c, s], [-s, c]])
+
+
+PLANAR_GROUPS = [
+    ("a2", 1), ("a2", 0.3), ("b2", [1, 2]), ("b2", [0.25, 0.7]), ("i2(5)", 0.3),
+    ("i2(6)", [1, 1]), ("i2(6)", [0.2, 1.7]), ("i2(8)", [0.5, 0]),
+    (_rotated(root_system("b2").positive_roots, 0.37), [0.25, 0.7]),
+    (_rotated([[1.0, 0.0]], 0.37), 0.8),                  # one mirror in the plane
+    (_rotated([[1.0, 0.0], [0.0, 1.0]], 0.37), [0.3, 1.2]),  # Z2^2, rotated
+]
+
+
+@pytest.mark.parametrize("group,kappa", PLANAR_GROUPS)
+def test_c_kappa_planar_beta_integral_matches_quadrature(group, kappa):
+    """The dihedral Beta integral against the angular quadrature oracle."""
+    rs = (root_system(group, multiplicity=kappa) if isinstance(group, str)
+          else root_system(roots=group, multiplicity=kappa))
+    assert rs.axis_kappas() is None
+    assert c_kappa(rs) == pytest.approx(_angular_quadrature_c_kappa(rs), rel=1e-13, abs=0)
 
 
 def test_c_kappa_general_group_routes_agree(a2_one):

@@ -681,21 +681,6 @@ def test_riesz_axis_outside_range_rejected(group, kappa, j):
         riesz_kernel_many(basis, j, x[None], 2 * x[None])
 
 
-def test_panel_nodes_share_one_read_only_rule():
-    from numpy.polynomial.legendre import leggauss
-
-    breaks = np.array([0.0, 0.25, 0.5, 1.0])
-    nodes, weights = kernels.panel_nodes(breaks, 24)
-    xs, ws = kernels._leggauss(24)
-    assert kernels._leggauss(24) is kernels._leggauss(24)
-    assert not xs.flags.writeable and not ws.flags.writeable
-    fresh_x, fresh_w = leggauss(24)
-    want_n = np.concatenate([0.5 * (a + b) + 0.5 * (b - a) * fresh_x
-                             for a, b in zip(breaks[:-1], breaks[1:])])
-    want_w = np.concatenate([0.5 * (b - a) * fresh_w for a, b in zip(breaks[:-1], breaks[1:])])
-    assert nodes.tobytes() == want_n.tobytes() and weights.tobytes() == want_w.tobytes()
-
-
 def test_riesz_coarse_quadrature_oracle(z2_half_basis8):
     """d=1, kappa=1/2, x=1, y=2.5: reproduce with an independent coarse
     adaptive quadrature of the same integrand (different substitution)."""

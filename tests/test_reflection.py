@@ -186,6 +186,13 @@ def test_explicit_roots_rescaled():
     assert rs.group.order == 4
 
 
+@pytest.mark.parametrize("roots", [[[1.0, 0.0], [2.0, 0.0]], [[1.0, 0.0], [-1.0, 0.0]]])
+def test_two_positive_roots_on_one_mirror_rejected(roots):
+    # alpha and -alpha would count their mirror twice in w_kappa
+    with pytest.raises(InvalidRootSystem, match="duplicate positive root"):
+        root_system(roots=roots, multiplicity=0.5)
+
+
 def test_nonclosed_detected():
     with pytest.raises(InvalidRootSystem):
         # two lines at an irrational angle never close up

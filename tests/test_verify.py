@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 from dataclasses import replace
 from fractions import Fraction
 
@@ -217,9 +218,12 @@ def test_check_mehler_n12_fails_at_half(z2_half):
 
 def test_check_mehler_nan_residual_fails(z2_half):
     """At r = 0.999 the closed form overflows to inf * 0 = NaN; the NaN is
-    carried to max_rel_err, and the check fails instead of passing."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        r = check_mehler(build_basis(z2_half, 12), replace(FAST, mehler_r_values=(0.1, 0.999)))
+    carried to max_rel_err, and the check fails instead of passing, with no
+    numpy RuntimeWarning let out."""
+    basis, cfg = build_basis(z2_half, 12), replace(FAST, mehler_r_values=(0.1, 0.999))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        r = check_mehler(basis, cfg)
     assert r.status == "fail"
     assert math.isnan(r.residuals["max_rel_err"])
 
@@ -269,6 +273,21 @@ def test_check_hormander_fast(z2_half_basis8):
     assert r.residuals["mc_se_ok"] and r.residuals["mc_consistent"]
 
 
+@pytest.mark.parametrize("kappa,seed", [(0, s) for s in range(1, 7)] + [(1, 3)])
+def test_check_hormander_proposal_fits_the_pole(kappa, seed):
+    """The s^-(d+1) proposal follows the kernel difference near its pole at
+    every kappa: where the old s^-(2 gamma + d) proposal missed HORM_SE_FRAC
+    (kappa = 0 at seeds 2 and 6, kappa = 1 at seed 3), every standard error
+    stays under half of it."""
+    from dunklriesz.verify import HORM_SE_FRAC
+
+    basis = build_basis(root_system("z2", multiplicity=kappa), 2, exact=False)
+    r = check_hormander(basis, VerifyConfig(seed=seed))
+    assert r.status == "pass"
+    for table in ("table_direct", "table_transposed"):
+        assert all(se < 0.5 * HORM_SE_FRAC * est for _, _, est, se in r.residuals[table])
+
+
 def test_nan_monte_carlo_and_lp_ratios_fail(z2_half_basis8, monkeypatch):
     """A NaN Monte Carlo estimate fails both Hormander gates, and NaN Lp
     ratios fail the Lp check: each gate is written so that NaN fails."""
@@ -307,6 +326,22 @@ def test_hormander_quadrature_shares_both_orientations(kappa, monkeypatch):
         assert nodes == ref_nodes > 0
         assert direct == ref_direct
         assert transposed == pytest.approx(ref_transposed, rel=1e-16 / d**2)
+
+
+def test_panel_nodes_share_one_read_only_rule():
+    """Every panel takes the one 16-node Gauss-Legendre rule, read-only."""
+    from numpy.polynomial.legendre import leggauss
+
+    from dunklriesz import verify
+
+    breaks = [0.0, 0.25, 0.5, 1.0]
+    nodes, weights = verify.panel_nodes(breaks)
+    assert not verify.GAUSS_NODES.flags.writeable and not verify.GAUSS_WEIGHTS.flags.writeable
+    fresh_x, fresh_w = leggauss(16)
+    want_n = np.concatenate([0.5 * (a + b) + 0.5 * (b - a) * fresh_x
+                             for a, b in zip(breaks[:-1], breaks[1:])])
+    want_w = np.concatenate([0.5 * (b - a) * fresh_w for a, b in zip(breaks[:-1], breaks[1:])])
+    assert nodes.tobytes() == want_n.tobytes() and weights.tobytes() == want_w.tobytes()
 
 
 def _spy_kernel_differences(monkeypatch):
@@ -351,7 +386,7 @@ def test_hormander_mc_one_sample_for_both_orientations(z2_half_basis8, monkeypat
     y, delta, n = 1.0, 0.01, FAST.horm_mc_samples
     mc = _hormander_mc(z2_half_basis8, y, y + delta, FAST, np.random.default_rng(5))
     (x, diffs), = calls
-    # z2 at kappa = 1/2: p = 2 gamma + 1 = 2, so the proposal's inverse cdf
+    # d = 1: p = d + 1 = 2, so the proposal's inverse cdf
     # is s = 1 / (1/lo - u (1/lo - 1/L))
     lo, L = 2.0 * delta, y + HORM_RADIUS
     rng = np.random.default_rng(5)
@@ -423,7 +458,7 @@ def test_report_entries_carry_their_gates(z2_half, a2_basis2):
     skip; the report states its payload revision."""
     for basis, skipped in ((build_basis(z2_half, 12), 0), (a2_basis2, 7)):
         data = json.loads(run_checks(basis, None, FAST).to_json())
-        assert data["config"]["payload_version"] == 5
+        assert data["config"]["payload_version"] == 6
         statuses = [c["status"] for c in data["checks"]]
         assert statuses.count("skip") == skipped and statuses.count("pass") >= 2
         assert [_verdict(c) for c in data["checks"]] == statuses
