@@ -316,9 +316,9 @@ def _read_points(path, expected_cols):
         except ValueError as exc:
             raise ConfigError(f"points row {r}: {exc}") from exc
         if len(vals) != expected_cols:
-            raise ConfigError(
-                f"points row has {len(vals)} columns, expected {expected_cols}"
-            )
+            raise ConfigError(f"points row {vals}: {len(vals)} columns, expected {expected_cols}")
+        if not np.isfinite(vals).all():
+            raise ConfigError(f"points row {vals}: every value must be finite")
         out.append(vals)
     return out
 
@@ -344,10 +344,11 @@ def cmd_eval(args) -> int:
     else:
         cols, header = 1 + 2 * d, ["j"] + ["x" + str(i) for i in range(d)] + ["y" + str(i) for i in range(d)]
     points = _read_points(args.points, cols)
-    if what == "riesz-kernel":
-        for row in points:
-            if not (row[0].is_integer() and 1 <= row[0] <= d):
-                raise ConfigError(f"points row {row}: Riesz axis j must be one of 1..{d}")
+    for row in points:
+        if what == "heat-kernel" and not row[0] > 0:
+            raise ConfigError(f"points row {row}: heat time t must be > 0")
+        if what == "riesz-kernel" and not (row[0].is_integer() and 1 <= row[0] <= d):
+            raise ConfigError(f"points row {row}: Riesz axis j must be one of 1..{d}")
     # every row is evaluated before the output is opened, so a typed error
     # leaves no partial file
     rows = []

@@ -57,13 +57,12 @@ Riesz kernel
 
 absolutely convergent off the orbit of x, and evaluated on Z2^d only: the
 Mehler heat kernel of other groups cannot reach t -> 0, where its argument
-x / sinh 2t has no bound.  Both routes stop at t_max = 1 + 60/(2 gamma + d + 2)
-and the adaptive scipy.integrate.quad route, the reference and its oracle,
-takes t = u^2 on (0, 1].  The panel evaluator (vectorized over point batches)
-behind the verification harness takes the trapezoid rule on one fixed lattice
-in v = log t (LATTICE_STEP), where the integrand decays double-exponentially
-at both ends and the rule converges geometrically (Trefethen & Weideman,
-SIAM Review 56, 2014).
+x / sinh 2t has no bound.  One panel evaluator, vectorized over point
+batches, serves every caller: a single pair (riesz_kernel) is the batch of
+one.  It takes the trapezoid rule on one fixed lattice in v = log t
+(LATTICE_STEP) up to t_max = 1 + 60/(2 gamma + d + 2), where the integrand
+decays double-exponentially at both ends and the rule converges
+geometrically (Trefethen & Weideman, SIAM Review 56, 2014).
 
 The panel evaluator accumulates two time integrals that do not depend on j,
 
@@ -101,7 +100,7 @@ from fractions import Fraction
 import numpy as np
 from scipy.special import gammaln, i0e, i1e, ive
 
-from .hermite import HermiteBasis, QuadratureNonConvergence, c_kappa
+from .hermite import HermiteBasis, c_kappa
 from .reflection import gamma
 
 
@@ -502,7 +501,7 @@ def dunkl_kernel(basis: HermiteBasis, x, y, cfg: KernelConfig = DEFAULT_CONFIG) 
 
 
 def _is_rows(v) -> bool:
-    # an isinstance test, not np.ndim: the float path runs once per quadrature node
+    # an isinstance test, not np.ndim: the float path runs once per heat-kernel call
     return isinstance(v, np.ndarray) and v.ndim == 1
 
 
@@ -727,9 +726,7 @@ def gaussian_translate(basis_or_rs, c: float, x, y, cfg: KernelConfig = DEFAULT_
 # ---------------------------------------------------------------------------
 # Riesz kernel
 
-QUAD_REL_TOL = 1e-10                  # adaptive Riesz integration
-T_SPLIT = 1.0
-# The orbit distance at or below which both Riesz routes refuse: there the
+# The orbit distance at or below which the Riesz panels refuse: there the
 # time integral is a genuine singularity.
 SEPARATION_FLOOR = 1e-6
 
@@ -737,58 +734,6 @@ SEPARATION_FLOOR = 1e-6
 def _check_axis(j, d):
     if j not in range(1, d + 1):
         raise ValueError(f"Riesz axis j = {j!r} is not one of 1..{d}")
-
-
-def riesz_kernel(basis: HermiteBasis, j: int, x, y) -> float:
-    """K_j(x, y) by adaptive quadrature of the subordination time integral:
-    the reference route, and the library's one use of scipy.integrate.
-
-    Z2^d systems only; any other basis raises WrongGroup before any
-    quadrature (see the module notes).
-    j is a 1-based axis.  Requires y off the orbit of x by more than
-    SEPARATION_FLOOR; at or below it the integral is a genuine singularity and the
-    evaluation refuses rather than returning garbage.
-    """
-    ev = z2_evaluator(basis)
-    if ev is None:
-        raise WrongGroup("riesz_kernel requires a Z2^d root system")
-    _check_axis(j, basis.rs.dim)
-    P = ev._pairs(x, y)
-    md = math.sqrt(P[0])
-    if md <= SEPARATION_FLOOR:
-        raise OrbitTooClose(f"orbit distance {md:.2e} below floor {SEPARATION_FLOOR:.2e}")
-    # imported on use: scipy.integrate, which loads scipy.optimize, is the
-    # costliest import of the package, and only this route needs it
-    from scipy.integrate import quad
-
-    def integrand(t):  # k_t(x,y) [ (1 - coth 2t) x_j + y_j / sinh 2t ]
-        s, c = _sinh_coth2(t)
-        return math.exp(ev._log_heat(t, P)) * ((1.0 - c) * x[j - 1] + y[j - 1] / s)
-
-    # t in (0, 1]: substitute t = u^2 so dt/sqrt(t) = 2 du
-    head, err1 = quad(
-        lambda u: 2.0 * integrand(u * u),
-        0.0,
-        math.sqrt(T_SPLIT),
-        epsabs=1e-14,
-        epsrel=QUAD_REL_TOL,
-        limit=300,
-    )
-    t_max = T_SPLIT + 60.0 / (2.0 * basis.gamma + basis.rs.dim + 2.0)
-    tail, err2 = quad(
-        lambda t: integrand(t) / math.sqrt(t),
-        T_SPLIT,
-        t_max,
-        epsabs=1e-14,
-        epsrel=QUAD_REL_TOL,
-        limit=200,
-    )
-    total = (head + tail) / math.sqrt(math.pi)
-    if err1 + err2 > 1e-6 * max(abs(total), 1e-12):
-        raise QuadratureNonConvergence(
-            f"riesz quadrature error {err1 + err2:.2e} vs value {total:.2e}"
-        )
-    return total
 
 
 # exp(x) is exactly 0.0 for x below about -745.13, half the least subnormal
@@ -820,11 +765,12 @@ def _prune_edge(ev: Z2Evaluator, s):
 def _riesz_lattice(ev: Z2Evaluator, md2: float):
     """(t, h sqrt(t) for dt/sqrt(t), sinh 2t, coth 2t) at the nodes t = e^{i h}
     from the first where a pair with md^2 = md2 can have k_t != 0 to the first
-    at or past t_max.  The pair's pruning bound rises with t up to sinh 2t =
-    md^2/(2 gamma + d), so there every node under a pruned one is pruned."""
+    at or past t_max = 1 + 60/(2 gamma + d + 2).  The pair's pruning bound
+    rises with t up to sinh 2t = md^2/(2 gamma + d), so there every node under
+    a pruned one is pruned."""
     h = LATTICE_STEP
     t_peak = 0.5 * math.asinh(md2 / (2.0 * ev.gamma + ev.d))
-    i = math.ceil(math.log(T_SPLIT + 60.0 / (2.0 * ev.gamma + ev.d + 2.0)) / h)
+    i = math.ceil(math.log(1.0 + 60.0 / (2.0 * ev.gamma + ev.d + 2.0)) / h)
     nodes = []
     while True:
         t = math.exp(i * h)
@@ -861,14 +807,14 @@ def _riesz_time_integrals(basis: HermiteBasis, X, Y):
     symmetric, K_j(y,x) = A y_j + B x_j.  Z2^d systems only; an empty batch
     gives empty sums, and a coordinate that is not finite raises ValueError.
 
-    The trapezoid rule on the lattice of _riesz_lattice, cross-checked
-    against the adaptive scalar route in the tests.  The rows are sorted
-    once by the md^2 that the leading terms of log k_t (module notes)
-    subtract, and at each node only a prefix of them can have k_t != 0: past
-    it those terms, widened by PRUNE_MARGIN, are below LOG_ZERO.
-    Consecutive nodes are grouped into blocks of at most PANEL_BLOCK_ELEMS
-    (nodes x longest prefix) elements, and each block is evaluated as one
-    nodes x rows array by _log_heat_block.  A row past its node's own prefix
+    The trapezoid rule on the lattice of _riesz_lattice, cross-checked in
+    the tests against mpmath and an independent adaptive quadrature.  The
+    rows are sorted once by the md^2 that the leading terms of log k_t
+    (module notes) subtract, and at each node only a prefix of them can have
+    k_t != 0: past it those terms, widened by PRUNE_MARGIN, are below
+    LOG_ZERO.  Consecutive nodes are grouped into blocks of at most
+    PANEL_BLOCK_ELEMS (nodes x longest prefix) elements, and each block is
+    evaluated as one nodes x rows array by _log_heat_block.  A row past its node's own prefix
     gives exactly 0.0 there and adds exactly +-0.0 to accumulators that are
     never -0.0; nodes with an empty prefix are left out.  A and B are
     accumulated in node order, and log E takes each element's route from
@@ -878,7 +824,7 @@ def _riesz_time_integrals(basis: HermiteBasis, X, Y):
     """
     ev = z2_evaluator(basis)
     if ev is None:
-        raise WrongGroup("riesz_kernel_many requires a Z2^d system")
+        raise WrongGroup("the Riesz kernel requires a Z2^d root system")
     X, Y = np.broadcast_arrays(np.asarray(X, dtype=float), np.asarray(Y, dtype=float))
     if not (np.isfinite(X).all() and np.isfinite(Y).all()):
         raise ValueError("Riesz panels need finite coordinates")
@@ -913,6 +859,14 @@ def riesz_kernel_many(basis: HermiteBasis, j: int, X, Y) -> np.ndarray:
     """Vectorized K_j over broadcast batches X, Y of shape (..., d), by the
     panel sums of _riesz_time_integrals.  Z2^d systems only."""
     return riesz_kernel_both(basis, j, X, Y)[0]
+
+
+def riesz_kernel(basis: HermiteBasis, j: int, x, y) -> float:
+    """K_j(x, y) at one point pair of shape (d,): the batch of one of
+    riesz_kernel_many, the same bits as that pair's row in any batch.
+    Z2^d systems only; j is a 1-based axis, and a pair at orbit distance
+    SEPARATION_FLOOR or less raises OrbitTooClose."""
+    return float(riesz_kernel_many(basis, j, x, y))
 
 
 def riesz_kernel_both(basis: HermiteBasis, j: int, X, Y) -> tuple[np.ndarray, np.ndarray]:

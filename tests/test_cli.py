@@ -100,6 +100,44 @@ def test_eval_riesz_orbit_flagged_not_fatal(tmp_path):
     assert rows[1][-1] == "orbit-too-close"
 
 
+def test_eval_riesz_near_orbit_rows_ok(tmp_path):
+    """Rows at orbit distance 1e-5 and 1e-4 are well past the floor, and
+    the panels evaluate them."""
+    (tmp_path / "pts.csv").write_text("1,0.5,0.50001\n1,2.0,2.0001\n")
+    code = run(["eval", "--group", "z2", "--kappa", "1", "--degree", "4",
+                "--what", "riesz-kernel", "--points", "pts.csv", "--out", "rk.csv"], tmp_path)
+    assert code == 0
+    rows = list(csv.reader((tmp_path / "rk.csv").read_text().splitlines()))[1:]
+    assert [r[-1] for r in rows] == ["ok", "ok"]
+    assert all(math.isfinite(float(r[-2])) for r in rows)
+
+
+@pytest.mark.parametrize("what, bad, reason", [
+    ("dunkl-kernel", "nan,0.5", "every value must be finite"),
+    ("dunkl-kernel", "0.5,inf", "every value must be finite"),
+    ("dunkl-kernel", "0.5,1.0,2.0", "3 columns, expected 2"),
+    ("heat-kernel", "nan,0.5,0.5", "every value must be finite"),
+    ("heat-kernel", "1.0,0.5,-inf", "every value must be finite"),
+    ("heat-kernel", "0,0.5,0.5", "heat time t must be > 0"),
+    ("riesz-kernel", "1,nan,0.5", "every value must be finite"),
+    ("riesz-kernel", "1,0.5,inf", "every value must be finite"),
+])
+def test_eval_bad_point_row_exits_2(tmp_path, capsys, what, bad, reason):
+    """A row that is not finite, has the wrong number of columns, or is a
+    heat row at t <= 0 stops eval with an error that names it, after a good
+    row and before any output."""
+    good = {"dunkl-kernel": "0.5,1.0", "heat-kernel": "1.0,0.5,1.0",
+            "riesz-kernel": "1,0.5,1.0"}[what]
+    (tmp_path / "pts.csv").write_text(f"{good}\n{bad}\n")
+    code = run(["eval", "--group", "z2", "--kappa", "0.5", "--degree", "2",
+                "--what", what, "--points", "pts.csv", "--out", "out.csv"], tmp_path)
+    err = capsys.readouterr().err
+    assert code == 2
+    row = [float(v) for v in bad.split(",")]
+    assert err == f"error: points row {row}: {reason}\n"
+    assert not (tmp_path / "out.csv").exists()
+
+
 def test_verify_subset_and_reports(tmp_path):
     code = run(["verify", "--group", "z2", "--kappa", "0.5", "--degree", "12",
                 "--checks", "eigen,heat,riesz_l2", "--out", "rep"], tmp_path)
@@ -470,10 +508,9 @@ print(json.dumps(seen))
 
 def test_start_up_imports_only_what_runs(tmp_path):
     """Importing the CLI, a Z2 verify with kernel_decay, a basis of a2, b2
-    and explicit planar roots (whose c_kappa is a closed form) and an exact
-    a2 verify load none of scipy.integrate, scipy.optimize or jsonschema;
-    the adaptive Riesz kernel of `eval --what riesz-kernel` loads
-    scipy.integrate."""
+    and explicit planar roots (whose c_kappa is a closed form), an exact a2
+    verify and `eval --what riesz-kernel` (the Riesz panels) load none of
+    scipy.integrate, scipy.optimize or jsonschema."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(dunklriesz.__file__)))
     env = {**os.environ, "PYTHONPATH": src}
     (tmp_path / "roots.json").write_text(json.dumps(
@@ -483,9 +520,7 @@ def test_start_up_imports_only_what_runs(tmp_path):
     (tmp_path / "pts.csv").write_text("1,1.0,2.5\n")
     out = subprocess.run([sys.executable, "-c", START_UP], cwd=tmp_path, env=env,
                          capture_output=True, text=True, check=True).stdout.splitlines()
-    *before_eval, after_eval = json.loads(out[-1])
-    assert before_eval == [[]] * 6
-    assert "scipy.integrate" in after_eval
+    assert json.loads(out[-1]) == [[]] * 7
     rep = json.loads((tmp_path / "rep.json").read_text())
     assert {c["name"]: c["status"] for c in rep["checks"]} == {
         "eigen": "pass", "heat": "pass", "kernel_decay": "pass"}
