@@ -22,10 +22,14 @@ Evaluator dispatch
   numpy Horner loop costing tens of microseconds per call.  So only batches
   of at least BAND_MIN = 512 elements, and every block of the Riesz panels,
   take the three bands; smaller batches and 0-d inputs keep the Bessel pair
-  up to max(1e5, switch) and the Hankel sum past it.  Both routes stay
-  finite and accurate for the arguments ~ x*y/sinh(2t) -> +-infinity that
-  the Riesz time integral produces; the spec'd power-series recursion
-  (dunkl_kernel_1d) is kept as the independent cross-check.
+  up to max(1e5, switch) and the Hankel sum past it.  Where the scaled
+  pair does not resolve (w = 0, ive's underflow at large kappa or its NaN
+  below kappa = 1/2), log E and E'/E take the power series on every route,
+  within 1e-12 of mpmath up to kappa = 130 (c_kappa of z2 overflows past
+  kappa = 134).  Both routes stay finite and accurate for the arguments
+  ~ x*y/sinh(2t) -> +-infinity that the Riesz time integral produces; the
+  spec'd power-series recursion (dunkl_kernel_1d) is kept as the
+  independent cross-check.
 * any other reflection group: Mehler inversion through a built Hermite basis.
 
 Heat kernel
@@ -279,6 +283,16 @@ def _series_coeffs(kappa: float) -> tuple:
     return tuple(out)
 
 
+def _series(kappa: float, w, deriv: bool = False):
+    """The power series of E: log E = log1p(sum a_n w^n), or with deriv
+    E'/E = sum n a_n w^(n-1) / (1 + sum a_n w^n)."""
+    a = _series_coeffs(kappa)
+    s = _horner1(a, w)
+    if not deriv:
+        return np.log1p(s)
+    return (a[0] + _horner1(tuple(n * c for n, c in enumerate(a[1:], 2)), w)) / (1.0 + s)
+
+
 def _bessel_pair(nu: float, x):
     """(e^{-x} I_nu(x), e^{-x} I_{nu+1}(x)) for x >= 0.
 
@@ -291,56 +305,48 @@ def _bessel_pair(nu: float, x):
     return ive(nu, x), ive(nu + 1, x)
 
 
-@functools.cache
-def _underflow_edge(nu: float) -> float:
-    """The largest x > 0 at which the scaled Bessel pair is not positive, or
-    0.0 if it always is: ive flushes results below about 1e-305 to 0 for
-    nu > 0 and returns NaN there for nu < 0.
+_NORMAL_MIN = np.finfo(float).tiny
 
-    At small x the pair behaves like (x/2)^nu / Gamma(nu + 1), so the x > 0
-    where it is 0 or NaN form an interval (0, edge]; bisection over the bit
-    patterns of the positive floats finds edge exactly.
-    """
 
-    def not_positive(bits):
-        return not _bessel_pair(nu, np.int64(bits).view(np.float64))[0] > 0.0
-
-    lo, hi = 1, int(np.float64(_ASYMPT_SWITCH).view(np.int64))
-    if not not_positive(lo):
-        return 0.0
-    while hi - lo > 1:  # the pair is not positive at lo and positive at hi
-        mid = (lo + hi) // 2
-        lo, hi = (mid, hi) if not_positive(mid) else (lo, mid)
-    return float(np.int64(lo).view(np.float64))
+def _pair_or_series(kappa: float, w: np.ndarray, aw: np.ndarray, from_pair, from_series):
+    """from_pair(w, aw, i0, i1) with the scaled Bessel pair at aw = |w| where
+    it resolves: i1 a normal float (not at w = 0, nor where ive flushes to 0
+    or a subnormal) and i0 finite (ive is NaN at nu < 0 and x < 2.2e-305).
+    from_series(w, aw) elsewhere: there |w| < 1 up to kappa = 148 and < 4.7
+    at kappa = 200, where the 18-term series still holds to rounding (at
+    kappa = 300 it reaches 23, and the series is 1e-10 off)."""
+    i0, i1 = _bessel_pair(kappa - 0.5, aw)
+    ok = i1 >= _NORMAL_MIN
+    if kappa < 0.5:
+        ok &= np.isfinite(i0)
+    if ok.all():
+        return from_pair(w, aw, i0, i1)
+    out = np.empty(w.shape)
+    out[ok] = from_pair(w[ok], aw[ok], i0[ok], i1[ok])
+    bad = ~ok
+    out[bad] = from_series(w[bad], aw[bad])
+    return out
 
 
 def _log_e_bessel(kappa: float, w: np.ndarray, aw: np.ndarray, scaled: bool) -> np.ndarray:
     """log E_kappa(w) = lead + |w| + log(e^{-|w|} [I_nu + sgn(w) I_{nu+1}]),
-    given aw = |w|; without the + |w| if scaled.
+    given aw = |w|; without the + |w| if scaled.  The power series takes
+    over where the pair does not resolve (_pair_or_series).
 
-    Where |w| is so small that the scaled Bessel pair underflows to 0 (large
-    kappa) or is NaN (kappa < 1/2), the leading small-argument value
-    E = 1 + w/(2 kappa + 1) takes over.  At kappa = 1/2 the power term
-    (1/2 - kappa) log(|w|/2) of lead is identically 0 and is left out, which
-    also keeps |w| = 5e-324 (where |w|/2 underflows to 0) finite.
+    At kappa = 1/2 the power term (1/2 - kappa) log(|w|/2) of lead is
+    identically 0 and is left out.
     """
-    nu = kappa - 0.5
-    direct = aw > _underflow_edge(nu)
-    every = direct.all()
-    if every:  # then w has no zeros
-        safe, sign = aw, np.sign(w)
-    else:
-        safe = np.where(direct, aw, 1.0)
-        sign = np.sign(np.where(w == 0, 1.0, w))
-    lead = gammaln(kappa + 0.5)
-    if kappa != 0.5:
-        lead = lead + (0.5 - kappa) * np.log(safe / 2.0)
-    i0, i1 = _bessel_pair(nu, safe)
-    out = lead + (0.0 if scaled else safe) + np.log(i0 + sign * i1)
-    if every:
-        return np.asarray(out)
-    # log E at w = 0 and below the edge; + 0.0 turns w = -0 into 0
-    return np.where(direct, out, w / (2.0 * kappa + 1.0) + (-aw if scaled else 0.0))
+
+    def from_pair(w, aw, i0, i1):
+        lead = gammaln(kappa + 0.5)
+        if kappa != 0.5:
+            lead = lead + (0.5 - kappa) * np.log(aw / 2.0)
+        return lead + (0.0 if scaled else aw) + np.log(i0 + np.sign(w) * i1)
+
+    def from_series(w, aw):
+        return _series(kappa, w) - aw if scaled else _series(kappa, w)
+
+    return np.asarray(_pair_or_series(kappa, w, aw, from_pair, from_series))
 
 
 def _log_e_bands(kappa: float, w: np.ndarray, scaled: bool) -> np.ndarray:
@@ -356,7 +362,7 @@ def _log_e_bands(kappa: float, w: np.ndarray, scaled: bool) -> np.ndarray:
     out = np.empty(w.shape)
     mid = ~far
     if near.any():
-        series = np.log1p(_horner1(_series_coeffs(kappa), w[near]))
+        series = _series(kappa, w[near])
         out[near] = series - aw[near] if scaled else series
         mid &= ~near
     if mid.any():
@@ -396,8 +402,8 @@ def dlog_dunkl_kernel_1d(kappa: float, w) -> np.ndarray:
     """d/dw of log E_kappa(w), vectorized; equals (E'/E)(w).
 
     From the defining equation, E'(w) = E(w) - 2 kappa g(w)/w with g the odd
-    part, so E'/E = 1 - (2 kappa / w) g/(f+g); g/w has a finite limit at 0,
-    and below |w| = 1e-8 the first two terms of its series take over.
+    part, so E'/E = 1 - (2 kappa / w) g/(f+g), from the Bessel pair where it
+    resolves and from the power series where it does not (_pair_or_series).
     Past the Hankel switch (past max(1e5, switch) for inputs under
     BAND_MIN), the ratio comes from the Hankel sums: with z = 1/|w| and
     U = 1 + z upper,
@@ -405,23 +411,23 @@ def dlog_dunkl_kernel_1d(kappa: float, w) -> np.ndarray:
         E'/E = 1 - kappa z U / (1 + z plus)    (w > 0),
         E'/E = 1 - 2 U / (1 + z minus)         (w < 0),
 
-    so the minus branch forms no I_nu - I_{nu+1}.  The Bessel pair is
-    evaluated on the elements between |w| = 1e-8 and there.
+    so the minus branch forms no I_nu - I_{nu+1}.
     """
     w = np.asarray(w, dtype=float)
     if kappa == 0.0:
         return np.ones_like(w)
     aw = np.abs(w)
-    nu = kappa - 0.5
-    small = aw < 1e-8
     big = aw > _hankel_past(kappa, w.size)
-    mid = ~small & ~big
+    mid = ~big
     out = np.empty(w.shape)
-    wm = w[mid]
-    sign = np.sign(wm)
-    i0, i1 = _bessel_pair(nu, aw[mid])
-    ratio = sign * i1 / (i0 + sign * i1)               # g/(f+g)
-    out[mid] = 1.0 - 2.0 * kappa * ratio / wm
+
+    def from_pair(w, aw, i0, i1):
+        sign = np.sign(w)
+        ratio = sign * i1 / (i0 + sign * i1)               # g/(f+g)
+        return 1.0 - 2.0 * kappa * ratio / w
+
+    out[mid] = _pair_or_series(kappa, w[mid], aw[mid], from_pair,
+                               lambda w, aw: _series(kappa, w, deriv=True))
     if big.any():
         h = _hankel(kappa)
         wb = w[big]
@@ -431,9 +437,6 @@ def dlog_dunkl_kernel_1d(kappa: float, w) -> np.ndarray:
         plus = 1.0 - kappa * z * upper / (1.0 + pm.real)
         minus = 1.0 - 2.0 * upper / (1.0 + pm.imag)
         out[big] = np.where(wb > 0, plus, minus)
-    # E'/E = a_1 + a_1 (1 - a_1) w + O(w^2) with a_1 = 1/(1 + 2 kappa)
-    a1 = 1.0 / (1.0 + 2.0 * kappa)
-    out[small] = a1 + a1 * (1.0 - a1) * w[small]
     return out
 
 

@@ -180,11 +180,6 @@ class Surd:
     def is_rational(self) -> bool:
         return all(m == 1 for m in self.terms)
 
-    def as_fraction(self) -> Fraction:
-        if not self.is_rational():
-            raise ValueError(f"{self!r} is not rational")
-        return self.terms.get(1, Fraction(0))
-
     def __bool__(self):
         return bool(self.terms)
 
@@ -219,6 +214,4 @@ def _coerce(value):
     return NotImplemented
 
 
-ZERO = Surd()
-ONE = Surd.of(1)
 SQRT2 = Surd.sqrt_int(2)

@@ -61,7 +61,6 @@ class ReflectionGroup:
     """Finite orthogonal group generated by the root reflections."""
 
     matrices: np.ndarray            # (order, d, d), identity first
-    exact_matrices: tuple | None    # same order, Surd entries, or None
 
     @property
     def order(self) -> int:
@@ -176,23 +175,18 @@ def generate_group(rs: RootSystem, cap: int = GROUP_CAP_DEFAULT) -> ReflectionGr
     """
     d = rs.dim
     gens = [reflection_matrix(a) for a in rs.positive_roots]
-    exact = rs.exact_roots is not None
-    gens_exact = (
-        [_exact_reflection_matrix(a) for a in rs.exact_roots] if exact else None
-    )
 
     def key(M):
         # + 0.0 forces -0.0 -> +0.0 so signed zeros hash identically
         return (np.round(M, 9) + 0.0).tobytes()
 
     mats = [np.eye(d)]
-    exacts = [tuple(tuple(Surd.of(1 if i == j else 0) for j in range(d)) for i in range(d))] if exact else None
     seen = {key(mats[0]): 0}
     frontier = [0]
     while frontier:
         nxt = []
         for idx in frontier:
-            for gi, g in enumerate(gens):
+            for g in gens:
                 M = g @ mats[idx]
                 k = key(M)
                 if k not in seen:
@@ -202,22 +196,9 @@ def generate_group(rs: RootSystem, cap: int = GROUP_CAP_DEFAULT) -> ReflectionGr
                         )
                     seen[k] = len(mats)
                     mats.append(M)
-                    if exact:
-                        E = _exact_matmul(gens_exact[gi], exacts[idx])
-                        exacts.append(E)
                     nxt.append(len(mats) - 1)
         frontier = nxt
-    return ReflectionGroup(
-        matrices=np.array(mats), exact_matrices=tuple(exacts) if exact else None
-    )
-
-
-def _exact_matmul(A, B):
-    d = len(A)
-    return tuple(
-        tuple(sum((A[i][k] * B[k][j] for k in range(d)), Surd.of(0)) for j in range(d))
-        for i in range(d)
-    )
+    return ReflectionGroup(matrices=np.array(mats))
 
 
 # ---------------------------------------------------------------------------

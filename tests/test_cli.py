@@ -138,6 +138,21 @@ def test_eval_bad_point_row_exits_2(tmp_path, capsys, what, bad, reason):
     assert not (tmp_path / "out.csv").exists()
 
 
+@pytest.mark.parametrize("arithmetic", ["auto", "float"])
+def test_eval_c_kappa_overflow_exits_2(tmp_path, capsys, arithmetic):
+    """Past kappa = 134 c_kappa of z2 is past the largest float: eval stops
+    with an error, no RuntimeWarning and no output file, where it wrote
+    0.0,ok rows.  Exact builds (auto at a rational kappa) stop too."""
+    (tmp_path / "pts.csv").write_text("1.0,0.5,1.0\n")
+    (tmp_path / "c.json").write_text(json.dumps({"arithmetic": arithmetic}))
+    code = run(["eval", "--config", "c.json", "--group", "z2", "--kappa", "200", "--degree", "4",
+                "--what", "heat-kernel", "--points", "pts.csv", "--out", "out.csv"], tmp_path)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: c_kappa overflows a float") and "Warning" not in err
+    assert not (tmp_path / "out.csv").exists()
+
+
 def test_verify_subset_and_reports(tmp_path):
     code = run(["verify", "--group", "z2", "--kappa", "0.5", "--degree", "12",
                 "--checks", "eigen,heat,riesz_l2", "--out", "rep"], tmp_path)

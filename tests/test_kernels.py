@@ -169,7 +169,7 @@ def test_log_kernel_tiny_w_large_kappa_matches_mpmath(kappa):
     # above the underflow the Bessel route cancels terms of size ~|log w|
     assert np.max(np.abs(got - ref)) <= 1e-12
     # below it (|w| < 1e-151 for kappa = 2.5, all of w for kappa >= 4) the
-    # small-argument value is exact to rounding
+    # power series is exact to rounding
     tiny = np.abs(w) <= 1e-155
     assert np.max(np.abs(got[tiny] / ref[tiny] - 1.0)) <= 1e-15
 
@@ -184,9 +184,30 @@ def test_log_kernel_tiny_w_small_kappa_matches_mpmath(kappa):
     ref = _log_e_mpmath(kappa, w)
     got = log_dunkl_kernel_1d(kappa, w)
     assert np.max(np.abs(got - ref)) <= 1e-12
-    below = np.abs(w) <= kernels._underflow_edge(kappa - 0.5)
-    assert np.count_nonzero(below) >= 6  # 1e-305, 1e-306 and 1e-307, both signs
+    below = np.abs(w) <= 1e-305
+    assert np.count_nonzero(below) == 6  # 1e-305, 1e-306 and 1e-307, both signs
+    assert np.isnan(ive(kappa - 0.5, np.abs(w[below]))).all()
     assert np.max(np.abs(got[below] / ref[below] - 1.0)) <= 1e-15
+
+
+@pytest.mark.parametrize("kappa", [33, 40, 50, 100, 130])
+def test_large_kappa_small_w_matches_mpmath(kappa):
+    """At large kappa the scaled Bessel pair underflows up to |w| near 1
+    (about 0.43 at kappa = 130), and loses digits to subnormals just above;
+    log E and E'/E take the power series there.  Both are finite and within
+    1e-12 of mpmath on 0-d inputs, on an input under BAND_MIN and on a batch
+    past it (the one-term log E was 8.6e-6 off at kappa = 100, and E'/E NaN
+    or 0.99 off at kappa = 33 and 40)."""
+    g = np.geomspace(1e-12, 1.0, 40)
+    w = np.concatenate([[0.0], g, -g])
+    ref, dref = _mp_log_e_dlog(kappa, w, dps=80)
+    assert w.size < kernels.BAND_MIN
+    batch = np.tile(w, -(-kernels.BAND_MIN // w.size))
+    for f, want in ((log_dunkl_kernel_1d, ref), (dlog_dunkl_kernel_1d, dref)):
+        for got in (np.array([f(kappa, np.float64(v)) for v in w]), f(kappa, w),
+                    f(kappa, batch)[: w.size]):
+            assert np.isfinite(got).all()
+            assert np.max(np.abs(got - want)) <= 1e-12
 
 
 def _mp_log_e_dlog(kappa, w, dps=60):
