@@ -14,11 +14,6 @@ from .reflection import (
 from .polyalg import (
     DunklAlgebra,
     Polynomial,
-    conjugated_oscillator,
-    divided_difference,
-    dunkl_apply,
-    dunkl_laplacian,
-    exp_laplacian,
     get_algebra,
 )
 from .hermite import (
@@ -26,7 +21,6 @@ from .hermite import (
     build_basis,
     c_kappa,
     enumerate_indices,
-    hermite_function_eval,
     hermite_functions_1d,
     load_basis,
     pairing,

@@ -10,10 +10,15 @@ deterministic choice).  Then
     H_n = 2^|n| exp(-Laplacian/4) phi_n,
     h_n = 2^(-|n|/2) sqrt(m_kappa) e^(-|x|^2/2) H_n.
 
-In exact mode the orthogonal system is kept unnormalized (psi_n, with exact
-norms [psi_n, psi_n]); normalization happens once, when the float phi/H are
-materialized.  All exact identities are ratios of field elements and never
-need the square root.
+A basis holds one orthogonal system psi_n, the polynomials
+H_raw_n = 2^|n| e^(-Laplacian/4) psi_n and the norms [psi_n, psi_n], all in
+the scalars of its own algebra.  An exact build keeps psi_n unnormalized in
+the surd field with its exact norms, so every exact identity is a ratio of
+field elements and never needs the square root.  A float build, and a basis
+loaded from a file, keep the orthonormal psi_n = phi_n and H_raw_n = H_n,
+with norms 1.  Every basis also carries the normalized float H_n it
+evaluates with.  A basis file holds phi_n and H_n; its `norms` entry is
+informational (the exact norms as floats, 1.0 for a float build).
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ import numpy as np
 from scipy.special import gammaln
 
 from .polyalg import DunklAlgebra, Polynomial, _is_zero, get_algebra
-from .reflection import RootSystem, gamma, gamma_exact, root_system
+from .reflection import RootSystem, gamma, root_system
 
 
 class GramSingular(ArithmeticError):
@@ -113,16 +118,13 @@ class HermiteBasis:
     exact: bool
     indices: list
     index_pos: dict
-    phi: list                       # float Polynomials, [phi_m, phi_n] = delta
+    psi: list                       # orthogonal system, the algebra's scalars
+    H_raw: list                     # 2^|n| e^(-Lap/4) psi_n
     H: list                         # float Polynomials, 2^|n| e^(-Lap/4) phi_n
-    norms: np.ndarray               # float [psi_n, psi_n]
+    norms: list                     # [psi_n, psi_n]
     c_kappa: float
     m_kappa: float
     gamma: float
-    psi_exact: list | None = None   # unnormalized orthogonal system (Surd)
-    norms_exact: list | None = None
-    H_raw_exact: list | None = None  # 2^|n| e^(-Lap/4) psi_n (Surd)
-    gamma_exact: Fraction | None = None
     _cache: dict = field(default_factory=dict, repr=False)
 
     @property
@@ -142,12 +144,12 @@ class HermiteBasis:
         return np.array([self.eigenvalue(n) for n in self.indices])
 
     def hermite_function(self, n, x):
-        """h_n at x (point or batch): Gaussian-decaying orthonormal functions."""
+        """h_n at x (point (d,) or batch (..., d)): row n of
+        hermite_function_matrix."""
         pos = self.position(n)
         x = np.asarray(x, dtype=float)
-        Hval = self.H[pos].eval_float(x)
-        g = np.exp(-0.5 * np.sum(x * x, axis=-1))
-        return 2.0 ** (-0.5 * sum(n)) * math.sqrt(self.m_kappa) * g * Hval
+        row = self.hermite_function_matrix(x.reshape(-1, self.rs.dim))[pos]
+        return row.reshape(x.shape[:-1])[()]
 
     def hermite_function_matrix(self, x) -> np.ndarray:
         """h_n(x_q) for all basis indices; x shape (Q, d) -> (size, Q).
@@ -231,10 +233,9 @@ def build_basis(rs: RootSystem, N: int, exact: bool | None = None) -> HermiteBas
         alg.exp_laplacian(p, quarter).scale(alg.scalar(2 ** sum(n)))
         for p, n in zip(psi, indices)
     ]
-
-    norms_f = np.array([float(v) for v in norms])
-    phi = [p.to_float().scale(1.0 / math.sqrt(nf)) for p, nf in zip(psi, norms_f)]
-    H = [p.to_float().scale(1.0 / math.sqrt(nf)) for p, nf in zip(H_raw, norms_f)]
+    H = _normalized(H_raw, norms)
+    if not exact:
+        psi, H_raw, norms = _normalized(psi, norms), H, [1.0] * len(psi)
 
     g = gamma(rs)
     return HermiteBasis(
@@ -243,17 +244,19 @@ def build_basis(rs: RootSystem, N: int, exact: bool | None = None) -> HermiteBas
         exact=exact,
         indices=indices,
         index_pos=index_pos,
-        phi=phi,
+        psi=psi,
+        H_raw=H_raw,
         H=H,
-        norms=norms_f,
+        norms=norms,
         c_kappa=ck,
         m_kappa=2.0 ** (g + rs.dim / 2.0) / ck,
         gamma=g,
-        psi_exact=psi if exact else None,
-        norms_exact=norms if exact else None,
-        H_raw_exact=H_raw if exact else None,
-        gamma_exact=gamma_exact(rs) if exact else None,
     )
+
+
+def _normalized(polys: list, norms: list) -> list:
+    """The float polynomials p_n / sqrt([psi_n, psi_n])."""
+    return [p.to_float().scale(1.0 / math.sqrt(float(nv))) for p, nv in zip(polys, norms)]
 
 
 def _quad_form(G, v, alg):
@@ -364,12 +367,6 @@ def _double_factorial(n: int) -> float:
 # pointwise evaluation
 
 
-def hermite_function_eval(basis: HermiteBasis, n, x) -> float:
-    """h_n(x); raises IndexOutOfTruncation for |n| > N."""
-    val = basis.hermite_function(n, np.asarray(x, dtype=float))
-    return float(val)
-
-
 def hermite_functions_1d(kappa: float, nmax: int, x) -> np.ndarray:
     """h_0..h_nmax for the rank-one system at points x, shape (nmax+1, len(x)).
 
@@ -412,8 +409,8 @@ def basis_to_dict(basis: HermiteBasis) -> dict:
             "gamma": basis.gamma,
         },
         "indices": [list(n) for n in basis.indices],
-        "norms": basis.norms.tolist(),
-        "phi": [_poly_dict(p) for p in basis.phi],
+        "norms": [float(v) for v in basis.norms],
+        "phi": [_poly_dict(p) for p in _normalized(basis.psi, basis.norms)],
         "H": [_poly_dict(p) for p in basis.H],
     }
     payload["sha256"] = _payload_digest(payload)
@@ -439,7 +436,6 @@ def basis_from_dict(payload: dict) -> HermiteBasis:
     rs.name = payload["group"]
     dim = payload["dim"]
     indices = [tuple(n) for n in payload["indices"]]
-    phi = [_poly_from_dict(dim, d) for d in payload["phi"]]
     H = [_poly_from_dict(dim, d) for d in payload["H"]]
     consts = payload["constants"]
     return HermiteBasis(
@@ -448,9 +444,10 @@ def basis_from_dict(payload: dict) -> HermiteBasis:
         exact=False,
         indices=indices,
         index_pos={n: i for i, n in enumerate(indices)},
-        phi=phi,
+        psi=[_poly_from_dict(dim, d) for d in payload["phi"]],
+        H_raw=H,
         H=H,
-        norms=np.array(payload["norms"], dtype=float),
+        norms=[1.0] * len(indices),
         c_kappa=consts["c_kappa"],
         m_kappa=consts["m_kappa"],
         gamma=consts["gamma"],

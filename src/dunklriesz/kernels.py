@@ -26,7 +26,9 @@ Evaluator dispatch
   pair does not resolve (w = 0, ive's underflow at large kappa or its NaN
   below kappa = 1/2), log E and E'/E take the power series on every route,
   within 1e-12 of mpmath up to kappa = 130 (c_kappa of z2 overflows past
-  kappa = 134).  Both routes stay finite and accurate for the arguments
+  kappa = 134).  Past SERIES_KAPPA_MAX = 223 the pair underflows beyond the
+  series' reach, and both functions raise SeriesNonConvergence.  Both routes
+  stay finite and accurate for the arguments
   ~ x*y/sinh(2t) -> +-infinity that the Riesz time integral produces; the
   spec'd power-series recursion (dunkl_kernel_1d) is kept as the
   independent cross-check.
@@ -181,6 +183,11 @@ BAND_MIN = 512
 SERIES_TERMS = 18                     # a_1..a_18 on |w| < 1: a_19 < 1/19! < 1e-17
 HANKEL_TERMS = 8                      # z^1..z^8 after the leading 1
 HANKEL_TOL = 2.0**-56                 # the first omitted Hankel term, relative
+# Past this kappa the scaled Bessel pair underflows at |w| beyond the reach of
+# the 18-term series: at the edge |w| (7.5 here, 23 at kappa = 300) its
+# truncation error passes half an ulp of log E and E'/E at kappa = 223.3
+# (mpmath, 60 digits)
+SERIES_KAPPA_MAX = 223.0
 
 
 def _hankel_a(nu: Fraction, k: int) -> Fraction:
@@ -312,9 +319,8 @@ def _pair_or_series(kappa: float, w: np.ndarray, aw: np.ndarray, from_pair, from
     """from_pair(w, aw, i0, i1) with the scaled Bessel pair at aw = |w| where
     it resolves: i1 a normal float (not at w = 0, nor where ive flushes to 0
     or a subnormal) and i0 finite (ive is NaN at nu < 0 and x < 2.2e-305).
-    from_series(w, aw) elsewhere: there |w| < 1 up to kappa = 148 and < 4.7
-    at kappa = 200, where the 18-term series still holds to rounding (at
-    kappa = 300 it reaches 23, and the series is 1e-10 off)."""
+    from_series(w, aw) elsewhere: there |w| < 1 up to kappa = 148 and < 7.5
+    up to SERIES_KAPPA_MAX, where the 18-term series still holds to rounding."""
     i0, i1 = _bessel_pair(kappa - 0.5, aw)
     ok = i1 >= _NORMAL_MIN
     if kappa < 0.5:
@@ -372,6 +378,13 @@ def _log_e_bands(kappa: float, w: np.ndarray, scaled: bool) -> np.ndarray:
     return out
 
 
+def _check_series_reach(kappa: float) -> None:
+    if kappa > SERIES_KAPPA_MAX:
+        raise SeriesNonConvergence(
+            f"kappa={kappa:g} past SERIES_KAPPA_MAX={SERIES_KAPPA_MAX:g}: the power series"
+            " does not reach the |w| where the Bessel pair underflows")
+
+
 def log_dunkl_kernel_1d(kappa: float, w, scaled: bool = False) -> np.ndarray:
     """log E_kappa at product argument w = u*v, vectorized; exact at kappa=0.
     scaled=True gives log(e^{-|w|} E_kappa(w)) <= 0: the bands without + |w|.
@@ -383,6 +396,7 @@ def log_dunkl_kernel_1d(kappa: float, w, scaled: bool = False) -> np.ndarray:
     _log_e_bands.  Smaller and 0-d inputs take the Bessel pair up to
     max(1e5, switch) and the Hankel sums past it.
     """
+    _check_series_reach(kappa)
     w = np.asarray(w, dtype=float)
     if kappa == 0.0 or w.size >= BAND_MIN:
         return _log_e_bands(kappa, w, scaled)
@@ -413,6 +427,7 @@ def dlog_dunkl_kernel_1d(kappa: float, w) -> np.ndarray:
 
     so the minus branch forms no I_nu - I_{nu+1}.
     """
+    _check_series_reach(kappa)
     w = np.asarray(w, dtype=float)
     if kappa == 0.0:
         return np.ones_like(w)

@@ -471,25 +471,3 @@ def get_algebra(rs: RootSystem, exact: bool | None = None) -> DunklAlgebra:
         rs._cache[key] = DunklAlgebra(rs, exact)
     return rs._cache[key]
 
-
-# thin functional entry points mirroring the operator vocabulary
-
-
-def dunkl_apply(rs: RootSystem, j: int, p: Polynomial, exact: bool | None = None) -> Polynomial:
-    return get_algebra(rs, exact).dunkl(j, p)
-
-
-def dunkl_laplacian(rs: RootSystem, p: Polynomial, exact: bool | None = None) -> Polynomial:
-    return get_algebra(rs, exact).laplacian(p)
-
-
-def exp_laplacian(rs: RootSystem, p: Polynomial, s, exact: bool | None = None) -> Polynomial:
-    return get_algebra(rs, exact).exp_laplacian(p, s)
-
-
-def conjugated_oscillator(rs: RootSystem, p: Polynomial, exact: bool | None = None) -> Polynomial:
-    return get_algebra(rs, exact).conjugated_oscillator(p)
-
-
-def divided_difference(rs: RootSystem, p: Polynomial, root_index: int, exact: bool | None = None) -> Polynomial:
-    return get_algebra(rs, exact).divided_difference(p, root_index)

@@ -118,9 +118,6 @@ class SpectralVector:
     basis: HermiteBasis
     values: np.ndarray
 
-    def coeff(self, n) -> float:
-        return float(self.values[self.basis.position(n)])
-
     def as_dict(self) -> dict:
         return {
             ",".join(map(str, n)): float(v)
@@ -208,64 +205,52 @@ def inv_sqrt_apply(basis: HermiteBasis, v: SpectralVector) -> SpectralVector:
     return SpectralVector(basis, basis.eigenvalues() ** -0.5 * v.values)
 
 
-def delta_matrix(basis: HermiteBasis, j: int, variant: str = "lower") -> OperatorMatrix:
-    """Matrix of delta_j ("lower") or delta_j^* ("raise") on {h_n}.
+def _pairings(basis: HermiteBasis, j: int, variant: str):
+    """(row, col, S) with S = [psi_m, e^{Lap/4} P_n] on the target shell of
+    each column n, in the basis's own scalars: P_n = T_j H_raw_n ("lower",
+    |m| = |n| - 1) or 2 x_j H_raw_n - T_j H_raw_n ("raise", |m| = |n| + 1;
+    the top shell has no target inside the truncation)."""
+    alg = get_algebra(basis.rs, basis.exact)
+    xj = alg.variable(j)
+    shells: dict[int, list[int]] = {}
+    for i, n in enumerate(basis.indices):
+        shells.setdefault(sum(n), []).append(i)
+    for col, n in enumerate(basis.indices):
+        target = sum(n) - 1 if variant == "lower" else sum(n) + 1
+        if target not in shells:
+            continue
+        H = basis.H_raw[col]
+        P = alg.dunkl(j, H)
+        if variant == "raise":
+            P = xj * H * alg.scalar(2) - P
+        Q = alg.exp_laplacian(P, Fraction(1, 4))
+        cache = {(0,) * basis.rs.dim: Q}
+        for row in shells[target]:
+            yield row, col, alg.apply_poly_operator(basis.psi[row], Q, cache).constant_term()
 
-    Entries include the 2^{-+1/2} normalization between neighboring shells.
+
+def delta_matrix(basis: HermiteBasis, j: int, variant: str = "lower") -> OperatorMatrix:
+    """Matrix of delta_j ("lower") or delta_j^* ("raise") on {h_n}: the entry
+    at (m, n) is factor 2^{-|m|} S / sqrt(norm_m norm_n) with the pairings S
+    of _pairings and factor = 2^{-+1/2} between neighboring shells.  The
+    raising variant always leaks its top shell.
     """
     if variant not in ("lower", "raise"):
         raise ValueError("variant must be 'lower' or 'raise'")
     key = ("delta", j, variant)
     label = f"delta{'*' if variant == 'raise' else ''}_{j}"
+    leaky = variant == "raise"
     # the cache keeps the values only: an OperatorMatrix points back to the
     # basis, and a cycle would keep the basis alive until a full gc pass
-    if key in basis._cache:
-        M, leaky = basis._cache[key]
-        return OperatorMatrix(basis, M, label=label, leaky_top_shell=leaky)
-    exact = basis.exact
-    alg = get_algebra(basis.rs, exact)
-    size = basis.size
-    M = np.zeros((size, size))
-    xj = alg.variable(j)
-    H_list = basis.H_raw_exact if exact else basis.H
-    quarter = Fraction(1, 4) if exact else 0.25
-    shells: dict[int, list[int]] = {}
-    for i, n in enumerate(basis.indices):
-        shells.setdefault(sum(n), []).append(i)
-    leaky = False
-    for col, n in enumerate(basis.indices):
-        deg = sum(n)
-        if variant == "lower":
-            if deg == 0:
-                continue
-            P = alg.dunkl(j, H_list[col])
-            target, factor = deg - 1, 2.0**-0.5
-        else:
-            if deg == basis.N:
-                leaky = True
-                continue
-            P = xj * H_list[col] * alg.scalar(2) - alg.dunkl(j, H_list[col])
-            target, factor = deg + 1, 2.0**0.5
-        Q = alg.exp_laplacian(P, quarter)
-        cache = {(0,) * basis.rs.dim: Q}
-        for row in shells.get(target, []):
-            m = basis.indices[row]
-            if exact:
-                S = alg.apply_poly_operator(basis.psi_exact[row], Q, cache).constant_term()
-                if not S:
-                    continue
-                entry = (
-                    factor
-                    * 2.0 ** -sum(m)
-                    * float(S)
-                    / math.sqrt(basis.norms[row] * basis.norms[col])
-                )
-            else:
-                S = alg.apply_poly_operator(basis.phi[row], Q, cache).constant_term()
-                entry = factor * 2.0 ** -sum(m) * float(S)
-            M[row, col] = entry
-    basis._cache[key] = (M, leaky)
-    return OperatorMatrix(basis, M, label=label, leaky_top_shell=leaky)
+    if key not in basis._cache:
+        M = np.zeros((basis.size, basis.size))
+        factor = 2.0**0.5 if leaky else 2.0**-0.5
+        norms = [float(v) for v in basis.norms]
+        for row, col, S in _pairings(basis, j, variant):
+            M[row, col] = (factor * 2.0 ** -sum(basis.indices[row]) * float(S)
+                           / math.sqrt(norms[row] * norms[col]))
+        basis._cache[key] = M
+    return OperatorMatrix(basis, basis._cache[key], label=label, leaky_top_shell=leaky)
 
 
 def riesz_matrix(basis: HermiteBasis, j: int, adjoint: bool = False) -> OperatorMatrix:
@@ -302,7 +287,8 @@ def operator_norm(M: OperatorMatrix | np.ndarray, tol: float = 1e-10, max_iter: 
 
 
 def exact_adjoint_residual(basis: HermiteBasis, j: int):
-    """Exact-field check that delta_j and delta_j^* are mutual adjoints.
+    """Exact-field check that delta_j and delta_j^* are mutual adjoints: the
+    lowering pairing S_low[m, n] equals the raising one S_raise[n, m].
 
     Returns the number of entry pairs compared; raises AdjointMismatch with
     the offending indices and values when the exact identity fails.  Exact
@@ -310,31 +296,11 @@ def exact_adjoint_residual(basis: HermiteBasis, j: int):
     """
     if not basis.exact:
         raise ValueError("exact adjoint check requires an exact basis")
-    alg = get_algebra(basis.rs, True)
-    xj = alg.variable(j)
-    quarter = Fraction(1, 4)
-    qraise_cache: dict[int, object] = {}
-
-    def qraise(row):
-        if row not in qraise_cache:
-            P = xj * basis.H_raw_exact[row] * alg.scalar(2) - alg.dunkl(j, basis.H_raw_exact[row])
-            qraise_cache[row] = alg.exp_laplacian(P, quarter)
-        return qraise_cache[row]
-
+    raised = {(row, col): S for row, col, S in _pairings(basis, j, "raise")}
     checked = 0
-    for col, n in enumerate(basis.indices):
-        deg = sum(n)
-        if deg == 0:
-            continue
-        # lowering: S_low[m, n] = [psi_m, e^{Lap/4} T_j H_n] on the shell |m| = |n| - 1
-        Qlow = alg.exp_laplacian(alg.dunkl(j, basis.H_raw_exact[col]), quarter)
-        for row, m in enumerate(basis.indices):
-            if sum(m) != deg - 1:
-                continue
-            S_low = alg.apply_poly_operator(basis.psi_exact[row], Qlow).constant_term()
-            # raising on column m: S_raise[n, m] = [psi_n, e^{Lap/4}(2 x_j H_m - T_j H_m)]
-            S_raise = alg.apply_poly_operator(basis.psi_exact[col], qraise(row)).constant_term()
-            if S_low != S_raise:
-                raise AdjointMismatch(m, n, S_low, S_raise)
-            checked += 1
+    for row, col, S_low in _pairings(basis, j, "lower"):
+        S_raise = raised[col, row]
+        if S_low != S_raise:
+            raise AdjointMismatch(basis.indices[row], basis.indices[col], S_low, S_raise)
+        checked += 1
     return checked

@@ -44,8 +44,7 @@ from .kernels import (
     z2_evaluator,
 )
 from .polyalg import get_algebra
-from .qfield import Surd
-from .reflection import orbit_distances, weight
+from .reflection import gamma_exact, orbit_distances, weight
 from .spectral import delta_matrix, operator_norm, riesz_matrix
 
 
@@ -225,22 +224,15 @@ def check_eigen(basis, cfg):
     EIGEN_TOL relative to the largest coefficient.
     """
     alg = get_algebra(basis.rs, basis.exact)
+    two_gamma = alg.scalar(2) * alg.scalar(gamma_exact(basis.rs) if basis.exact else basis.gamma)
     worst = 0.0
     exact_failures = 0
-    H_list = basis.H_raw_exact if basis.exact else basis.H
-    for i, n in enumerate(basis.indices):
-        lam = 2 * sum(n) + basis.rs.dim
-        if basis.exact:
-            lam_x = Surd.of(lam) + Surd.of(2) * Surd.of(basis.gamma_exact)
-            resid = alg.conjugated_oscillator(H_list[i]) - H_list[i].scale(lam_x)
-            if not resid.is_zero():
-                exact_failures += 1
-                worst = _worst(worst, *(abs(float(c)) for c in resid.terms.values()))
-        else:
-            lam_f = lam + 2.0 * basis.gamma
-            resid = alg.conjugated_oscillator(H_list[i]) - H_list[i].scale(lam_f)
-            scale = max((abs(c) for c in H_list[i].terms.values()), default=1.0)
-            worst = _worst(worst, *(abs(c) / scale for c in resid.terms.values()))
+    for H, n in zip(basis.H_raw, basis.indices):
+        lam = alg.scalar(2 * sum(n) + basis.rs.dim) + two_gamma
+        resid = alg.conjugated_oscillator(H) - H.scale(lam)
+        scale = 1.0 if basis.exact else max((abs(c) for c in H.terms.values()), default=1.0)
+        worst = _worst(worst, *(abs(float(c)) / scale for c in resid.terms.values()))
+        exact_failures += basis.exact and not resid.is_zero()
     ok = exact_failures == 0 if basis.exact else worst < EIGEN_TOL
     return CheckResult(
         status="pass" if ok else "fail",

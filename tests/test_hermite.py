@@ -13,7 +13,6 @@ from dunklriesz.hermite import (
     build_basis,
     c_kappa,
     enumerate_indices,
-    hermite_function_eval,
     hermite_functions_1d,
     pairing,
     _c_kappa_moments,
@@ -45,9 +44,13 @@ def test_pairing_symmetric(a2_one):
 
 def test_build_basis_degree1(z2_half):
     b = build_basis(z2_half, 1)
-    # phi_0 = 1, phi_1 = x / sqrt(1 + 2k) = x / sqrt(2)
-    assert b.phi[0].terms == {(0,): pytest.approx(1.0)}
-    assert b.phi[1].terms == {(1,): pytest.approx(1 / math.sqrt(2))}
+    # psi_0 = 1, psi_1 = x with [psi_1, psi_1] = 1 + 2k = 2, exact
+    assert b.psi[0].terms == {(0,): Surd.of(1)} and b.norms[0] == Surd.of(1)
+    assert b.psi[1].terms == {(1,): Surd.of(1)} and b.norms[1] == Surd.of(2)
+    # phi_0 = 1, phi_1 = x / sqrt(1 + 2k) = x / sqrt(2), as the basis file writes it
+    phi = basis_to_dict(b)["phi"]
+    assert phi[0] == {"0": pytest.approx(1.0)}
+    assert phi[1] == {"1": pytest.approx(1 / math.sqrt(2))}
     assert b.H[0].terms == {(0,): pytest.approx(1.0)}
     assert b.H[1].terms == {(1,): pytest.approx(2 / math.sqrt(2))}
 
@@ -83,11 +86,11 @@ def test_pairing_orthonormality_exact(z2_half_basis8):
     rs = b.rs
     for i in range(b.size):
         for j in range(i + 1):
-            val = pairing(rs, b.psi_exact[i], b.psi_exact[j])
+            val = pairing(rs, b.psi[i], b.psi[j])
             if i == j:
-                assert val == b.norms_exact[i]
+                assert val == b.norms[i]
                 # [phi_i, phi_i] = norms / norms = 1 exactly
-                assert val / b.norms_exact[i] == Surd.of(1)
+                assert val / b.norms[i] == Surd.of(1)
             else:
                 assert val == Surd.of(0)
 
@@ -97,7 +100,7 @@ def test_eigen_identity_exact_small(a2_one):
     alg = get_algebra(a2_one)
     for i, n in enumerate(b.indices):
         lam = Surd.of(2 * sum(n) + 2 * 3 + 2)
-        resid = alg.conjugated_oscillator(b.H_raw_exact[i]) - b.H_raw_exact[i].scale(lam)
+        resid = alg.conjugated_oscillator(b.H_raw[i]) - b.H_raw[i].scale(lam)
         assert resid.is_zero()
 
 
@@ -110,9 +113,9 @@ def test_scaling_identity_exact(z2_half_basis8):
     s2 = Surd.sqrt_int(2)
     for i, n in enumerate(b.indices):
         N = sum(n)
-        lhs = alg.exp_laplacian(b.psi_exact[i], Fraction(-1, 2))
+        lhs = alg.exp_laplacian(b.psi[i], Fraction(-1, 2))
         lhs_scaled = Polynomial(1, {e: c * s2 ** sum(e) for e, c in lhs.terms.items()})
-        rhs = alg.exp_laplacian(b.psi_exact[i], Fraction(-1, 4)).scale(s2**N)
+        rhs = alg.exp_laplacian(b.psi[i], Fraction(-1, 4)).scale(s2**N)
         assert (lhs_scaled - rhs).is_zero()
 
 
@@ -178,9 +181,24 @@ def test_c_kappa_general_group_routes_agree(a2_one):
 
 def test_hermite_function_eval(z2_half_basis8):
     b = z2_half_basis8
-    assert hermite_function_eval(b, (0,), [0.0]) == pytest.approx(math.sqrt(b.m_kappa))
+    assert b.hermite_function((0,), [0.0]) == pytest.approx(math.sqrt(b.m_kappa))
     with pytest.raises(IndexOutOfTruncation):
-        hermite_function_eval(b, (9,), [0.0])
+        b.hermite_function((9,), [0.0])
+
+
+def test_hermite_function_is_its_matrix_row():
+    """h_n has one evaluator: hermite_function(n, x) is row n of
+    hermite_function_matrix(x), bit for bit, with the shape of x less its
+    last axis (a sum of monomial coefficients was 2.8e-12 off the recurrence
+    here)."""
+    b = build_basis(root_system("z2", multiplicity=Fraction(1, 2)), 24)
+    xs = np.linspace(-6.0, 6.0, 97)[:, None]
+    hm = b.hermite_function_matrix(xs)
+    for i, n in enumerate(b.indices):
+        row = b.hermite_function(n, xs)
+        assert row.shape == (97,) and row.tobytes() == hm[i].tobytes()
+    point = b.hermite_function((5,), [1.5])
+    assert np.shape(point) == () and point == b.hermite_function_matrix([[1.5]])[5, 0]
 
 
 def test_classical_hermite_function_oracle(z2_zero_basis8):
@@ -200,8 +218,11 @@ def test_recurrence_evaluator_matches_polynomials(z2_half_basis8):
     b = z2_half_basis8
     xs = np.linspace(-4, 4, 17)
     hv = hermite_functions_1d(0.5, 8, xs)
+    g = np.exp(-0.5 * xs * xs)
     for n in range(9):
-        direct = b.hermite_function((n,), xs[:, None])
+        # h_n = 2^(-n/2) sqrt(m_kappa) e^(-x^2/2) H_n, H_n summed over its monomials
+        H = sum(float(c) * xs ** e[0] for e, c in b.H[n].terms.items())
+        direct = 2.0 ** (-0.5 * n) * math.sqrt(b.m_kappa) * g * H
         assert np.allclose(hv[n], direct, atol=1e-11)
 
 
@@ -224,6 +245,27 @@ def test_json_round_trip(z2_half_basis8, tmp_path):
     xs = np.linspace(-2, 2, 5)[:, None]
     for n in [(0,), (3,), (8,)]:
         assert np.allclose(b2.hermite_function(n, xs), b.hermite_function(n, xs))
+
+
+def test_basis_representation_rule(a2_one):
+    """One orthogonal system per basis, in the scalars of its algebra: an
+    exact build keeps psi_n unnormalized in the surd field with its exact
+    norms; a float build and a loaded file keep the orthonormal phi_n and H_n,
+    with norms 1, and a float build's file says 1.0 in its norms entry."""
+    exact = build_basis(a2_one, 3)
+    assert all(isinstance(c, Surd) for p in exact.psi + exact.H_raw for c in p.terms.values())
+    assert all(isinstance(v, Surd) for v in exact.norms)
+    assert basis_to_dict(exact)["norms"] == [float(v) for v in exact.norms]
+    flt = build_basis(a2_one, 3, exact=False)
+    payload = basis_to_dict(flt)
+    assert payload["norms"] == [1.0] * flt.size
+    for b in (flt, basis_from_dict(json.loads(json.dumps(payload)))):
+        assert b.norms == [1.0] * b.size and b.H_raw is b.H
+        assert all(isinstance(c, float) for p in b.psi for c in p.terms.values())
+        for i in range(b.size):
+            for j in range(i + 1):
+                val = pairing(b.rs, b.psi[i], b.psi[j], exact=False)
+                assert val == pytest.approx(float(i == j), abs=1e-12)
 
 
 def test_checksum_guard(z2_half_basis8):

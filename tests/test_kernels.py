@@ -210,6 +210,43 @@ def test_large_kappa_small_w_matches_mpmath(kappa):
             assert np.max(np.abs(got - want)) <= 1e-12
 
 
+def test_series_kappa_max_matches_mpmath():
+    """At kappa = SERIES_KAPPA_MAX the scaled Bessel pair underflows out to
+    |w| near 7.5, and the power series that takes over there is exact to
+    rounding: within 1e-16 of mpmath below that edge, and both functions
+    within 1e-12 on the pair past it, on 0-d, sub-BAND_MIN and batched inputs."""
+    kappa = kernels.SERIES_KAPPA_MAX
+    g = np.linspace(0.25, 12.0, 48)
+    w = np.concatenate([g, -g])
+    ref, dref = _mp_log_e_dlog(kappa, w)
+    series = ive(kappa + 0.5, np.abs(w)) < np.finfo(float).tiny
+    assert 10 < np.count_nonzero(series) < w.size - 10
+    batch = np.tile(w, -(-kernels.BAND_MIN // w.size))
+    for f, want in ((log_dunkl_kernel_1d, ref), (dlog_dunkl_kernel_1d, dref)):
+        for got in (np.array([f(kappa, np.float64(v)) for v in w]), f(kappa, w),
+                    f(kappa, batch)[: w.size]):
+            assert np.max(np.abs(got - want)) <= 1e-12
+            assert np.max(np.abs(got - want)[series]) <= 1e-16
+
+
+@pytest.mark.parametrize("kappa", [kernels.SERIES_KAPPA_MAX + 0.5, 250.0, 300.0])
+def test_past_series_kappa_max_raises(kappa):
+    """Past SERIES_KAPPA_MAX the 18-term series no longer reaches the |w|
+    where the pair underflows: there it is more than 1e-15 off mpmath at
+    kappa = 250 (1e-10 at kappa = 300), so log E and E'/E raise rather than
+    lose accuracy silently."""
+    if kappa >= 250.0:
+        x = np.linspace(1.0, 30.0, 2901)
+        edge = x[np.argmax(ive(kappa + 0.5, x) >= np.finfo(float).tiny) - 1]
+        ref, dref = _mp_log_e_dlog(kappa, [edge])
+        assert abs(kernels._series(kappa, np.array([edge]))[0] - ref[0]) > 1e-15
+        assert abs(kernels._series(kappa, np.array([edge]), deriv=True)[0] - dref[0]) > 1e-15
+    for f in (log_dunkl_kernel_1d, dlog_dunkl_kernel_1d):
+        for w in (np.float64(0.5), np.full(3, 0.5), np.full(kernels.BAND_MIN, 0.5)):
+            with pytest.raises(SeriesNonConvergence):
+                f(kappa, w)
+
+
 def _mp_log_e_dlog(kappa, w, dps=60):
     """log E_kappa(w) and (E'/E)(w) from mpmath's 0F1 form, with
     b = kappa + 1/2:

@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import dunklriesz
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
@@ -42,4 +44,22 @@ def test_run_verification_writes_reports_and_digests(tmp_path):
     assert sorted(os.listdir(tmp_path / "out")) == ["report_z2_0.5.csv", "report_z2_0.5.json"]
     header, row = [line.split() for line in done.stdout.splitlines() if line.strip()]
     assert header[-1] == "sha256" and row[0] == "z2:0.5"
+    assert re.fullmatch(r"[0-9a-f]{16}", row[-1])
+
+
+@pytest.mark.parametrize("spec", ["a2:1", "i2(5):1"])
+def test_run_verification_exact_and_float_planar(tmp_path, spec):
+    """The exact (a2) and float (i2(5)) routes of the basis and the delta_j
+    matrices through scripts/run_verification.py: exit 0, eigen and riesz_l2
+    pass, and a 16-hex-digit digest."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(dunklriesz.__file__)))
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run(
+        [sys.executable, str(SCRIPTS / "run_verification.py"), "--configs", spec,
+         "--degree", "6", "--checks", "eigen", "riesz_l2", "--out-dir", "out"],
+        cwd=tmp_path, env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    header, row = [line.split() for line in done.stdout.splitlines() if line.strip()]
+    assert header[:3] == ["config", "eigen", "riesz_l2"] and header[-1] == "sha256"
+    assert row[:3] == [spec, "pass", "pass"]
     assert re.fullmatch(r"[0-9a-f]{16}", row[-1])

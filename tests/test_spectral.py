@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 from fractions import Fraction
 
@@ -5,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dunklriesz.hermite import build_basis
+from dunklriesz.hermite import basis_from_dict, basis_to_dict, build_basis
 from dunklriesz.kernels import heat_kernel
 from dunklriesz.qfield import Surd
 from dunklriesz.reflection import root_system, weight
@@ -25,6 +27,7 @@ from dunklriesz.spectral import (
     riesz_matrix,
     synthesize,
 )
+from dunklriesz.verify import VerifyConfig, check_eigen
 
 
 def test_gauss_kappa0_matches_classical_tables():
@@ -205,12 +208,72 @@ def test_adjointness(z2_half_basis8):
 
 def test_exact_adjoint_mismatch_raises(z2_half):
     b = build_basis(z2_half, 3)
-    b.psi_exact[1] = b.psi_exact[1].scale(Surd.of(2))
+    b.psi[1] = b.psi[1].scale(Surd.of(2))
     with pytest.raises(AdjointMismatch) as info:
         exact_adjoint_residual(b, 1)
     err = info.value
     assert (err.m, err.n) == ((0,), (1,))
     assert err.S_raise == err.S_low * Surd.of(2)
+
+
+# sha256 of delta_matrix(b, j, v).values.tobytes() for (j, v) = (1, lower),
+# (1, raise), (2, lower), (2, raise), and check_eigen's max_residual, recorded
+# while the basis still kept a float copy of each exact system; both are
+# sums of Python floats, with no BLAS.
+PINNED_DELTA = {
+    ("a2", "built"): (
+        "7357a6bd68a4984af258061713b0d546a37b3ad7a35bbcf2b9b783f6a89aa295",
+        "d2fc16d14a450aabee029a2cd7206495e4397e0cd2a3d90dfcac44ad76aa41eb",
+        "c6509d92443aaf5ad1e9d5898366b3ad619a90401b7dff6fec479e566ac09f47",
+        "3f5c2d76725fda5be486a4398249491f7bec0f66455428fcb68ca680a4f0af13",
+        "0x0.0p+0"),
+    ("a2", "loaded"): (
+        "cebfe339a17168baa536c9bb8b66de5fec40bd06bc19d63f981e1bafda01723b",
+        "624072a4d0a136afdbb5a2238f2e4bcb32bae6dcb04a1ba2f4f718fd255fdae9",
+        "ece3ad4d90461cc9fc3920a2b60a6bdacba4186cd510608efd343e174c920989",
+        "3262fb70d72f79a30240f81862a13d75ff1480c9893fdc5e00b29ef5c88cebd5",
+        "0x1.0b943bd6ba741p-47"),
+    ("b2", "built"): (
+        "1ae90afa0342a92554a9fda9da06768bdf8ecb67f4a22dc778576c3482e65b97",
+        "f344b21b9768a5445f39a59f5d3899a1e74faae2eab96f43e146f83d2a202aaa",
+        "5b71915a2ed112ab81ee6859f0960db72384c3f0bb957f0fa4691832103fd513",
+        "c6af380b0abb40a9a49863fdeca418020260ca43530e5db9be0fc136548ae509",
+        "0x0.0p+0"),
+    ("b2", "loaded"): (
+        "2c07c10b39ee9b767b984e7d85a7d56fdef7cd22289a213347e4ea83d5d2571e",
+        "30de0fd4d290cb0adf2f6e5d868e587914f3b2a722549d4d91a4d07727b2b3c2",
+        "e6dfb73d8e70ba13fc8d5a67b3b7602b82f70e4834690dd88d1fd901f84cdf06",
+        "67643f215c7857124f84a3476333618332918f8591967fceb472b4fe764b51c5",
+        "0x1.4848ace20efc6p-47"),
+    ("i2(5)", "built"): (
+        "70a908d8ec79aa8b2fbd1aee360704add00461571ed5e20ced7e7659b947a79a",
+        "3b4e2509bf9d4060e419fdf1eed71f54533555264d1d06647a092e27d21991de",
+        "458d602f622966a330580323b083a0beffcb77915df2f9c7609096f7fd331231",
+        "deeda957001eca662cae5c031fa25072c1cf525b4ff80feb1a9f8426dc8e6d03",
+        "0x1.43ceadb19d99fp-47"),
+    ("i2(5)", "loaded"): (
+        "70a908d8ec79aa8b2fbd1aee360704add00461571ed5e20ced7e7659b947a79a",
+        "3b4e2509bf9d4060e419fdf1eed71f54533555264d1d06647a092e27d21991de",
+        "458d602f622966a330580323b083a0beffcb77915df2f9c7609096f7fd331231",
+        "deeda957001eca662cae5c031fa25072c1cf525b4ff80feb1a9f8426dc8e6d03",
+        "0x1.43ceadb19d99fp-47"),
+}
+
+
+@pytest.mark.parametrize("group,kappa", [("a2", 1), ("b2", [1, 2]), ("i2(5)", 1)])
+def test_delta_matrix_and_eigen_bits_pinned(group, kappa):
+    """delta_j, delta_j^* and the eigen residual keep their bits: exact a2 and
+    b2 and float i2(5) at N = 6, as built and as reloaded from the basis file."""
+    built = build_basis(root_system(group, multiplicity=kappa), 6)
+    loaded = basis_from_dict(json.loads(json.dumps(basis_to_dict(built))))
+    for source, b in (("built", built), ("loaded", loaded)):
+        *digests, residual = PINNED_DELTA[group, source]
+        got = [hashlib.sha256(delta_matrix(b, j, v).values.tobytes()).hexdigest()
+               for j in (1, 2) for v in ("lower", "raise")]
+        assert got == digests, source
+        eigen = check_eigen(b, VerifyConfig())
+        assert eigen.status == "pass"
+        assert eigen.residuals["max_residual"].hex() == residual, source
 
 
 def test_oscillator_reconstruction(z2_half_basis8):
