@@ -10,7 +10,16 @@ is linear, so it is applied monomial by monomial: each divided difference
 (x^e - x^e o sigma_alpha) / <x, alpha> is an exact division of the numerator
 by the linear form <x, alpha> (the numerator vanishes on the mirror; a
 nonzero remainder signals a bug, never valid input), made once per monomial
-and root.
+and root.  The pullbacks x^e o sigma_alpha sit in a per-root cache and cost
+one product each: x^e o sigma = (x^(e - u_k) o sigma) (sigma x)_k, with k the
+last nonzero index of e, is the product sequence x_1^e_1 ... x_d^e_d with its
+last factor split off.  The division inverts the pivot coefficient once and
+places each quotient slice by shifting exponents.
+
+Sums over the monomials of an argument (T_j p, p(T) q) accumulate into one
+dict in place, with the add / insert / drop-zero order of Polynomial.__add__,
+so every coefficient and the order of the terms are those of the
+term-by-term sum; the float bits do not depend on the route.
 """
 
 from __future__ import annotations
@@ -181,25 +190,6 @@ class Polynomial:
             out = out + term
         return float(out) if out.ndim == 0 else out
 
-    def compose_linear(self, rows) -> "Polynomial":
-        """p(M x): substitute x_i -> sum_j M[i][j] x_j.
-
-        `rows` is a sequence of coefficient rows (exact scalars or floats);
-        for a reflection or any orthogonal M this is the pullback p o M.
-        """
-        lin = [Polynomial(self.dim, {_unit(self.dim, j): row[j] for j in range(self.dim) if not _is_zero(row[j])}) for row in rows]
-        out = Polynomial.zero(self.dim)
-        cache: dict = {}
-        for e, c in self.terms.items():
-            if e not in cache:
-                m = Polynomial.constant(self.dim, _one_like(c))
-                for i, ei in enumerate(e):
-                    for _ in range(ei):
-                        m = m * lin[i]
-                cache[e] = m
-            out = out + cache[e].scale(c)
-        return out
-
     def map_coefficients(self, fn) -> "Polynomial":
         terms = {}
         for e, c in self.terms.items():
@@ -244,23 +234,35 @@ def _is_zero(c) -> bool:
     return c == 0
 
 
-def _one_like(c):
-    return Surd.of(1) if isinstance(c, Surd) else 1.0
+def _add_scaled(terms: dict, p: Polynomial, c) -> None:
+    """terms += c * p in place: the terms, order and zero drops of
+    Polynomial(d, terms) + p.scale(c)."""
+    if _is_zero(c):
+        return
+    for e, v in p.terms.items():
+        v = c * v
+        if e in terms:
+            v = terms[e] + v
+        if _is_zero(v):
+            terms.pop(e, None)
+        else:
+            terms[e] = v
 
 
 def divide_linear(p: Polynomial, coeffs, exact: bool, rel_tol: float = 1e-9):
     """Divide p by the linear form sum_j coeffs[j] x_j; return the quotient.
 
-    Long division in the pivot variable (first/largest nonzero coefficient).
-    Raises NonzeroRemainder unless the remainder vanishes (exactly in exact
-    mode, relative to the numerator scale in float mode).
+    Long division in the pivot variable (first/largest nonzero coefficient),
+    with the pivot coefficient inverted once.  Raises NonzeroRemainder unless
+    the remainder vanishes (exactly in exact mode, relative to the numerator
+    scale in float mode).
     """
     d = p.dim
     if exact:
         pivot = next(j for j in range(d) if not _is_zero(coeffs[j]))
     else:
         pivot = int(np.argmax([abs(float(c)) for c in coeffs]))
-    cp = coeffs[pivot]
+    inv = _invert(coeffs[pivot], exact)
     # split p into slices by pivot exponent
     slices: dict[int, dict] = {}
     for e, c in p.terms.items():
@@ -274,7 +276,7 @@ def divide_linear(p: Polynomial, coeffs, exact: bool, rel_tol: float = 1e-9):
     quot_slices: dict[int, Polynomial] = {}
     carry = Polynomial(d, slices.get(kmax, {}))
     for k in range(kmax, 0, -1):
-        b = carry.scale(_invert(cp, exact))
+        b = carry.scale(inv)
         quot_slices[k - 1] = b
         lower = Polynomial(d, slices.get(k - 1, {}))
         carry = lower - b * lrest
@@ -286,14 +288,13 @@ def divide_linear(p: Polynomial, coeffs, exact: bool, rel_tol: float = 1e-9):
         scale = max((abs(float(c)) for c in p.terms.values()), default=0.0)
         if any(abs(float(c)) > rel_tol * max(scale, 1e-300) for c in rem.terms.values()):
             raise NonzeroRemainder("remainder above float tolerance")
-    out = Polynomial.zero(d)
-    xpiv = Polynomial.variable(pivot + 1, d, _one_like(cp))
+    # slice k holds the coefficients of x_pivot^k; its keys have pivot exponent 0
+    terms = {}
     for k, q in quot_slices.items():
-        term = q
-        for _ in range(k):
-            term = term * xpiv
-        out = out + term
-    return out
+        for e, c in q.terms.items():
+            if not _is_zero(c):
+                terms[e[:pivot] + (k,) + e[pivot + 1:]] = c
+    return Polynomial(d, terms)
 
 
 def _invert(c, exact: bool):
@@ -333,7 +334,16 @@ class DunklAlgebra:
             self.kappas = [float(k) for k in rs.multiplicity]
             self.sigmas = [tuple(tuple(row) for row in reflection_matrix(a)) for a in rs.positive_roots]
             self.one = 1.0
-        self._divided: list[dict] = [dict() for _ in self.alphas]  # root i: e -> D_i(x^e)
+        # root i: the rows (sigma_i x)_k as linear polynomials, e -> x^e o sigma_i,
+        # and e -> D_i(x^e)
+        self._sigma_rows = [
+            [Polynomial(self.dim, {_unit(self.dim, j): c for j, c in enumerate(row) if not _is_zero(c)})
+             for row in sigma]
+            for sigma in self.sigmas
+        ]
+        self._pulled: list[dict] = [{(0,) * self.dim: Polynomial.constant(self.dim, self.one)}
+                                    for _ in self.alphas]
+        self._divided: list[dict] = [dict() for _ in self.alphas]
         self._dunkl_mono: list[dict] = [dict() for _ in range(self.dim)]  # axis j-1: e -> T_j(x^e)
 
     # -- constructors in the right coefficient ring -------------------------
@@ -354,6 +364,16 @@ class DunklAlgebra:
 
     # -- operators -----------------------------------------------------------
 
+    def _pullback(self, i: int, e: tuple) -> Polynomial:
+        """x^e o sigma_i = (x^(e - u_k) o sigma_i) (sigma_i x)_k, k the last
+        nonzero index of e: one product per new monomial, computed once."""
+        cache = self._pulled[i]
+        if e not in cache:
+            k = max(m for m, ek in enumerate(e) if ek)
+            prev = e[:k] + (e[k] - 1,) + e[k + 1:]
+            cache[e] = self._pullback(i, prev) * self._sigma_rows[i][k]
+        return cache[e]
+
     def _divided_monomial(self, i: int, e: tuple) -> Polynomial:
         """D_i(x^e) = (x^e - x^e o sigma_i) / <x, alpha_i>, computed once.
 
@@ -363,8 +383,7 @@ class DunklAlgebra:
         """
         cache = self._divided[i]
         if e not in cache:
-            mono = Polynomial.monomial(e, self.one)
-            num = mono - mono.compose_linear(self.sigmas[i])
+            num = Polynomial.monomial(e, self.one) - self._pullback(i, e)
             cache[e] = num if num.is_zero() else divide_linear(num, self.alphas[i], self.exact)
         return cache[e]
 
@@ -372,34 +391,38 @@ class DunklAlgebra:
         """T_j(x^e) = d x^e / dx_j + sum_i kappa_i alpha_ij D_i(x^e), computed once."""
         cache = self._dunkl_mono[j - 1]
         if e not in cache:
-            out = Polynomial.monomial(e, self.one).partial_derivative(j)
+            terms = dict(Polynomial.monomial(e, self.one).partial_derivative(j).terms)
             for i, alpha in enumerate(self.alphas):
                 aj = alpha[j - 1]
                 if _is_zero(aj) or _is_zero(self.kappas[i]):
                     continue
-                out = out + self._divided_monomial(i, e).scale(self.kappas[i] * aj)
-            cache[e] = out
+                _add_scaled(terms, self._divided_monomial(i, e), self.kappas[i] * aj)
+            cache[e] = Polynomial(self.dim, terms)
         return cache[e]
 
     def divided_difference(self, p: Polynomial, i: int) -> Polynomial:
         """(p - p o sigma_alpha) / <x, alpha> for positive root i."""
-        out = Polynomial.zero(self.dim)
+        terms: dict = {}
         for e, c in p.terms.items():
-            out = out + self._divided_monomial(i, e).scale(c)
-        return out
+            _add_scaled(terms, self._divided_monomial(i, e), c)
+        return Polynomial(self.dim, terms)
 
     def dunkl(self, j: int, p: Polynomial) -> Polynomial:
         """T_j p (1-based axis j); degree-lowering on homogeneous input."""
-        out = Polynomial.zero(self.dim)
+        terms: dict = {}
         for e, c in p.terms.items():
-            out = out + self._dunkl_monomial(j, e).scale(c)
-        return out
+            _add_scaled(terms, self._dunkl_monomial(j, e), c)
+        return Polynomial(self.dim, terms)
 
     def laplacian(self, p: Polynomial) -> Polynomial:
         """Dunkl Laplacian: sum_j T_j^2 p."""
+        return self._laplacian([self.dunkl(j, p) for j in range(1, self.dim + 1)])
+
+    def _laplacian(self, first: list) -> Polynomial:
+        """sum_j T_j (T_j p) from first[j - 1] = T_j p."""
         out = Polynomial.zero(self.dim)
-        for j in range(1, self.dim + 1):
-            out = out + self.dunkl(j, self.dunkl(j, p))
+        for j, tp in enumerate(first, 1):
+            out = out + self.dunkl(j, tp)
         return out
 
     def exp_laplacian(self, p: Polynomial, s) -> Polynomial:
@@ -435,10 +458,11 @@ class DunklAlgebra:
         generalized Hermite polynomials are its eigenvectors with eigenvalue
         2|n| + 2 gamma + d.
         """
-        out = -self.laplacian(p)
-        for j in range(1, self.dim + 1):
+        first = [self.dunkl(j, p) for j in range(1, self.dim + 1)]
+        out = -self._laplacian(first)
+        for j, tp in enumerate(first, 1):
             xj = self.variable(j)
-            out = out + xj * self.dunkl(j, p) + self.dunkl(j, xj * p)
+            out = out + xj * tp + self.dunkl(j, xj * p)
         return out
 
     def apply_poly_operator(self, p: Polynomial, q: Polynomial, cache: dict | None = None) -> Polynomial:
@@ -449,10 +473,10 @@ class DunklAlgebra:
         """
         if cache is None:
             cache = {(0,) * self.dim: q}
-        out = Polynomial.zero(self.dim)
+        terms: dict = {}
         for e, c in p.terms.items():
-            out = out + self._t_power(e, q, cache).scale(c)
-        return out
+            _add_scaled(terms, self._t_power(e, q, cache), c)
+        return Polynomial(self.dim, terms)
 
     def _t_power(self, e: tuple, q: Polynomial, cache: dict) -> Polynomial:
         if e in cache:

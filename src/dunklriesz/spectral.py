@@ -12,6 +12,14 @@ the degree-|n| shell to |n|-1 exactly; the raising variant loses the top
 shell to truncation, which is flagged, not fatal.  When the basis is exact
 the matrix entries are single roundings of exact field elements, and
 delta/delta* transpose-adjointness holds exactly before rounding.
+
+An entry pairs the homogeneous psi_m of degree |m| with e^{Lap/4} P_n, and
+under [p, q] = (p(T) q)(0) homogeneous parts of different degree are
+orthogonal: T^e with |e| = |m| sends every monomial of lower degree to 0, and
+none of P_n is of higher degree.  So only the degree-|m| part of P_n is
+built.  e^{Lap/4} adds only lower degrees and is not applied; for delta_j^*
+the T_j H part of 2 x_j H - T_j H is of degree |n| - 1 < |m| and is not
+computed.
 """
 
 from __future__ import annotations
@@ -19,13 +27,12 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
 from .hermite import HermiteBasis
-from .polyalg import get_algebra
+from .polyalg import Polynomial, get_algebra
 from .reflection import RootSystem, weight
 
 
@@ -209,21 +216,27 @@ def _pairings(basis: HermiteBasis, j: int, variant: str):
     """(row, col, S) with S = [psi_m, e^{Lap/4} P_n] on the target shell of
     each column n, in the basis's own scalars: P_n = T_j H_raw_n ("lower",
     |m| = |n| - 1) or 2 x_j H_raw_n - T_j H_raw_n ("raise", |m| = |n| + 1;
-    the top shell has no target inside the truncation)."""
+    the top shell has no target inside the truncation).
+
+    psi_m is homogeneous of degree |m|, so S reads only the degree-|m| part Q
+    of e^{Lap/4} P_n.  The Laplacian lowers degree by 2, so Q is the
+    degree-|m| part of P_n: T_j H_top, or 2 x_j H_top, with H_top the
+    degree-|n| terms of H_raw_n in their order (T_j H_raw_n has degree
+    |n| - 1).  Those terms go through the operations of the full route in the
+    same order, so every S keeps its bits.
+    """
     alg = get_algebra(basis.rs, basis.exact)
     xj = alg.variable(j)
     shells: dict[int, list[int]] = {}
     for i, n in enumerate(basis.indices):
         shells.setdefault(sum(n), []).append(i)
     for col, n in enumerate(basis.indices):
-        target = sum(n) - 1 if variant == "lower" else sum(n) + 1
+        deg = sum(n)
+        target = deg - 1 if variant == "lower" else deg + 1
         if target not in shells:
             continue
-        H = basis.H_raw[col]
-        P = alg.dunkl(j, H)
-        if variant == "raise":
-            P = xj * H * alg.scalar(2) - P
-        Q = alg.exp_laplacian(P, Fraction(1, 4))
+        H_top = Polynomial(basis.rs.dim, {e: c for e, c in basis.H_raw[col].terms.items() if sum(e) == deg})
+        Q = alg.dunkl(j, H_top) if variant == "lower" else xj * H_top * alg.scalar(2)
         cache = {(0,) * basis.rs.dim: Q}
         for row in shells[target]:
             yield row, col, alg.apply_poly_operator(basis.psi[row], Q, cache).constant_term()

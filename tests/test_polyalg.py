@@ -9,6 +9,9 @@ from dunklriesz.polyalg import (
     DimensionMismatch,
     NonzeroRemainder,
     Polynomial,
+    _invert,
+    _is_zero,
+    _unit,
     divide_linear,
     get_algebra,
 )
@@ -18,6 +21,55 @@ from dunklriesz.reflection import root_system
 
 def P(d, terms):
     return Polynomial(d, {e: Surd.of(c) for e, c in terms.items()})
+
+
+def _one_like(c):
+    return Surd.of(1) if isinstance(c, Surd) else 1.0
+
+
+def compose_linear(p, rows):
+    """p(M x): substitute x_i -> sum_j M[i][j] x_j, each monomial as the
+    product sequence x_1^e_1 ... x_d^e_d; for a reflection this is p o M."""
+    lin = [Polynomial(p.dim, {_unit(p.dim, j): row[j] for j in range(p.dim) if not _is_zero(row[j])})
+           for row in rows]
+    out = Polynomial.zero(p.dim)
+    for e, c in p.terms.items():
+        m = Polynomial.constant(p.dim, _one_like(c))
+        for i, ei in enumerate(e):
+            for _ in range(ei):
+                m = m * lin[i]
+        out = out + m.scale(c)
+    return out
+
+
+def divide_linear_by_slices(p, coeffs, exact):
+    """Long division by sum_j coeffs[j] x_j with the pivot inverted once per
+    slice and each quotient slice raised by x_pivot products (remainder
+    assumed zero)."""
+    d = p.dim
+    if exact:
+        pivot = next(j for j in range(d) if not _is_zero(coeffs[j]))
+    else:
+        pivot = int(np.argmax([abs(float(c)) for c in coeffs]))
+    cp = coeffs[pivot]
+    slices: dict = {}
+    for e, c in p.terms.items():
+        slices.setdefault(e[pivot], {})[e[:pivot] + (0,) + e[pivot + 1:]] = c
+    lrest = Polynomial(d, {_unit(d, j): coeffs[j] for j in range(d) if j != pivot and not _is_zero(coeffs[j])})
+    kmax = max(slices)
+    quot = {}
+    carry = Polynomial(d, slices.get(kmax, {}))
+    for k in range(kmax, 0, -1):
+        b = carry.scale(_invert(cp, exact))
+        quot[k - 1] = b
+        carry = Polynomial(d, slices.get(k - 1, {})) - b * lrest
+    out = Polynomial.zero(d)
+    xpiv = Polynomial.variable(pivot + 1, d, _one_like(cp))
+    for k, q in quot.items():
+        for _ in range(k):
+            q = q * xpiv
+        out = out + q
+    return out
 
 
 def test_ring_basics():
@@ -36,7 +88,7 @@ def test_compose_linear_reflection():
     # pullback through the coordinate reflection flips x1
     x1 = Polynomial.variable(1, 2)
     sig = ((-1.0, 0.0), (0.0, 1.0))
-    assert x1.compose_linear(sig).terms == {(1, 0): -1.0}
+    assert compose_linear(x1, sig).terms == {(1, 0): -1.0}
 
 
 def test_degree_sentinel():
@@ -233,7 +285,7 @@ def _dunkl_uncached(alg, j, p):
     """T_j p by dividing the whole numerator p - p o sigma_i for each root."""
     out = p.partial_derivative(j)
     for alpha, kappa, sigma in zip(alg.alphas, alg.kappas, alg.sigmas):
-        num = p - p.compose_linear(sigma)
+        num = p - compose_linear(p, sigma)
         if num.is_zero() or not kappa or not alpha[j - 1]:
             continue
         out = out + divide_linear(num, alpha, exact=True).scale(kappa * alpha[j - 1])
@@ -263,3 +315,24 @@ def test_exact_and_float_algebras_keep_separate_caches():
     assert all(isinstance(c, float) for c in out_f.terms.values())
     for e, c in out_e.terms.items():
         assert out_f.terms[e] == pytest.approx(float(c), rel=1e-13)
+
+
+@pytest.mark.parametrize("group,kappa,exact", [
+    ("z2", Fraction(1, 2), True), ("z2^2", [1, Fraction(3, 2)], True), ("a2", 1, True),
+    ("b2", [1, 2], True), ("i2(3)", Fraction(1, 2), True), ("i2(4)", [Fraction(1, 2), 2], True),
+    ("i2(6)", [1, Fraction(1, 3)], True), ("i2(5)", 1, False),
+])
+def test_divided_monomial_matches_product_pullback_and_slice_division(group, kappa, exact):
+    """The cached pullback and the one-inverse division give D_i(x^e) term for
+    term, in dict order, as the full product sequence and the slice-by-slice
+    division, for every monomial up to degree 9."""
+    rs = root_system(group, multiplicity=kappa)
+    alg = get_algebra(rs, exact=exact)
+    monomials = [e for e in np.ndindex(*(10,) * rs.dim) if sum(e) <= 9]
+    for i, (alpha, sigma) in enumerate(zip(alg.alphas, alg.sigmas)):
+        for e in monomials:
+            mono = Polynomial.monomial(e, alg.one)
+            num = mono - compose_linear(mono, sigma)
+            want = num if num.is_zero() else divide_linear_by_slices(num, alpha, exact)
+            got = alg._divided_monomial(i, e)
+            assert list(got.terms.items()) == list(want.terms.items()), (i, e)

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from dunklriesz.hermite import basis_from_dict, basis_to_dict, build_basis
 from dunklriesz.kernels import heat_kernel
+from dunklriesz.polyalg import DunklAlgebra, get_algebra
 from dunklriesz.qfield import Surd
 from dunklriesz.reflection import root_system, weight
 from dunklriesz.spectral import (
@@ -16,6 +17,7 @@ from dunklriesz.spectral import (
     OperatorMatrix,
     OrderTooSmall,
     SpectralVector,
+    _pairings,
     analyze,
     delta_matrix,
     exact_adjoint_residual,
@@ -257,13 +259,26 @@ PINNED_DELTA = {
         "458d602f622966a330580323b083a0beffcb77915df2f9c7609096f7fd331231",
         "deeda957001eca662cae5c031fa25072c1cf525b4ff80feb1a9f8426dc8e6d03",
         "0x1.43ceadb19d99fp-47"),
+    ("i2(6)", "built"): (
+        "b07746348e5997d07176967b98a6835960b5ea4329efcf9203b917f83eeede59",
+        "34d6aae70641696478c6ea70cd47e135fece9722cefbc925090a6739ec91881f",
+        "265e9a31f6d6dfa43121b1ea8a4e73b21bd3792b823dd1133448951ab75041a0",
+        "0eac0d0798f994aee780f146bcee30802ff525781fc7b2e0af2e405f3be79f41",
+        "0x0.0p+0"),
+    ("i2(6)", "loaded"): (
+        "75410378f7427c673a6d8588f889b03cc7d469e03acd2e8e1bd1ad888bc3eebf",
+        "25c2304c8cdd4463f577bddf15623d14b78b72bc366e3a9d790cc0a23b81dc6c",
+        "5a2cda1b290806b1c1a52630122cf7d44d86c7c6c5696b313dee3c07cab64e5d",
+        "f073b9500e43e3cea90dfcd7f85f172e6dafe2b55ef6a7693402800ee3280088",
+        "0x1.eb796aa634829p-47"),
 }
 
 
-@pytest.mark.parametrize("group,kappa", [("a2", 1), ("b2", [1, 2]), ("i2(5)", 1)])
+@pytest.mark.parametrize("group,kappa", [("a2", 1), ("b2", [1, 2]), ("i2(6)", [1, 1]), ("i2(5)", 1)])
 def test_delta_matrix_and_eigen_bits_pinned(group, kappa):
-    """delta_j, delta_j^* and the eigen residual keep their bits: exact a2 and
-    b2 and float i2(5) at N = 6, as built and as reloaded from the basis file."""
+    """delta_j, delta_j^* and the eigen residual keep their bits: exact a2, b2
+    and i2(6) and float i2(5) at N = 6, as built and as reloaded from the
+    basis file."""
     built = build_basis(root_system(group, multiplicity=kappa), 6)
     loaded = basis_from_dict(json.loads(json.dumps(basis_to_dict(built))))
     for source, b in (("built", built), ("loaded", loaded)):
@@ -274,6 +289,56 @@ def test_delta_matrix_and_eigen_bits_pinned(group, kappa):
         eigen = check_eigen(b, VerifyConfig())
         assert eigen.status == "pass"
         assert eigen.residuals["max_residual"].hex() == residual, source
+
+
+def _pairings_in_full(basis, j, variant):
+    """The pairings [psi_m, e^{Lap/4} P_n] with Q = e^{Lap/4} P_n built in
+    full, P_n = T_j H_n or 2 x_j H_n - T_j H_n."""
+    alg = get_algebra(basis.rs, basis.exact)
+    shells = {}
+    for i, n in enumerate(basis.indices):
+        shells.setdefault(sum(n), []).append(i)
+    for col, n in enumerate(basis.indices):
+        target = sum(n) - 1 if variant == "lower" else sum(n) + 1
+        if target not in shells:
+            continue
+        H = basis.H_raw[col]
+        P = alg.dunkl(j, H)
+        if variant == "raise":
+            P = alg.variable(j) * H * alg.scalar(2) - P
+        Q = alg.exp_laplacian(P, Fraction(1, 4))
+        cache = {(0,) * basis.rs.dim: Q}
+        for row in shells[target]:
+            yield row, col, alg.apply_poly_operator(basis.psi[row], Q, cache).constant_term()
+
+
+@pytest.mark.parametrize("group,kappa,source", [
+    ("a2", 1, "built"), ("b2", [1, 2], "built"), ("i2(6)", [1, 1], "built"),
+    ("i2(5)", 1, "built"), ("a2", 1, "loaded"),
+])
+def test_top_shell_pairings_equal_full_pairings(group, kappa, source):
+    """The pairings read from the degree-|m| shell alone equal those of the
+    full e^{Lap/4} P_n, entry for entry, for both axes and both variants."""
+    b = build_basis(root_system(group, multiplicity=kappa), 6)
+    if source == "loaded":
+        b = basis_from_dict(json.loads(json.dumps(basis_to_dict(b))))
+    for j in (1, 2):
+        for variant in ("lower", "raise"):
+            got = list(_pairings(b, j, variant))
+            want = list(_pairings_in_full(b, j, variant))
+            assert got == want, (j, variant)
+            assert [type(S) for *_, S in got] == [type(S) for *_, S in want]
+
+
+def test_delta_matrix_applies_no_exp_laplacian(a2_one, monkeypatch):
+    b = build_basis(a2_one, 6)
+    calls = []
+    exp_laplacian = DunklAlgebra.exp_laplacian
+    monkeypatch.setattr(DunklAlgebra, "exp_laplacian",
+                        lambda self, *a: calls.append(a) or exp_laplacian(self, *a))
+    delta_matrix(b, 1, "lower")
+    delta_matrix(b, 1, "raise")
+    assert calls == []
 
 
 def test_oscillator_reconstruction(z2_half_basis8):
