@@ -31,7 +31,7 @@ from .kernels import (
     heat_kernel,
     riesz_kernel,
 )
-from .polyalg import NoExactCoordinates, NonzeroRemainder
+from .polyalg import IrrationalDunklCoefficient, NoExactCoordinates, NonzeroRemainder
 from .reflection import InvalidRootSystem, root_system
 from .verify import DEFAULT_VERIFY, ALL_CHECKS, HORM_RADIUS, run_checks
 
@@ -443,6 +443,7 @@ def main(argv=None) -> int:
         # a numerical route the configuration asked for cannot deliver
         NoExactCoordinates,
         NonzeroRemainder,
+        IrrationalDunklCoefficient,
         TruncationTooCoarse,
         hermite.QuadratureNonConvergence,
         hermite.GramSingular,

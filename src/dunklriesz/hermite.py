@@ -5,16 +5,20 @@ Construction follows the graded structure: the pairing [p,q] = (p(T)q)(0)
 vanishes between different homogeneous degrees, so Gram-Schmidt runs one
 degree block at a time on the monomials in graded-lexicographic order, with
 positive leading coefficients (the basis is not unique; this is the canonical
-deterministic choice).  Then
+deterministic choice).  An exact build takes each Gram block from the one
+below it, row by row: (T^a x^b)(0) over the block is R_a = R_{a - u_j} M_j^(k),
+with M_j^(k) the matrix of T_j from degree k to k - 1 (_gram_blocks).  A float
+build keeps the T-power chains of _gram_block and their float bits.  Then
 
     H_n = 2^|n| exp(-Laplacian/4) phi_n,
     h_n = 2^(-|n|/2) sqrt(m_kappa) e^(-|x|^2/2) H_n.
 
 A basis holds one orthogonal system psi_n, the polynomials
 H_raw_n = 2^|n| e^(-Laplacian/4) psi_n and the norms [psi_n, psi_n], all in
-the scalars of its own algebra.  An exact build keeps psi_n unnormalized in
-the surd field with its exact norms, so every exact identity is a ratio of
-field elements and never needs the square root.  A float build, and a basis
+the scalars of its own algebra.  An exact build keeps psi_n unnormalized over
+the rationals with its exact norms, so every exact identity is a ratio of
+Fractions and never needs the square root; it also keeps its Gram blocks, in
+_cache["gram"], for the delta_j pairings.  A float build, and a basis
 loaded from a file, keep the orthonormal psi_n = phi_n and H_raw_n = H_n,
 with norms 1.  Every basis also carries the normalized float H_n it
 evaluates with.  A basis file holds phi_n and H_n; its `norms` entry is
@@ -99,7 +103,8 @@ def _gram_block(alg: DunklAlgebra, indices: list[tuple]):
 
     For each column q = x^b the powers T^a q are built along prefix chains and
     cached, so the whole block costs O(#indices(<=deg)) Dunkl applications per
-    column.
+    column.  Float builds take this route, whose order fixes their bits;
+    exact builds take _gram_blocks.
     """
     B = len(indices)
     G = [[None] * B for _ in range(B)]
@@ -109,6 +114,32 @@ def _gram_block(alg: DunklAlgebra, indices: list[tuple]):
         for row, a in enumerate(indices):
             G[row][col] = alg._t_power(a, q, cache).constant_term()
     return G
+
+
+def _gram_blocks(alg: DunklAlgebra, N: int) -> list:
+    """Exact Gram blocks G_k[a][b] = (T^a x^b)(0), |a| = |b| = k, for k <= N.
+
+    Row a of G_k is R_a = R_{a - u_j} M_j^(k), with j the first nonzero index
+    of a (the order of _t_power) and R_{a - u_j} a row of G_{k-1}: T^a x^b =
+    T^(a - u_j) (T_j x^b), and the columns of M_j^(k) are the cached T_j(x^b).
+    One vector-matrix product per index a replaces one T-power chain per
+    column; the entries are the same rationals.
+    """
+    d = alg.dim
+    zero = alg.scalar(0)
+    grams = [[[alg.scalar(1)]]]
+    prev = {(0,) * d: 0}
+    for k in range(1, N + 1):
+        block = _indices_of_degree(d, k)
+        columns = [alg.dunkl_columns(j, block, prev) for j in range(1, d + 1)]
+        G = []
+        for a in block:
+            j = next(i for i, ai in enumerate(a) if ai)
+            row = grams[-1][prev[a[:j] + (a[j] - 1,) + a[j + 1:]]]
+            G.append([sum((row[c] * v for c, v in col), zero) for col in columns[j]])
+        grams.append(G)
+        prev = {b: i for i, b in enumerate(block)}
+    return grams
 
 
 @dataclass(eq=False)
@@ -194,11 +225,14 @@ def build_basis(rs: RootSystem, N: int, exact: bool | None = None) -> HermiteBas
     indices = enumerate_indices(rs.dim, N)
     index_pos = {n: i for i, n in enumerate(indices)}
 
+    if exact:
+        grams = _gram_blocks(alg, N)
+    else:
+        grams = [_gram_block(alg, _indices_of_degree(rs.dim, deg)) for deg in range(N + 1)]
     psi: list[Polynomial] = []
     norms = []
-    for deg in range(N + 1):
+    for deg, G in enumerate(grams):
         block = _indices_of_degree(rs.dim, deg)
-        G = _gram_block(alg, block)
         B = len(block)
         # Gram-Schmidt on coefficient vectors over the block monomials
         vecs = []
@@ -251,6 +285,8 @@ def build_basis(rs: RootSystem, N: int, exact: bool | None = None) -> HermiteBas
         c_kappa=ck,
         m_kappa=2.0 ** (g + rs.dim / 2.0) / ck,
         gamma=g,
+        # the exact Gram blocks, for the block products of spectral._pairings
+        _cache={"gram": grams} if exact else {},
     )
 
 

@@ -1,7 +1,7 @@
 """Sparse multivariate polynomials and the exact action of Dunkl operators.
 
 Polynomials are exponent-tuple -> coefficient maps.  Coefficients are duck
-typed: qfield.Surd in exact mode, floats otherwise.  The Dunkl operator
+typed: Fractions in exact mode, floats otherwise.  The Dunkl operator
 
     T_j p = d p/dx_j + sum_{alpha in R+} kappa(alpha) alpha_j
             (p - p o sigma_alpha) / <x, alpha>
@@ -15,6 +15,16 @@ one product each: x^e o sigma = (x^(e - u_k) o sigma) (sigma x)_k, with k the
 last nonzero index of e, is the product sequence x_1^e_1 ... x_d^e_d with its
 last factor split off.  The division inverts the pivot coefficient once and
 places each quotient slice by shifting exponents.
+
+Exact root coordinates are surds (qfield.Surd), and surds live only in the
+sigma rows, the pullbacks and the divisions.  On every exact catalogue group
+each T_j(x^e) comes out rational (the tests check every monomial up to degree
+9), most likely because each root set is closed, up to sign, under the
+conjugations sqrt(2) -> -sqrt(2) and sqrt(3) -> -sqrt(3), which T_j then
+commutes with.  The T_j cache stores these coefficients as Fractions, so
+every exact scalar downstream of T_j (Gram blocks, psi, H, norms, delta_j
+pairings) is a Fraction; a coefficient that is not rational raises
+IrrationalDunklCoefficient.
 
 Sums over the monomials of an argument (T_j p, p(T) q) accumulate into one
 dict in place, with the add / insert / drop-zero order of Polynomial.__add__,
@@ -39,6 +49,11 @@ class DimensionMismatch(ValueError):
 
 class NonzeroRemainder(ArithmeticError):
     """Division by a mirror linear form left a remainder; arithmetic bug."""
+
+
+class IrrationalDunklCoefficient(ArithmeticError):
+    """A coefficient of T_j(x^e) is not rational: the root system is not closed
+    under the conjugations of its surds (no catalogue group is)."""
 
 
 class NoExactCoordinates(ValueError):
@@ -229,9 +244,16 @@ def _unit(d, j):
 
 
 def _is_zero(c) -> bool:
-    if isinstance(c, Surd):
-        return not c
-    return c == 0
+    return not c
+
+
+def _rational(c, j: int, e: tuple) -> Fraction:
+    """The coefficient c of T_j(x^e) as a Fraction."""
+    if isinstance(c, Fraction):
+        return c
+    if not c.is_rational():
+        raise IrrationalDunklCoefficient(f"T_{j}(x^{e}) has the coefficient {c!r}")
+    return c.terms[1]
 
 
 def _add_scaled(terms: dict, p: Polynomial, c) -> None:
@@ -299,7 +321,7 @@ def divide_linear(p: Polynomial, coeffs, exact: bool, rel_tol: float = 1e-9):
 
 def _invert(c, exact: bool):
     if exact:
-        return Surd.of(1) / c if not isinstance(c, Surd) else c.inverse()
+        return Surd.of(c).inverse()
     return 1.0 / float(c)
 
 
@@ -328,12 +350,13 @@ class DunklAlgebra:
             self.alphas = [tuple(a) for a in rs.exact_roots]
             self.kappas = [Surd.of(f) for f in rs.multiplicity_exact]
             self.sigmas = [_exact_reflection_matrix(a) for a in rs.exact_roots]
-            self.one = Surd.of(1)
+            self.one = Fraction(1)
+            field_one = Surd.of(1)  # where the surd pullbacks start
         else:
             self.alphas = [tuple(float(v) for v in a) for a in rs.positive_roots]
             self.kappas = [float(k) for k in rs.multiplicity]
             self.sigmas = [tuple(tuple(row) for row in reflection_matrix(a)) for a in rs.positive_roots]
-            self.one = 1.0
+            self.one = field_one = 1.0
         # root i: the rows (sigma_i x)_k as linear polynomials, e -> x^e o sigma_i,
         # and e -> D_i(x^e)
         self._sigma_rows = [
@@ -341,17 +364,18 @@ class DunklAlgebra:
              for row in sigma]
             for sigma in self.sigmas
         ]
-        self._pulled: list[dict] = [{(0,) * self.dim: Polynomial.constant(self.dim, self.one)}
+        self._pulled: list[dict] = [{(0,) * self.dim: Polynomial.constant(self.dim, field_one)}
                                     for _ in self.alphas]
         self._divided: list[dict] = [dict() for _ in self.alphas]
+        # axis j-1: (i, kappa_i alpha_ij) for the roots where it is nonzero
+        self._weights = [[(i, k * a[j]) for i, (k, a) in enumerate(zip(self.kappas, self.alphas))
+                          if not _is_zero(k) and not _is_zero(a[j])] for j in range(self.dim)]
         self._dunkl_mono: list[dict] = [dict() for _ in range(self.dim)]  # axis j-1: e -> T_j(x^e)
 
     # -- constructors in the right coefficient ring -------------------------
 
     def scalar(self, v):
-        if self.exact:
-            return Surd.of(v) if not isinstance(v, Surd) else v
-        return float(v)
+        return Fraction(v) if self.exact else float(v)
 
     def constant(self, v) -> Polynomial:
         return Polynomial.constant(self.dim, self.scalar(v))
@@ -392,13 +416,19 @@ class DunklAlgebra:
         cache = self._dunkl_mono[j - 1]
         if e not in cache:
             terms = dict(Polynomial.monomial(e, self.one).partial_derivative(j).terms)
-            for i, alpha in enumerate(self.alphas):
-                aj = alpha[j - 1]
-                if _is_zero(aj) or _is_zero(self.kappas[i]):
-                    continue
-                _add_scaled(terms, self._divided_monomial(i, e), self.kappas[i] * aj)
+            for i, w in self._weights[j - 1]:
+                _add_scaled(terms, self._divided_monomial(i, e), w)
+            if self.exact:
+                terms = {e2: _rational(c, j, e) for e2, c in terms.items()}
             cache[e] = Polynomial(self.dim, terms)
         return cache[e]
+
+    def dunkl_columns(self, j: int, block: list, position: dict) -> list:
+        """M_j^(k), the matrix of T_j from the homogeneous block `block` of
+        degree k to degree k - 1, by columns: for each x^b in the block, the
+        pairs (position[c], coefficient of x^c in T_j(x^b))."""
+        return [[(position[c], v) for c, v in self._dunkl_monomial(j, b).terms.items()]
+                for b in block]
 
     def divided_difference(self, p: Polynomial, i: int) -> Polynomial:
         """(p - p o sigma_alpha) / <x, alpha> for positive root i."""
@@ -430,8 +460,7 @@ class DunklAlgebra:
 
         In exact mode s must be rational (it is +-1/4 everywhere we use it).
         """
-        if self.exact:
-            s = Fraction(s)
+        s = self.scalar(s)
         out = p
         term = p
         k = 0
@@ -443,11 +472,7 @@ class DunklAlgebra:
             term = self.laplacian(term)
             if term.is_zero():
                 break
-            if self.exact:
-                coef = Surd.of(s**k / math.factorial(k))
-            else:
-                coef = float(s) ** k / math.factorial(k)
-            out = out + term.scale(coef)
+            out = out + term.scale(s**k / math.factorial(k))
         return out
 
     def conjugated_oscillator(self, p: Polynomial) -> Polynomial:

@@ -1,17 +1,17 @@
 """Exact scalars of the form sum_m c_m * sqrt(m) with rational c_m.
 
-Every coefficient produced by Dunkl operators on the catalogued root systems
-(Z2^d, A2, B2, I2(3|4|6)) lives in a real quadratic-surd extension of Q
-generated by sqrt(2) and sqrt(3): reflection matrices contribute sqrt(3)/2
-entries, root coordinates contribute sqrt(2) factors, and divided differences
-only ever divide by field elements.  This module implements that field on top
-of stdlib Fractions.  It is closed under +, -, *, / and has exact zero tests,
-which is what makes the oscillator eigenvalue identity and the pairing
-orthogonality checkable with zero residual.
+The exact coordinates of the catalogued root systems (Z2^d, A2, B2,
+I2(3|4|6)) live in a real quadratic-surd extension of Q generated by sqrt(2)
+and sqrt(3): root coordinates contribute sqrt(2) factors and reflection
+matrices sqrt(3)/2 entries.  This module implements that field on top of
+stdlib Fractions, closed under +, -, * and the inverse, with exact zero
+tests.
 
-Square roots of general field elements (the Gram-Schmidt normalizers) are NOT
-representable here; callers keep orthogonal bases unnormalized and divide by
-exact norms instead, which stays inside the field.
+Surds live only where those coordinates enter the Dunkl algebra: the
+reflection pullbacks x^e o sigma, and the divisions by <x, alpha> of
+polyalg.  Every T_j(x^e) comes out rational on these groups, so every value
+downstream of T_j (Gram blocks, the Hermite system, norms, delta_j pairings)
+is a plain Fraction.
 """
 
 from __future__ import annotations
@@ -105,9 +105,6 @@ class Surd:
             return NotImplemented
         return self + (-other)
 
-    def __rsub__(self, other):
-        return _coerce(other) + (-self)
-
     def __mul__(self, other):
         other = _coerce(other)
         if other is NotImplemented:
@@ -141,9 +138,6 @@ class Surd:
             return NotImplemented
         return self * other.inverse()
 
-    def __rtruediv__(self, other):
-        return _coerce(other) * self.inverse()
-
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
             raise ValueError("only nonnegative integer powers")
@@ -165,6 +159,9 @@ class Surd:
     def inverse(self) -> "Surd":
         if not self.terms:
             raise ZeroDivisionError("surd division by zero")
+        if len(self.terms) == 1:  # (c sqrt(m))^-1 = sqrt(m) / (c m)
+            (m, c), = self.terms.items()
+            return Surd({m: 1 / (c * m)})
         num, den = Surd.of(1), self
         while not den.is_rational():
             key = max(m for m in den.terms if m > 1)
@@ -188,9 +185,6 @@ class Surd:
         if other is NotImplemented:
             return NotImplemented
         return self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
 
     def __float__(self):
         return float(sum(float(c) * _sqrt_float(m) for m, c in self.terms.items()))

@@ -20,6 +20,23 @@ none of P_n is of higher degree.  So only the degree-|m| part of P_n is
 built.  e^{Lap/4} adds only lower degrees and is not applied; for delta_j^*
 the T_j H part of 2 x_j H - T_j H is of degree |n| - 1 < |m| and is not
 computed.
+
+On an exact basis the pairings are per-degree block products.  With G_k the
+Gram block of degree k, Psi_k the coefficients of the psi_m of shell k and
+H_k those of the top shells of H_raw_n, W_k = Psi_k^T G_k is built once per
+basis and block, and
+
+    S_low   on (k - 1, k) = W_{k-1} M_j^(k) H_k,
+    S_raise on (k + 1, k) = W_{k+1} (2 X_j) H_k,
+
+with M_j^(k) the matrix of T_j from block k to block k - 1 and X_j the shift
+of multiplication by x_j.  The entries are exact rationals, so the route
+does not move a bit.  A float basis keeps the polynomial route (T_j H_top
+paired with psi_m by T-power chains): the block route sums in another order,
+which moves float bits that the tests and the verify digests pin, for no
+gain in accuracy (both routes are within 1.5e-14 of the exact delta_j on
+a2, b2 and i2(6)).  The polynomial route is also the test oracle for the
+block products.
 """
 
 from __future__ import annotations
@@ -216,15 +233,21 @@ def _pairings(basis: HermiteBasis, j: int, variant: str):
     """(row, col, S) with S = [psi_m, e^{Lap/4} P_n] on the target shell of
     each column n, in the basis's own scalars: P_n = T_j H_raw_n ("lower",
     |m| = |n| - 1) or 2 x_j H_raw_n - T_j H_raw_n ("raise", |m| = |n| + 1;
-    the top shell has no target inside the truncation).
+    the top shell has no target inside the truncation).  Column by column,
+    and within a column by row.
 
     psi_m is homogeneous of degree |m|, so S reads only the degree-|m| part Q
     of e^{Lap/4} P_n.  The Laplacian lowers degree by 2, so Q is the
     degree-|m| part of P_n: T_j H_top, or 2 x_j H_top, with H_top the
-    degree-|n| terms of H_raw_n in their order (T_j H_raw_n has degree
-    |n| - 1).  Those terms go through the operations of the full route in the
-    same order, so every S keeps its bits.
+    degree-|n| terms of H_raw_n (T_j H_raw_n has degree |n| - 1).
+
+    An exact basis takes the block products of _block_pairings.  A float basis
+    takes the polynomial route below, which applies T_j to H_top and pairs
+    psi_m with Q by T-power chains, in the order that fixes its float bits.
     """
+    if basis.exact:
+        yield from _block_pairings(basis, j, variant)
+        return
     alg = get_algebra(basis.rs, basis.exact)
     xj = alg.variable(j)
     shells: dict[int, list[int]] = {}
@@ -240,6 +263,64 @@ def _pairings(basis: HermiteBasis, j: int, variant: str):
         cache = {(0,) * basis.rs.dim: Q}
         for row in shells[target]:
             yield row, col, alg.apply_poly_operator(basis.psi[row], Q, cache).constant_term()
+
+
+def _block_pairings(basis: HermiteBasis, j: int, variant: str):
+    """The exact pairings of _pairings as per-degree block products:
+
+        S_low   on (k - 1, k) = W_{k-1} M_j^(k) H_k,
+        S_raise on (k + 1, k) = W_{k+1} (2 X_j) H_k,
+
+    with W_k = Psi_k^T G_k (_pairing_blocks), M_j^(k) the matrix of T_j from
+    block k to block k - 1 and X_j the shift x^b -> x^(b + u_j), both taken by
+    columns.  The two variants are computed apart, so the adjoint check
+    compares two independent products.
+    """
+    alg = get_algebra(basis.rs, True)
+    zero = alg.scalar(0)
+    blocks = _pairing_blocks(basis)
+    for k, (shell, block, _, H) in enumerate(blocks):
+        target = k - 1 if variant == "lower" else k + 1
+        if not 0 <= target < len(blocks):
+            continue
+        rows, tblock, W, _ = blocks[target]
+        pos = {c: i for i, c in enumerate(tblock)}
+        if variant == "lower":
+            columns = alg.dunkl_columns(j, block, pos)
+        else:
+            columns = [[(pos[b[:j - 1] + (b[j - 1] + 1,) + b[j:]], 2)] for b in block]
+        for col, h in zip(shell, H):
+            Q = [zero] * len(tblock)
+            for column, hb in zip(columns, h):
+                if hb:
+                    for c, v in column:
+                        Q[c] += v * hb
+            for row, w in zip(rows, W):
+                # a zero pairing is the int 0 that constant_term() gives
+                yield row, col, sum((wc * qc for wc, qc in zip(w, Q) if qc), zero) or 0
+
+
+def _pairing_blocks(basis: HermiteBasis) -> list:
+    """Per degree k: (positions of shell k, block monomials, W_k, H_k), with
+    W_k = Psi_k^T G_k by rows m and H_k by columns n; built once per basis."""
+    if "pairing_blocks" not in basis._cache:
+        zero = get_algebra(basis.rs, True).scalar(0)
+        shells: dict[int, list[int]] = {}
+        for i, n in enumerate(basis.indices):
+            shells.setdefault(sum(n), []).append(i)
+        blocks = []
+        for k, G in enumerate(basis._cache["gram"]):
+            shell = shells[k]
+            block = [basis.indices[i] for i in shell]
+            W = []
+            for m in shell:
+                psi = [basis.psi[m].terms.get(a, zero) for a in block]
+                W.append([sum((pa * G[a][c] for a, pa in enumerate(psi) if pa), zero)
+                          for c in range(len(block))])
+            H = [[basis.H_raw[n].terms.get(b, zero) for b in block] for n in shell]
+            blocks.append((shell, block, W, H))
+        basis._cache["pairing_blocks"] = blocks
+    return basis._cache["pairing_blocks"]
 
 
 def delta_matrix(basis: HermiteBasis, j: int, variant: str = "lower") -> OperatorMatrix:

@@ -12,6 +12,8 @@ import pytest
 import dunklriesz
 from dunklriesz.cli import CONFIG_SCHEMA, DEFAULTS, ConfigError, _conform, main
 from dunklriesz.hermite import _c_kappa_moments
+from dunklriesz.polyalg import DunklAlgebra, Polynomial
+from dunklriesz.qfield import Surd
 from dunklriesz.reflection import root_system
 
 
@@ -310,6 +312,17 @@ def test_numerical_error_exits_2(tmp_path, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_irrational_dunkl_coefficient_exits_2(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(DunklAlgebra, "_divided_monomial",
+                        lambda self, i, e: Polynomial(self.dim, {(0,) * self.dim: Surd.sqrt_int(3)}))
+    code = run(["basis", "--group", "z2", "--kappa", "0.5", "--degree", "2",
+                "--out", "basis.json"], tmp_path)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: T_1(x^(1,)) has the coefficient") and "Traceback" not in err
+    assert not (tmp_path / "basis.json").exists()
 
 
 DOCUMENTED_GROUPS = {

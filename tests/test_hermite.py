@@ -8,6 +8,9 @@ import pytest
 from dunklriesz.hermite import (
     BasisChecksum,
     IndexOutOfTruncation,
+    _gram_block,
+    _gram_blocks,
+    _indices_of_degree,
     basis_from_dict,
     basis_to_dict,
     build_basis,
@@ -249,12 +252,13 @@ def test_json_round_trip(z2_half_basis8, tmp_path):
 
 def test_basis_representation_rule(a2_one):
     """One orthogonal system per basis, in the scalars of its algebra: an
-    exact build keeps psi_n unnormalized in the surd field with its exact
-    norms; a float build and a loaded file keep the orthonormal phi_n and H_n,
-    with norms 1, and a float build's file says 1.0 in its norms entry."""
+    exact build keeps psi_n unnormalized over the rationals (every scalar
+    downstream of T_j is a Fraction) with its exact norms; a float build and
+    a loaded file keep the orthonormal phi_n and H_n, with norms 1, and a
+    float build's file says 1.0 in its norms entry."""
     exact = build_basis(a2_one, 3)
-    assert all(isinstance(c, Surd) for p in exact.psi + exact.H_raw for c in p.terms.values())
-    assert all(isinstance(v, Surd) for v in exact.norms)
+    assert all(isinstance(c, Fraction) for p in exact.psi + exact.H_raw for c in p.terms.values())
+    assert all(isinstance(v, Fraction) for v in exact.norms)
     assert basis_to_dict(exact)["norms"] == [float(v) for v in exact.norms]
     flt = build_basis(a2_one, 3, exact=False)
     payload = basis_to_dict(flt)
@@ -266,6 +270,24 @@ def test_basis_representation_rule(a2_one):
             for j in range(i + 1):
                 val = pairing(b.rs, b.psi[i], b.psi[j], exact=False)
                 assert val == pytest.approx(float(i == j), abs=1e-12)
+
+
+@pytest.mark.parametrize("group,kappa,N", [
+    ("a2", 1, 6), ("b2", [1, 2], 6), ("i2(6)", [1, 1], 6), ("z2^2", [1, 1], 6),
+    ("z2", Fraction(1, 2), 12),
+])
+def test_gram_blocks_equal_t_power_chains(group, kappa, N):
+    """The exact Gram blocks by rows, R_a = R_{a - u_j} M_j, equal those of
+    the T-power chains of _gram_block entry for entry, and are the ones an
+    exact build keeps."""
+    rs = root_system(group, multiplicity=kappa)
+    alg = get_algebra(rs, exact=True)
+    grams = _gram_blocks(alg, N)
+    assert len(grams) == N + 1
+    for k, G in enumerate(grams):
+        assert G == _gram_block(alg, _indices_of_degree(rs.dim, k)), k
+        assert all(type(v) is Fraction for row in G for v in row)
+    assert build_basis(rs, N)._cache["gram"] == grams
 
 
 def test_checksum_guard(z2_half_basis8):

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from dunklriesz.polyalg import (
     DimensionMismatch,
+    IrrationalDunklCoefficient,
     NonzeroRemainder,
     Polynomial,
     _invert,
@@ -24,7 +25,9 @@ def P(d, terms):
 
 
 def _one_like(c):
-    return Surd.of(1) if isinstance(c, Surd) else 1.0
+    if isinstance(c, Surd):
+        return Surd.of(1)
+    return Fraction(1) if isinstance(c, Fraction) else 1.0
 
 
 def compose_linear(p, rows):
@@ -311,7 +314,10 @@ def test_exact_and_float_algebras_keep_separate_caches():
     p = alg_e.monomial((3, 1))
     out_e = alg_e.dunkl(1, p)
     out_f = alg_f.dunkl(1, p.to_float())
-    assert all(isinstance(c, Surd) for c in out_e.terms.values())
+    assert all(isinstance(c, Fraction) for c in out_e.terms.values())
+    assert all(isinstance(c, Fraction) for q in alg_e._dunkl_mono[0].values() for c in q.terms.values())
+    for cache in alg_e._pulled + alg_e._divided:
+        assert all(isinstance(c, Surd) for q in cache.values() for c in q.terms.values())
     assert all(isinstance(c, float) for c in out_f.terms.values())
     for e, c in out_e.terms.items():
         assert out_f.terms[e] == pytest.approx(float(c), rel=1e-13)
@@ -336,3 +342,26 @@ def test_divided_monomial_matches_product_pullback_and_slice_division(group, kap
             want = num if num.is_zero() else divide_linear_by_slices(num, alpha, exact)
             got = alg._divided_monomial(i, e)
             assert list(got.terms.items()) == list(want.terms.items()), (i, e)
+
+
+@pytest.mark.parametrize("group,kappa", [
+    ("z2", Fraction(1, 2)), ("z2^3", [Fraction(1, 2), 1, 2]), ("a2", 1), ("b2", [1, 2]),
+    ("i2(3)", Fraction(1, 2)), ("i2(4)", [Fraction(1, 2), 2]), ("i2(6)", [1, Fraction(1, 3)]),
+])
+def test_dunkl_of_every_monomial_is_rational(group, kappa):
+    """T_j(x^e) has only Fraction coefficients on every exact catalogue group,
+    for every axis and every monomial up to degree 9."""
+    rs = root_system(group, multiplicity=kappa)
+    alg = get_algebra(rs, exact=True)
+    for e in (e for e in np.ndindex(*(10,) * rs.dim) if sum(e) <= 9):
+        for j in range(1, rs.dim + 1):
+            assert all(type(c) is Fraction for c in alg._dunkl_monomial(j, e).terms.values())
+
+
+def test_irrational_dunkl_coefficient_raises():
+    """A divided difference that would leave an irrational coefficient in
+    T_1(x) (here kappa alpha_1 sqrt(3) = sqrt(6)/2) raises the typed error."""
+    alg = get_algebra(root_system("z2", multiplicity=Fraction(1, 2)), exact=True)
+    alg._divided[0][(1,)] = Polynomial(1, {(0,): Surd.sqrt_int(3)})
+    with pytest.raises(IrrationalDunklCoefficient):
+        alg.dunkl(1, alg.variable(1))

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from dunklriesz.hermite import basis_from_dict, basis_to_dict, build_basis
 from dunklriesz.kernels import heat_kernel
-from dunklriesz.polyalg import DunklAlgebra, get_algebra
+from dunklriesz.polyalg import DunklAlgebra, Polynomial, get_algebra
 from dunklriesz.qfield import Surd
 from dunklriesz.reflection import root_system, weight
 from dunklriesz.spectral import (
@@ -310,6 +310,41 @@ def _pairings_in_full(basis, j, variant):
         cache = {(0,) * basis.rs.dim: Q}
         for row in shells[target]:
             yield row, col, alg.apply_poly_operator(basis.psi[row], Q, cache).constant_term()
+
+
+def _pairings_by_chains(basis, j, variant):
+    """The top-shell pairings by polynomials: Q = T_j H_top or 2 x_j H_top,
+    paired with each psi_m by T-power chains on Q."""
+    alg = get_algebra(basis.rs, basis.exact)
+    shells = {}
+    for i, n in enumerate(basis.indices):
+        shells.setdefault(sum(n), []).append(i)
+    for col, n in enumerate(basis.indices):
+        target = sum(n) - 1 if variant == "lower" else sum(n) + 1
+        if target not in shells:
+            continue
+        H_top = Polynomial(basis.rs.dim, {e: c for e, c in basis.H_raw[col].terms.items() if sum(e) == sum(n)})
+        Q = alg.dunkl(j, H_top) if variant == "lower" else alg.variable(j) * H_top * alg.scalar(2)
+        cache = {(0,) * basis.rs.dim: Q}
+        for row in shells[target]:
+            yield row, col, alg.apply_poly_operator(basis.psi[row], Q, cache).constant_term()
+
+
+@pytest.mark.parametrize("group,kappa,N", [
+    ("a2", 1, 6), ("b2", [1, 2], 6), ("i2(6)", [1, 1], 6), ("z2^2", [1, 1], 6),
+    ("z2", Fraction(1, 2), 12),
+])
+def test_block_pairings_equal_polynomial_pairings(group, kappa, N):
+    """On exact bases the block products W_{k-1} M_j H_k and W_{k+1} 2X_j H_k
+    give the pairings of the polynomial route, as field elements and in its
+    order, for every axis and both variants."""
+    b = build_basis(root_system(group, multiplicity=kappa), N)
+    assert b.exact
+    for j in range(1, b.rs.dim + 1):
+        for variant in ("lower", "raise"):
+            got = list(_pairings(b, j, variant))
+            assert got == list(_pairings_by_chains(b, j, variant)), (j, variant)
+            assert all(type(S) in (Fraction, int) for *_, S in got)
 
 
 @pytest.mark.parametrize("group,kappa,source", [
