@@ -21,8 +21,10 @@ Fractions and never needs the square root; it also keeps its Gram blocks, in
 _cache["gram"], for the delta_j pairings.  A float build, and a basis
 loaded from a file, keep the orthonormal psi_n = phi_n and H_raw_n = H_n,
 with norms 1.  Every basis also carries the normalized float H_n it
-evaluates with.  A basis file holds phi_n and H_n; its `norms` entry is
-informational (the exact norms as floats, 1.0 for a float build).
+evaluates with; an exact build lists their terms by (-|e|, e), so its float
+bits do not depend on the term order of the algebra.  A basis file holds
+phi_n and H_n; its `norms` entry is informational (the exact norms as
+floats, 1.0 for a float build).
 """
 
 from __future__ import annotations
@@ -268,7 +270,12 @@ def build_basis(rs: RootSystem, N: int, exact: bool | None = None) -> HermiteBas
         for p, n in zip(psi, indices)
     ]
     H = _normalized(H_raw, norms)
-    if not exact:
+    if exact:
+        # terms by (-|e|, e), the order of a Z2^d build: the float sums of
+        # eval_float then do not depend on how the algebra fills T_j
+        H = [Polynomial(rs.dim, dict(sorted(h.terms.items(), key=lambda t: (-sum(t[0]), t[0]))))
+             for h in H]
+    else:
         psi, H_raw, norms = _normalized(psi, norms), H, [1.0] * len(psi)
 
     g = gamma(rs)

@@ -6,25 +6,43 @@ typed: Fractions in exact mode, floats otherwise.  The Dunkl operator
     T_j p = d p/dx_j + sum_{alpha in R+} kappa(alpha) alpha_j
             (p - p o sigma_alpha) / <x, alpha>
 
-is linear, so it is applied monomial by monomial: each divided difference
-(x^e - x^e o sigma_alpha) / <x, alpha> is an exact division of the numerator
-by the linear form <x, alpha> (the numerator vanishes on the mirror; a
-nonzero remainder signals a bug, never valid input), made once per monomial
-and root.  The pullbacks x^e o sigma_alpha sit in a per-root cache and cost
-one product each: x^e o sigma = (x^(e - u_k) o sigma) (sigma x)_k, with k the
-last nonzero index of e, is the product sequence x_1^e_1 ... x_d^e_d with its
-last factor split off.  The division inverts the pivot coefficient once and
-places each quotient slice by shifting exponents.
+is linear, so it is applied monomial by monomial, from a cache of T_j(x^e).
+The pullbacks x^e o sigma_alpha sit in a per-root cache and cost one product
+each: x^e o sigma = (x^(e - u_k) o sigma) (sigma x)_k, with k the last
+nonzero index of e, is the product sequence x_1^e_1 ... x_d^e_d with its last
+factor split off.
+
+Exact mode fills the T_j cache without any division, from the commutator
+(Roesler, Comm. Math. Phys. 192, 1998)
+
+    [T_j, x_m] = delta_jm + sum_{alpha in R+} kappa(alpha) alpha_j alpha_m sigma_alpha,
+
+which holds as written for |alpha|^2 = 2, the norm of every exact root (the
+exact sigma is I - alpha alpha^T).  With m the last nonzero index of e and
+b = e - u_m,
+
+    T_j(x^e) = x_m T_j(x^b) + [T_j, x_m](x^b),
+
+and [T_j, x_m](x^b) reads only the cached pullbacks x^b o sigma_alpha of
+degree |e| - 1; it is symmetric in j and m and cached once per pair.  Float
+mode (whose roots need not have |alpha|^2 = 2) takes each divided difference
+(x^e - x^e o sigma_alpha) / <x, alpha> as a division of the numerator by the
+linear form <x, alpha> (the numerator vanishes on the mirror; a nonzero
+remainder signals a bug, never valid input), made once per monomial and
+root; the division inverts the pivot coefficient once and places each
+quotient slice by shifting exponents.  In exact mode that route is the test
+oracle of the commutator.
 
 Exact root coordinates are surds (qfield.Surd), and surds live only in the
-sigma rows, the pullbacks and the divisions.  On every exact catalogue group
-each T_j(x^e) comes out rational (the tests check every monomial up to degree
-9), most likely because each root set is closed, up to sign, under the
-conjugations sqrt(2) -> -sqrt(2) and sqrt(3) -> -sqrt(3), which T_j then
-commutes with.  The T_j cache stores these coefficients as Fractions, so
-every exact scalar downstream of T_j (Gram blocks, psi, H, norms, delta_j
-pairings) is a Fraction; a coefficient that is not rational raises
-IrrationalDunklCoefficient.
+sigma rows, the pullbacks and the commutator sums.  On every exact catalogue
+group each T_j(x^e) comes out rational (the tests check every monomial up to
+degree 9), most likely because each root set is closed, up to sign, under
+the conjugations sqrt(2) -> -sqrt(2) and sqrt(3) -> -sqrt(3), which T_j then
+commutes with; so is each [T_j, x_m](x^b), the difference of two of them.
+Both caches store these coefficients as Fractions, so every exact scalar
+downstream of T_j (Gram blocks, psi, H, norms, delta_j pairings) is a
+Fraction; a coefficient that is not rational raises
+IrrationalDunklCoefficient, naming the T_j(x^e) being filled.
 
 Sums over the monomials of an argument (T_j p, p(T) q) accumulate into one
 dict in place, with the add / insert / drop-zero order of Polynomial.__add__,
@@ -329,8 +347,10 @@ class DunklAlgebra:
     """Dunkl operator calculus bound to one root system.
 
     T_j is linear, so it is applied as the sparse sum of its values on the
-    monomials of p.  Each monomial's divided difference D_i(x^e) is computed
-    once per root and T_j(x^e) once per axis; repeated T_j applications on
+    monomials of p.  T_j(x^e) is computed once per axis: in exact mode from
+    T_j(x^(e - u_m)) and the commutator [T_j, x_m] (the roots have
+    |alpha|^2 = 2; no division), in float mode from the divided differences
+    D_i(x^e), each computed once per root.  Repeated T_j applications on
     graded bases then cost only coefficient arithmetic.
     """
 
@@ -358,7 +378,7 @@ class DunklAlgebra:
             self.sigmas = [tuple(tuple(row) for row in reflection_matrix(a)) for a in rs.positive_roots]
             self.one = field_one = 1.0
         # root i: the rows (sigma_i x)_k as linear polynomials, e -> x^e o sigma_i,
-        # and e -> D_i(x^e)
+        # and e -> D_i(x^e) (float mode)
         self._sigma_rows = [
             [Polynomial(self.dim, {_unit(self.dim, j): c for j, c in enumerate(row) if not _is_zero(c)})
              for row in sigma]
@@ -370,6 +390,12 @@ class DunklAlgebra:
         # axis j-1: (i, kappa_i alpha_ij) for the roots where it is nonzero
         self._weights = [[(i, k * a[j]) for i, (k, a) in enumerate(zip(self.kappas, self.alphas))
                           if not _is_zero(k) and not _is_zero(a[j])] for j in range(self.dim)]
+        # axes j-1 <= m-1: (i, kappa_i alpha_ij alpha_im) where nonzero, and
+        # b -> [T_j, x_m](x^b) (exact mode)
+        self._pair_weights = {(j, m): [(i, w * self.alphas[i][m]) for i, w in self._weights[j]
+                                       if not _is_zero(self.alphas[i][m])]
+                              for j in range(self.dim) for m in range(j, self.dim)}
+        self._commuted: dict = {pair: {} for pair in self._pair_weights}
         self._dunkl_mono: list[dict] = [dict() for _ in range(self.dim)]  # axis j-1: e -> T_j(x^e)
 
     # -- constructors in the right coefficient ring -------------------------
@@ -412,16 +438,42 @@ class DunklAlgebra:
         return cache[e]
 
     def _dunkl_monomial(self, j: int, e: tuple) -> Polynomial:
-        """T_j(x^e) = d x^e / dx_j + sum_i kappa_i alpha_ij D_i(x^e), computed once."""
+        """T_j(x^e), computed once: from the commutator in exact mode, as
+        d x^e / dx_j + sum_i kappa_i alpha_ij D_i(x^e) in float mode."""
         cache = self._dunkl_mono[j - 1]
         if e not in cache:
-            terms = dict(Polynomial.monomial(e, self.one).partial_derivative(j).terms)
-            for i, w in self._weights[j - 1]:
-                _add_scaled(terms, self._divided_monomial(i, e), w)
             if self.exact:
-                terms = {e2: _rational(c, j, e) for e2, c in terms.items()}
-            cache[e] = Polynomial(self.dim, terms)
+                cache[e] = self._dunkl_commuted(j, e)
+            else:
+                terms = dict(Polynomial.monomial(e, self.one).partial_derivative(j).terms)
+                for i, w in self._weights[j - 1]:
+                    _add_scaled(terms, self._divided_monomial(i, e), w)
+                cache[e] = Polynomial(self.dim, terms)
         return cache[e]
+
+    def _dunkl_commuted(self, j: int, e: tuple) -> Polynomial:
+        """T_j(x^e) = x_m T_j(x^b) + [T_j, x_m](x^b), b = e - u_m, with m the
+        last nonzero index of e (that of _pullback)."""
+        if not any(e):
+            return Polynomial.zero(self.dim)
+        m = max(k for k, ek in enumerate(e) if ek)
+        b = e[:m] + (e[m] - 1,) + e[m + 1:]
+        terms = {c[:m] + (c[m] + 1,) + c[m + 1:]: v for c, v in self._dunkl_monomial(j, b).terms.items()}
+        _add_scaled(terms, self._commutator(j, m + 1, b, e), self.one)
+        return Polynomial(self.dim, terms)
+
+    def _commutator(self, j: int, m: int, b: tuple, e: tuple) -> Polynomial:
+        """[T_j, x_m](x^b) = delta_jm x^b + sum_i kappa_i alpha_ij alpha_im
+        (x^b o sigma_i), computed once per unordered pair (j, m) and b, as
+        Fractions; e names the T_j(x^e) being filled in the error."""
+        pair = (min(j, m) - 1, max(j, m) - 1)
+        cache = self._commuted[pair]
+        if b not in cache:
+            terms = {b: Surd.of(1)} if j == m else {}
+            for i, w in self._pair_weights[pair]:
+                _add_scaled(terms, self._pullback(i, b), w)
+            cache[b] = Polynomial(self.dim, {c: _rational(v, j, e) for c, v in terms.items()})
+        return cache[b]
 
     def dunkl_columns(self, j: int, block: list, position: dict) -> list:
         """M_j^(k), the matrix of T_j from the homogeneous block `block` of
@@ -429,13 +481,6 @@ class DunklAlgebra:
         pairs (position[c], coefficient of x^c in T_j(x^b))."""
         return [[(position[c], v) for c, v in self._dunkl_monomial(j, b).terms.items()]
                 for b in block]
-
-    def divided_difference(self, p: Polynomial, i: int) -> Polynomial:
-        """(p - p o sigma_alpha) / <x, alpha> for positive root i."""
-        terms: dict = {}
-        for e, c in p.terms.items():
-            _add_scaled(terms, self._divided_monomial(i, e), c)
-        return Polynomial(self.dim, terms)
 
     def dunkl(self, j: int, p: Polynomial) -> Polynomial:
         """T_j p (1-based axis j); degree-lowering on homogeneous input."""

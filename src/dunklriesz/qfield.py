@@ -7,11 +7,13 @@ matrices sqrt(3)/2 entries.  This module implements that field on top of
 stdlib Fractions, closed under +, -, * and the inverse, with exact zero
 tests.
 
-Surds live only where those coordinates enter the Dunkl algebra: the
-reflection pullbacks x^e o sigma, and the divisions by <x, alpha> of
-polyalg.  Every T_j(x^e) comes out rational on these groups, so every value
-downstream of T_j (Gram blocks, the Hermite system, norms, delta_j pairings)
-is a plain Fraction.
+Surds live only where those coordinates enter the Dunkl algebra of polyalg:
+the sigma rows, the reflection pullbacks x^e o sigma, and the commutator sums
+[T_j, x_m](x^b) = delta_jm x^b + sum kappa alpha_j alpha_m (x^b o sigma).
+Exact mode divides by no <x, alpha>; the surd division of polyalg serves
+float mode and, in exact mode, the tests as an oracle.  Every T_j(x^e) comes
+out rational on these groups, so every value downstream of T_j (Gram blocks,
+the Hermite system, norms, delta_j pairings) is a plain Fraction.
 """
 
 from __future__ import annotations

@@ -315,7 +315,7 @@ def test_numerical_error_exits_2(tmp_path, capsys):
 
 
 def test_irrational_dunkl_coefficient_exits_2(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(DunklAlgebra, "_divided_monomial",
+    monkeypatch.setattr(DunklAlgebra, "_pullback",
                         lambda self, i, e: Polynomial(self.dim, {(0,) * self.dim: Surd.sqrt_int(3)}))
     code = run(["basis", "--group", "z2", "--kappa", "0.5", "--degree", "2",
                 "--out", "basis.json"], tmp_path)

@@ -20,7 +20,7 @@ from dunklriesz.hermite import (
     pairing,
     _c_kappa_moments,
 )
-from dunklriesz.polyalg import get_algebra
+from dunklriesz.polyalg import Polynomial, _add_scaled, _rational, get_algebra
 from dunklriesz.qfield import Surd
 from dunklriesz.reflection import root_system, weight
 
@@ -334,3 +334,35 @@ def test_float_basis_matches_exact(group, kappa):
         scale = max(abs(c) for c in he.terms.values())
         diff = max(abs(he.terms.get(e, 0.0) - hf.terms.get(e, 0.0)) for e in set(he.terms) | set(hf.terms))
         assert diff <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("group,kappa,N", [
+    ("z2", Fraction(1, 2), 8), ("z2^2", [1, 1], 5), ("a2", 1, 6), ("i2(6)", [1, Fraction(1, 3)], 5),
+])
+def test_exact_build_lists_float_H_by_descending_degree(group, kappa, N):
+    basis = build_basis(root_system(group, multiplicity=kappa), N, exact=True)
+    for h in basis.H:
+        assert list(h.terms) == sorted(h.terms, key=lambda e: (-sum(e), e))
+
+
+def test_exact_h_bits_do_not_depend_on_the_dunkl_fill():
+    """a2 h_n are bit-identical whether T_j(x^e) comes from the commutator or
+    from the divided differences, whose terms come in another order."""
+    N = 8
+    commuted = build_basis(root_system("a2", multiplicity=1), N, exact=True)
+    rs = root_system("a2", multiplicity=1)
+    alg = get_algebra(rs, exact=True)
+    reordered = 0
+    for j in (1, 2):
+        for e in (e for e in np.ndindex(N + 1, N + 1) if sum(e) <= N):
+            terms = dict(Polynomial.monomial(e, Surd.of(1)).partial_derivative(j).terms)
+            for i, w in alg._weights[j - 1]:
+                _add_scaled(terms, alg._divided_monomial(i, e), w)
+            alg._dunkl_mono[j - 1][e] = Polynomial(2, {c: _rational(v, j, e) for c, v in terms.items()})
+            want = get_algebra(commuted.rs, exact=True)._dunkl_monomial(j, e)
+            assert alg._dunkl_mono[j - 1][e] == want
+            reordered += list(alg._dunkl_mono[j - 1][e].terms) != list(want.terms)
+    divided = build_basis(rs, N, exact=True)
+    assert reordered and any(list(p.terms) != list(q.terms) for p, q in zip(commuted.H_raw, divided.H_raw))
+    x = np.random.default_rng(7).uniform(-1.5, 1.5, (60, 2))
+    assert commuted.hermite_function_matrix(x).tobytes() == divided.hermite_function_matrix(x).tobytes()

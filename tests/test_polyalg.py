@@ -5,11 +5,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dunklriesz import polyalg
+from dunklriesz.hermite import build_basis
 from dunklriesz.polyalg import (
     DimensionMismatch,
     IrrationalDunklCoefficient,
     NonzeroRemainder,
     Polynomial,
+    _add_scaled,
     _invert,
     _is_zero,
     _unit,
@@ -18,6 +21,7 @@ from dunklriesz.polyalg import (
 )
 from dunklriesz.qfield import Surd, SQRT2
 from dunklriesz.reflection import root_system
+from dunklriesz.verify import check_eigen
 
 
 def P(d, terms):
@@ -43,6 +47,15 @@ def compose_linear(p, rows):
                 m = m * lin[i]
         out = out + m.scale(c)
     return out
+
+
+def divided_difference(alg, p, i):
+    """(p - p o sigma_alpha) / <x, alpha> for positive root i, monomial by
+    monomial from the cached D_i(x^e)."""
+    terms: dict = {}
+    for e, c in p.terms.items():
+        _add_scaled(terms, alg._divided_monomial(i, e), c)
+    return Polynomial(alg.dim, terms)
 
 
 def divide_linear_by_slices(p, coeffs, exact):
@@ -121,13 +134,13 @@ def test_divided_difference_examples():
     rs1 = root_system("z2", multiplicity=1)
     alg = get_algebra(rs1)
     x = alg.variable(1)
-    assert alg.divided_difference(x * x, 0).is_zero()
-    dd = alg.divided_difference(x, 0)
+    assert divided_difference(alg, x * x, 0).is_zero()
+    dd = divided_difference(alg, x, 0)
     assert dd.terms == {(0,): SQRT2}
     rs2 = root_system("z2^2", multiplicity=[1, 1])
     alg2 = get_algebra(rs2)
     p = alg2.monomial((1, 1))
-    dd2 = alg2.divided_difference(p, 0)
+    dd2 = divided_difference(alg2, p, 0)
     assert dd2.terms == {(0, 1): SQRT2}
 
 
@@ -316,8 +329,11 @@ def test_exact_and_float_algebras_keep_separate_caches():
     out_f = alg_f.dunkl(1, p.to_float())
     assert all(isinstance(c, Fraction) for c in out_e.terms.values())
     assert all(isinstance(c, Fraction) for q in alg_e._dunkl_mono[0].values() for c in q.terms.values())
-    for cache in alg_e._pulled + alg_e._divided:
+    for cache in alg_e._pulled:
         assert all(isinstance(c, Surd) for q in cache.values() for c in q.terms.values())
+    assert all(type(c) is Fraction for cache in alg_e._commuted.values()
+               for q in cache.values() for c in q.terms.values())
+    assert not any(alg_e._divided)  # exact mode does no division
     assert all(isinstance(c, float) for c in out_f.terms.values())
     for e, c in out_e.terms.items():
         assert out_f.terms[e] == pytest.approx(float(c), rel=1e-13)
@@ -350,18 +366,48 @@ def test_divided_monomial_matches_product_pullback_and_slice_division(group, kap
 ])
 def test_dunkl_of_every_monomial_is_rational(group, kappa):
     """T_j(x^e) has only Fraction coefficients on every exact catalogue group,
-    for every axis and every monomial up to degree 9."""
+    for every axis and every monomial up to degree 9, and the commutator
+    route that fills it equals the division route d x^e / dx_j +
+    sum_i kappa_i alpha_ij D_i(x^e), summed here."""
     rs = root_system(group, multiplicity=kappa)
     alg = get_algebra(rs, exact=True)
     for e in (e for e in np.ndindex(*(10,) * rs.dim) if sum(e) <= 9):
+        mono = Polynomial.monomial(e, Surd.of(1))
         for j in range(1, rs.dim + 1):
-            assert all(type(c) is Fraction for c in alg._dunkl_monomial(j, e).terms.values())
+            got = alg._dunkl_monomial(j, e)
+            assert all(type(c) is Fraction for c in got.terms.values())
+            want = dict(mono.partial_derivative(j).terms)
+            for i, (alpha, kappa_i) in enumerate(zip(alg.alphas, alg.kappas)):
+                _add_scaled(want, alg._divided_monomial(i, e), kappa_i * alpha[j - 1])
+            assert {c: Surd.of(v) for c, v in got.terms.items()} == want, (j, e)
 
 
 def test_irrational_dunkl_coefficient_raises():
-    """A divided difference that would leave an irrational coefficient in
-    T_1(x) (here kappa alpha_1 sqrt(3) = sqrt(6)/2) raises the typed error."""
+    """A pullback that would leave an irrational coefficient in T_1(x) (here
+    kappa alpha_1^2 sqrt(3) = sqrt(3) in [T_1, x_1](1)) raises the typed
+    error, naming T_1(x)."""
     alg = get_algebra(root_system("z2", multiplicity=Fraction(1, 2)), exact=True)
-    alg._divided[0][(1,)] = Polynomial(1, {(0,): Surd.sqrt_int(3)})
-    with pytest.raises(IrrationalDunklCoefficient):
+    alg._pulled[0][(0,)] = Polynomial(1, {(0,): Surd.sqrt_int(3)})
+    with pytest.raises(IrrationalDunklCoefficient, match=r"^T_1\(x\^\(1,\)\) has the coefficient"):
         alg.dunkl(1, alg.variable(1))
+
+
+def _count_divisions(monkeypatch) -> list:
+    calls = []
+    real = polyalg.divide_linear
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(polyalg, "divide_linear", counted)
+    return calls
+
+
+def test_exact_build_and_eigen_check_make_no_division(monkeypatch):
+    calls = _count_divisions(monkeypatch)
+    basis = build_basis(root_system("a2", multiplicity=1), 8, exact=True)
+    assert check_eigen(basis).status == "pass"
+    assert not calls
+    build_basis(root_system("i2(5)", multiplicity=1), 4, exact=False)
+    assert calls
