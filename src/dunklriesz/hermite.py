@@ -37,7 +37,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
-from scipy.special import gammaln
 
 from .polyalg import DunklAlgebra, Polynomial, _is_zero, get_algebra
 from .reflection import RootSystem, gamma, root_system
@@ -339,9 +338,12 @@ def c_kappa(rs: RootSystem) -> float:
     the closed form (or, in the plane, of its radial factor) is past that of
     the largest float: past kappa = 134.07 on z2, 75.14 on z2^2 (equal
     kappas), 50.04 on a2 and 37.53 on b2.
+    Only the Z2^d branch calls scipy (gammaln), so it imports it there, and
+    planar and exact builds load no scipy.
     """
     axis_k = rs.axis_kappas()
     if axis_k is not None:
+        from scipy.special import gammaln
         log_c = np.sum((2.0 * axis_k + 0.5) * np.log(2.0) + gammaln(axis_k + 0.5))
         _check_fits(log_c)
         return float(np.exp(log_c))

@@ -94,6 +94,11 @@ there too.  The panels take log E by band for every element, whatever the
 size of the block (_log_e_bands), and add the nodes in order on a lattice
 that every batch shares, so a row's panel sums are the same bits alone as
 inside any batch.
+
+scipy.special is imported inside the two functions that call it,
+_bessel_pair and _log_e_bessel, not at module level: only a Z2^d kernel
+needs it, so a command that evaluates none (planar or exact basis and
+verify, Mehler eval) never loads it.
 """
 
 from __future__ import annotations
@@ -104,7 +109,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.special import gammaln, i0e, i1e, ive
 
 from .hermite import HermiteBasis, c_kappa
 from .reflection import gamma
@@ -308,7 +312,9 @@ def _bessel_pair(nu: float, x):
     other order goes through ive.
     """
     if nu == 0.0:
+        from scipy.special import i0e, i1e
         return i0e(x), i1e(x)
+    from scipy.special import ive
     return ive(nu, x), ive(nu + 1, x)
 
 
@@ -342,6 +348,7 @@ def _log_e_bessel(kappa: float, w: np.ndarray, aw: np.ndarray, scaled: bool) -> 
     At kappa = 1/2 the power term (1/2 - kappa) log(|w|/2) of lead is
     identically 0 and is left out.
     """
+    from scipy.special import gammaln
 
     def from_pair(w, aw, i0, i1):
         lead = gammaln(kappa + 0.5)

@@ -46,7 +46,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .hermite import HermiteBasis
 from .polyalg import Polynomial, get_algebra
@@ -92,12 +91,16 @@ def gauss_generalized_hermite(kappa: float, order: int):
     Golub-Welsch on the Jacobi matrix; the recurrence coefficients for this
     weight are b_n^2 = (n + 2 kappa [n odd]) / 2, the matrix its (finite,
     positive) moments m_{2k} = Gamma(k + kappa + 1/2) determine.  Exact for
-    polynomials up to degree 2*order - 1.
+    polynomials up to degree 2*order - 1.  scipy.linalg is imported here, the
+    one caller of eigh_tridiagonal, so a command that builds no such rule does
+    not load it.
     """
     if order < 1:
         raise OrderTooSmall("quadrature order must be >= 1")
     if kappa < 0:
         raise MomentMatrixSingular("negative kappa outside the admissible range")
+    from scipy.linalg import eigh_tridiagonal
+
     n = np.arange(1, order)
     b = np.sqrt((n + 2.0 * kappa * (n % 2)) / 2.0)
     nodes, vecs = eigh_tridiagonal(np.zeros(order), b)

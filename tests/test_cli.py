@@ -1,3 +1,4 @@
+import ast
 import csv
 import gc
 import json
@@ -514,17 +515,20 @@ START_UP = """
 import json, sys
 COSTLY = ("scipy.integrate", "scipy.optimize", "jsonschema")
 def loaded():
-    return sorted(m for m in COSTLY if m in sys.modules)
+    return {"costly": sorted(m for m in COSTLY if m in sys.modules),
+            "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy")}
 import dunklriesz.cli
 seen = [loaded()]
 from dunklriesz.cli import main
 for argv in (
-    ["verify", "--group", "z2", "--kappa", "0.5", "--degree", "6",
-     "--checks", "eigen,heat,kernel_decay", "--out", "rep"],
-    ["basis", "--group", "a2", "--kappa", "1", "--degree", "2", "--out", "b.json"],
+    ["basis", "--group", "a2", "--kappa", "1", "--degree", "8", "--out", "b.json"],
     ["basis", "--group", "b2", "--kappa", "0.25,0.7", "--degree", "2", "--out", "b2.json"],
     ["basis", "--config", "roots.json", "--degree", "2", "--out", "roots_basis.json"],
     ["verify", "--config", "exact_cfg.json", "--checks", "eigen,riesz_l2", "--out", "exact"],
+    ["eval", "--basis-file", "b.json", "--config", "mehler_cfg.json",
+     "--what", "dunkl-kernel", "--points", "mehler_pts.csv", "--out", "dk.csv"],
+    ["verify", "--group", "z2", "--kappa", "0.5", "--degree", "6",
+     "--checks", "eigen,heat,kernel_decay", "--out", "rep"],
     ["eval", "--group", "z2", "--kappa", "0.5", "--degree", "4",
      "--what", "riesz-kernel", "--points", "pts.csv", "--out", "rk.csv"],
 ):
@@ -532,28 +536,82 @@ for argv in (
     seen.append(loaded())
 print(json.dumps(seen))
 """
+SCIPY_FREE = 6   # the import and the five commands before the z2 verify
 
 
 def test_start_up_imports_only_what_runs(tmp_path):
-    """Importing the CLI, a Z2 verify with kernel_decay, a basis of a2, b2
-    and explicit planar roots (whose c_kappa is a closed form), an exact a2
-    verify and `eval --what riesz-kernel` (the Riesz panels) load none of
-    scipy.integrate, scipy.optimize or jsonschema."""
+    """Importing the CLI, a basis of a2, b2 and explicit planar roots (whose
+    c_kappa is a closed form), an exact a2 verify and a Mehler `eval` from a
+    saved a2 basis load no scipy module at all.  A Z2 verify with heat and
+    kernel_decay then loads scipy.special (the Bessel pair and the Z2^d
+    c_kappa), so the import is deferred, not lost.  No step, nor `eval --what
+    riesz-kernel` (the Riesz panels), loads scipy.integrate, scipy.optimize
+    or jsonschema."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(dunklriesz.__file__)))
     env = {**os.environ, "PYTHONPATH": src}
     (tmp_path / "roots.json").write_text(json.dumps(
         {"roots": [[1.0, 0.2], [-0.2, 1.0]], "kappa": [0.3, 1.2]}))
     (tmp_path / "exact_cfg.json").write_text(json.dumps(
         {"group": "a2", "kappa": 1, "degree": 4, "arithmetic": "exact"}))
+    (tmp_path / "mehler_cfg.json").write_text(json.dumps({"kernel": {"mehler_r_cap": 0.1}}))
+    (tmp_path / "mehler_pts.csv").write_text("0.3,0.2,0.1,-0.4\n")
     (tmp_path / "pts.csv").write_text("1,1.0,2.5\n")
     out = subprocess.run([sys.executable, "-c", START_UP], cwd=tmp_path, env=env,
                          capture_output=True, text=True, check=True).stdout.splitlines()
-    assert json.loads(out[-1]) == [[]] * 7
+    seen = json.loads(out[-1])
+    assert [s["costly"] for s in seen] == [[]] * 8
+    assert [s["scipy"] for s in seen[:SCIPY_FREE]] == [[]] * SCIPY_FREE
+    assert all("scipy.special" in s["scipy"] for s in seen[SCIPY_FREE:])
     rep = json.loads((tmp_path / "rep.json").read_text())
     assert {c["name"]: c["status"] for c in rep["checks"]} == {
         "eigen": "pass", "heat": "pass", "kernel_decay": "pass"}
     exact = json.loads((tmp_path / "exact.json").read_text())
     assert exact["config"]["exact"] is True
     assert {c["name"]: c["status"] for c in exact["checks"]} == {"eigen": "pass", "riesz_l2": "pass"}
+    assert [row[-1] for row in csv.reader((tmp_path / "dk.csv").read_text().splitlines())] == [
+        "status", "ok"]
     c_kappa = json.loads((tmp_path / "b.json").read_text())["constants"]["c_kappa"]
     assert c_kappa == pytest.approx(_c_kappa_moments(root_system("a2", multiplicity=1)), rel=1e-9)
+
+
+def _scipy_imports_at_import_time(tree):
+    """Line numbers of the scipy imports a module runs when it is imported:
+    every one outside a function body (module level, under if/try, in a
+    class body)."""
+    lines, todo = [], list(tree.body)
+    while todo:
+        node = todo.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            names = []
+        if any(n.split(".")[0] == "scipy" for n in names):
+            lines.append(node.lineno)
+        todo.extend(ast.iter_child_nodes(node))
+    return sorted(lines)
+
+
+def test_scipy_import_guard_sees_module_body_only():
+    tree = ast.parse("import numpy\nimport scipy.special\nif True:\n    from scipy import linalg\n"
+                     "class C:\n    import scipy\ndef f():\n    from scipy.special import ive\n"
+                     "from .scipy import x\n")
+    assert _scipy_imports_at_import_time(tree) == [2, 4, 6]
+
+
+def test_no_module_imports_scipy_at_import_time():
+    """scipy is imported inside the functions that call it (the Bessel pair,
+    the Z2^d c_kappa, the generalized Gauss rule), so importing the package
+    loads none of it."""
+    pkg = os.path.dirname(os.path.abspath(dunklriesz.__file__))
+    found = []
+    for name in sorted(os.listdir(pkg)):
+        if name.endswith(".py"):
+            path = os.path.join(pkg, name)
+            with open(path) as fh:
+                tree = ast.parse(fh.read(), path)
+            found += [f"src/dunklriesz/{name}:{line}" for line in _scipy_imports_at_import_time(tree)]
+    assert not found, "scipy imported in a module body at " + ", ".join(found)
