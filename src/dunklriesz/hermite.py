@@ -7,8 +7,12 @@ degree block at a time on the monomials in graded-lexicographic order, with
 positive leading coefficients (the basis is not unique; this is the canonical
 deterministic choice).  An exact build takes each Gram block from the one
 below it, row by row: (T^a x^b)(0) over the block is R_a = R_{a - u_j} M_j^(k),
-with M_j^(k) the matrix of T_j from degree k to k - 1 (_gram_blocks).  A float
-build keeps the T-power chains of _gram_block and their float bits.  Then
+with M_j^(k) the matrix of T_j from degree k to k - 1 (_gram_blocks), and
+orthogonalizes it in integers (_gram_schmidt_exact): every row of G_k, of
+W_k = Psi_k^T G_k and every psi_n is an integer vector over one denominator
+(qfield), and psi_n and the norms are turned back once into the same
+Fractions.  A float build keeps the T-power chains of _gram_block, the
+Gram-Schmidt of _gram_schmidt_float and their float bits.  Then
 
     H_n = 2^|n| exp(-Laplacian/4) phi_n,
     h_n = 2^(-|n|/2) sqrt(m_kappa) e^(-|x|^2/2) H_n.
@@ -17,14 +21,14 @@ A basis holds one orthogonal system psi_n, the polynomials
 H_raw_n = 2^|n| e^(-Laplacian/4) psi_n and the norms [psi_n, psi_n], all in
 the scalars of its own algebra.  An exact build keeps psi_n unnormalized over
 the rationals with its exact norms, so every exact identity is a ratio of
-Fractions and never needs the square root; it also keeps its Gram blocks, in
-_cache["gram"], for the delta_j pairings.  A float build, and a basis
-loaded from a file, keep the orthonormal psi_n = phi_n and H_raw_n = H_n,
-with norms 1.  Every basis also carries the normalized float H_n it
-evaluates with; an exact build lists their terms by (-|e|, e), so its float
-bits do not depend on the term order of the algebra.  A basis file holds
-phi_n and H_n; its `norms` entry is informational (the exact norms as
-floats, 1.0 for a float build).
+Fractions and never needs the square root; it also keeps its integer Gram
+blocks, in _cache["gram"], and, for the delta_j pairings, the rows of W_k,
+in _cache["w"].  A float build, and a basis loaded from a file, keep the
+orthonormal psi_n = phi_n and H_raw_n = H_n, with norms 1.  Every basis also
+carries the normalized float H_n it evaluates with; an exact build lists
+their terms by (-|e|, e), so its float bits do not depend on the term order
+of the algebra.  A basis file holds phi_n and H_n; its `norms` entry is
+informational (the exact norms as floats, 1.0 for a float build).
 """
 
 from __future__ import annotations
@@ -32,6 +36,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import operator
 import os
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -39,6 +44,7 @@ from fractions import Fraction
 import numpy as np
 
 from .polyalg import DunklAlgebra, Polynomial, _is_zero, get_algebra
+from .qfield import reduced
 from .reflection import RootSystem, gamma, root_system
 
 
@@ -118,29 +124,64 @@ def _gram_block(alg: DunklAlgebra, indices: list[tuple]):
 
 
 def _gram_blocks(alg: DunklAlgebra, N: int) -> list:
-    """Exact Gram blocks G_k[a][b] = (T^a x^b)(0), |a| = |b| = k, for k <= N.
+    """Exact Gram blocks G_k[a][b] = (T^a x^b)(0), |a| = |b| = k, for k <= N,
+    each row an integer vector over one denominator: G_k is the list of rows
+    (numerators, denominator), reduced.
 
     Row a of G_k is R_a = R_{a - u_j} M_j^(k), with j the first nonzero index
     of a (the order of _t_power) and R_{a - u_j} a row of G_{k-1}: T^a x^b =
-    T^(a - u_j) (T_j x^b), and the columns of M_j^(k) are the cached T_j(x^b).
-    One vector-matrix product per index a replaces one T-power chain per
-    column; the entries are the same rationals.
+    T^(a - u_j) (T_j x^b), and the columns of M_j^(k) are the cached T_j(x^b)
+    (dunkl_columns, over one denominator).  One integer vector-matrix product
+    per index a replaces one T-power chain per column; the entries are the same
+    rationals.
     """
     d = alg.dim
-    zero = alg.scalar(0)
-    grams = [[[alg.scalar(1)]]]
+    grams = [[([1], 1)]]
     prev = {(0,) * d: 0}
     for k in range(1, N + 1):
         block = _indices_of_degree(d, k)
-        columns = [alg.dunkl_columns(j, block, prev) for j in range(1, d + 1)]
+        matrices = [alg.dunkl_columns(j, block, prev) for j in range(1, d + 1)]
         G = []
         for a in block:
             j = next(i for i, ai in enumerate(a) if ai)
-            row = grams[-1][prev[a[:j] + (a[j] - 1,) + a[j + 1:]]]
-            G.append([sum((row[c] * v for c, v in col), zero) for col in columns[j]])
+            row, row_den = grams[-1][prev[a[:j] + (a[j] - 1,) + a[j + 1:]]]
+            columns, den = matrices[j]
+            G.append(reduced([sum(row[c] * v for c, v in col) for col in columns], row_den * den))
         grams.append(G)
         prev = {b: i for i, b in enumerate(block)}
     return grams
+
+
+def _gram_schmidt_exact(G: list, deg: int) -> tuple[list, list]:
+    """Gram-Schmidt on one exact Gram block G (integer rows), in block order:
+    psi_i = x^i - sum_{k<i} ([x^i, psi_k] / [psi_k, psi_k]) psi_k.
+
+    Returns (Psi, W), per i the coefficients of psi_i over the block and the
+    row W_i = psi_i^T G, that is [psi_i, x^c] for each c, both as reduced
+    integer vectors over one denominator.  W_k carries the projections:
+    [x^i, psi_k] is its entry i and [psi_k, psi_k] = [x^k, psi_k] its entry k
+    (psi_k is x^k plus lower psi), so their ratio is a ratio of two numerators,
+    and W_i[i] is the norm of psi_i.  The delta_j pairings reuse W.
+    """
+    B = len(G)
+    den = math.lcm(*(row_den for _, row_den in G))
+    columns = list(zip(*[[g * (den // row_den) for g in row] for row, row_den in G]))
+    Psi, W = [], []
+    for i in range(B):
+        v, v_den = [0] * B, 1
+        v[i] = 1
+        for k, ((p, p_den), (wk, _)) in enumerate(zip(Psi, W)):
+            if wk[i]:
+                # v -= (wk[i] / wk[k]) psi_k
+                v = [x * wk[k] * p_den - v_den * wk[i] * y for x, y in zip(v, p)]
+                v_den *= wk[k] * p_den
+        v, v_den = reduced(v, v_den)
+        w, w_den = reduced([sum(map(operator.mul, col, v)) for col in columns], den * v_den)
+        if not w[i]:
+            raise GramSingular(f"zero norm in exact block deg={deg}")
+        Psi.append((v, v_den))
+        W.append((w, w_den))
+    return Psi, W
 
 
 @dataclass(eq=False)
@@ -226,41 +267,21 @@ def build_basis(rs: RootSystem, N: int, exact: bool | None = None) -> HermiteBas
     indices = enumerate_indices(rs.dim, N)
     index_pos = {n: i for i, n in enumerate(indices)}
 
-    if exact:
-        grams = _gram_blocks(alg, N)
-    else:
-        grams = [_gram_block(alg, _indices_of_degree(rs.dim, deg)) for deg in range(N + 1)]
+    blocks = [_indices_of_degree(rs.dim, deg) for deg in range(N + 1)]
     psi: list[Polynomial] = []
     norms = []
-    for deg, G in enumerate(grams):
-        block = _indices_of_degree(rs.dim, deg)
-        B = len(block)
-        # Gram-Schmidt on coefficient vectors over the block monomials
-        vecs = []
-        for i in range(B):
-            v = [alg.scalar(0)] * B
-            v[i] = alg.scalar(1)
-            for k in range(i):
-                w, nw = vecs[k]
-                # [x^i, psi_k] = sum_a w_a G[i][a]
-                proj = sum((w[a] * G[i][a] for a in range(B) if not _is_zero(w[a])), alg.scalar(0))
-                coef = proj / nw
-                if not _is_zero(coef):
-                    v = [va - coef * wa for va, wa in zip(v, w)]
-            nv = _quad_form(G, v, alg)
-            if exact:
-                if not nv:
-                    raise GramSingular(f"zero norm in exact block deg={deg}")
-            elif float(nv) <= 1e-13:
-                raise GramSingular(f"Gram block numerically singular at deg={deg}")
-            vecs.append((v, nv))
-        for (v, nv), n in zip(vecs, block):
-            poly = Polynomial.zero(rs.dim)
-            for a, idx in enumerate(block):
-                if not _is_zero(v[a]):
-                    poly = poly + alg.monomial(idx, v[a])
-            psi.append(poly)
-            norms.append(nv)
+    if exact:
+        grams = _gram_blocks(alg, N)
+        systems = [_gram_schmidt_exact(G, deg) for deg, G in enumerate(grams)]
+        for block, (Psi, W) in zip(blocks, systems):
+            for i, ((v, v_den), (w, w_den)) in enumerate(zip(Psi, W)):
+                psi.append(Polynomial(rs.dim, {idx: Fraction(c, v_den) for idx, c in zip(block, v) if c}))
+                norms.append(Fraction(w[i], w_den))
+    else:
+        for deg, block in enumerate(blocks):
+            for v, nv in _gram_schmidt_float(_gram_block(alg, block), deg):
+                psi.append(Polynomial(rs.dim, {idx: c for idx, c in zip(block, v) if not _is_zero(c)}))
+                norms.append(nv)
 
     # H_raw = 2^|n| e^(-Lap/4) psi_n
     quarter = Fraction(-1, 4) if exact else -0.25
@@ -291,8 +312,9 @@ def build_basis(rs: RootSystem, N: int, exact: bool | None = None) -> HermiteBas
         c_kappa=ck,
         m_kappa=2.0 ** (g + rs.dim / 2.0) / ck,
         gamma=g,
-        # the exact Gram blocks, for the block products of spectral._pairings
-        _cache={"gram": grams} if exact else {},
+        # the exact Gram blocks, and W_k = Psi_k^T G_k by rows for the block
+        # products of spectral._block_pairings
+        _cache={"gram": grams, "w": [W for _, W in systems]} if exact else {},
     )
 
 
@@ -301,16 +323,33 @@ def _normalized(polys: list, norms: list) -> list:
     return [p.to_float().scale(1.0 / math.sqrt(float(nv))) for p, nv in zip(polys, norms)]
 
 
-def _quad_form(G, v, alg):
-    total = alg.scalar(0)
-    B = len(v)
+def _gram_schmidt_float(G, deg: int) -> list:
+    """Gram-Schmidt of a float build on its Gram block G, in block order: per
+    i the coefficients of psi_i and [psi_i, psi_i] = v^T G v, in the
+    arithmetic order that fixes the float bits."""
+    B = len(G)
+    vecs = []
     for i in range(B):
-        if _is_zero(v[i]):
-            continue
-        for j in range(B):
-            if not _is_zero(v[j]):
-                total = total + v[i] * G[i][j] * v[j]
-    return total
+        v = [0.0] * B
+        v[i] = 1.0
+        for k in range(i):
+            w, nw = vecs[k]
+            # [x^i, psi_k] = sum_a w_a G[i][a]
+            proj = sum((w[a] * G[i][a] for a in range(B) if not _is_zero(w[a])), 0.0)
+            coef = proj / nw
+            if not _is_zero(coef):
+                v = [va - coef * wa for va, wa in zip(v, w)]
+        nv = 0.0
+        for a in range(B):
+            if _is_zero(v[a]):
+                continue
+            for b in range(B):
+                if not _is_zero(v[b]):
+                    nv = nv + v[a] * G[a][b] * v[b]
+        if nv <= 1e-13:
+            raise GramSingular(f"Gram block numerically singular at deg={deg}")
+        vecs.append((v, nv))
+    return vecs
 
 
 # ---------------------------------------------------------------------------
@@ -417,7 +456,8 @@ def hermite_functions_1d(kappa: float, nmax: int, x) -> np.ndarray:
 
     Three-term recurrence for the orthonormal polynomials r_n with weight
     2^kappa |u|^(2 kappa) e^(-u^2) (the measure w_kappa e^(-|x|^2) of the
-    sqrt(2)-normalized Z2 root), then h_n = e^(-x^2/2) r_n.  Stable to high
+    sqrt(2)-normalized Z2 root), then h_n = e^(-x^2/2) r_n, the Gaussian
+    applied in place (no second (nmax+1) x len(x) array).  Stable to high
     degree, unlike evaluating the monomial coefficients.
     """
     x = np.asarray(x, dtype=float)
@@ -432,7 +472,8 @@ def hermite_functions_1d(kappa: float, nmax: int, x) -> np.ndarray:
         for n in range(1, nmax):
             r, r_prev = (x * r - b[n - 1] * r_prev) / b[n], r
             out[n + 1] = r
-    return out * np.exp(-0.5 * x * x)
+    out *= np.exp(-0.5 * x * x)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -40,9 +40,11 @@ degree 9), most likely because each root set is closed, up to sign, under
 the conjugations sqrt(2) -> -sqrt(2) and sqrt(3) -> -sqrt(3), which T_j then
 commutes with; so is each [T_j, x_m](x^b), the difference of two of them.
 Both caches store these coefficients as Fractions, so every exact scalar
-downstream of T_j (Gram blocks, psi, H, norms, delta_j pairings) is a
-Fraction; a coefficient that is not rational raises
-IrrationalDunklCoefficient, naming the T_j(x^e) being filled.
+downstream of T_j (Gram blocks, psi, H, norms, delta_j pairings) is
+rational; dunkl_columns hands a block's M_j^(k) to the integer block products
+of hermite and spectral over one denominator.  A coefficient that is not
+rational raises IrrationalDunklCoefficient, naming the T_j(x^e) being
+filled.
 
 Sums over the monomials of an argument (T_j p, p(T) q) accumulate into one
 dict in place, with the add / insert / drop-zero order of Polynomial.__add__,
@@ -475,12 +477,15 @@ class DunklAlgebra:
             cache[b] = Polynomial(self.dim, {c: _rational(v, j, e) for c, v in terms.items()})
         return cache[b]
 
-    def dunkl_columns(self, j: int, block: list, position: dict) -> list:
+    def dunkl_columns(self, j: int, block: list, position: dict) -> tuple[list, int]:
         """M_j^(k), the matrix of T_j from the homogeneous block `block` of
-        degree k to degree k - 1, by columns: for each x^b in the block, the
-        pairs (position[c], coefficient of x^c in T_j(x^b))."""
-        return [[(position[c], v) for c, v in self._dunkl_monomial(j, b).terms.items()]
-                for b in block]
+        degree k to degree k - 1 (exact mode), by columns and over one
+        denominator D: for each x^b in the block, the pairs (position[c], n)
+        with n / D the coefficient of x^c in T_j(x^b).  Returns (columns, D)."""
+        polys = [self._dunkl_monomial(j, b).terms for b in block]
+        den = math.lcm(*(v.denominator for terms in polys for v in terms.values()))
+        return [[(position[c], v.numerator * (den // v.denominator)) for c, v in terms.items()]
+                for terms in polys], den
 
     def dunkl(self, j: int, p: Polynomial) -> Polynomial:
         """T_j p (1-based axis j); degree-lowering on homogeneous input."""

@@ -13,7 +13,17 @@ the sigma rows, the reflection pullbacks x^e o sigma, and the commutator sums
 Exact mode divides by no <x, alpha>; the surd division of polyalg serves
 float mode and, in exact mode, the tests as an oracle.  Every T_j(x^e) comes
 out rational on these groups, so every value downstream of T_j (Gram blocks,
-the Hermite system, norms, delta_j pairings) is a plain Fraction.
+the Hermite system, norms, delta_j pairings) is rational.
+
+The block linear algebra downstream of T_j (hermite, spectral) carries these
+rationals as integer vectors over one denominator: each column of the matrix
+M_j^(k) of T_j on a degree block (over one denominator for the matrix), each
+row of a Gram block G_k and of W_k = Psi_k^T G_k, each psi_n and each column
+of H_k.  Sums and products are then Python int arithmetic with no gcd per
+operation, as in fraction-free elimination (Bareiss, Math. Comp. 22, 1968).
+A vector's common factor is divided out once (reduced), and each value a
+caller sees (psi_n, the norms, the delta_j pairings) is turned back once into
+the same Fraction.
 """
 
 from __future__ import annotations
@@ -211,3 +221,21 @@ def _coerce(value):
 
 
 SQRT2 = Surd.sqrt_int(2)
+
+
+def over_one_denominator(values) -> tuple[list[int], int]:
+    """Rationals (Fractions or ints) as integer numerators over their least
+    common denominator."""
+    den = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
+
+
+def reduced(nums: list[int], den: int) -> tuple[list[int], int]:
+    """nums / den with the common factor of den and every num divided out,
+    over a positive denominator."""
+    g = math.gcd(den, *nums)
+    if den < 0:
+        g = -g
+    if g == 1:
+        return nums, den
+    return [n // g for n in nums], den // g

@@ -23,32 +23,36 @@ computed.
 
 On an exact basis the pairings are per-degree block products.  With G_k the
 Gram block of degree k, Psi_k the coefficients of the psi_m of shell k and
-H_k those of the top shells of H_raw_n, W_k = Psi_k^T G_k is built once per
-basis and block, and
+H_k those of the top shells of H_raw_n, W_k = Psi_k^T G_k comes once per
+basis and block from the build's Gram-Schmidt, and
 
     S_low   on (k - 1, k) = W_{k-1} M_j^(k) H_k,
     S_raise on (k + 1, k) = W_{k+1} (2 X_j) H_k,
 
 with M_j^(k) the matrix of T_j from block k to block k - 1 and X_j the shift
-of multiplication by x_j.  The entries are exact rationals, so the route
-does not move a bit.  A float basis keeps the polynomial route (T_j H_top
-paired with psi_m by T-power chains): the block route sums in another order,
-which moves float bits that the tests and the verify digests pin, for no
-gain in accuracy (both routes are within 1.5e-14 of the exact delta_j on
-a2, b2 and i2(6)).  The polynomial route is also the test oracle for the
-block products.
+of multiplication by x_j.  Each factor is carried in integers over one
+denominator per row or column (qfield), and each entry is turned once into
+the exact rational, so the route does not move a bit.  A float basis keeps
+the polynomial route (T_j H_top paired with psi_m by T-power chains): the
+block route sums in another order, which moves float bits that the tests
+and the verify digests pin, for no gain in accuracy (both routes are
+within 1.5e-14 of the exact delta_j on a2, b2 and i2(6)).  The polynomial
+route is also the test oracle for the block products.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+import operator
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
 from .hermite import HermiteBasis
 from .polyalg import Polynomial, get_algebra
+from .qfield import over_one_denominator
 from .reflection import RootSystem, weight
 
 
@@ -274,13 +278,16 @@ def _block_pairings(basis: HermiteBasis, j: int, variant: str):
         S_low   on (k - 1, k) = W_{k-1} M_j^(k) H_k,
         S_raise on (k + 1, k) = W_{k+1} (2 X_j) H_k,
 
-    with W_k = Psi_k^T G_k (_pairing_blocks), M_j^(k) the matrix of T_j from
-    block k to block k - 1 and X_j the shift x^b -> x^(b + u_j), both taken by
-    columns.  The two variants are computed apart, so the adjoint check
-    compares two independent products.
+    with W_k = Psi_k^T G_k and H_k from _pairing_blocks, M_j^(k) the matrix
+    of T_j from block k to block k - 1 and X_j the shift x^b -> x^(b + u_j),
+    both taken by columns.  Every factor is an integer vector over one
+    denominator (a row of W, a column of H, the whole M_j^(k)), so an entry is
+    one integer dot product over the product of three denominators, turned
+    once into the same Fraction, or into the int 0 that constant_term() gives
+    for a zero pairing.  The two variants are computed apart, so the adjoint
+    check compares two independent products.
     """
     alg = get_algebra(basis.rs, True)
-    zero = alg.scalar(0)
     blocks = _pairing_blocks(basis)
     for k, (shell, block, _, H) in enumerate(blocks):
         target = k - 1 if variant == "lower" else k + 1
@@ -289,38 +296,35 @@ def _block_pairings(basis: HermiteBasis, j: int, variant: str):
         rows, tblock, W, _ = blocks[target]
         pos = {c: i for i, c in enumerate(tblock)}
         if variant == "lower":
-            columns = alg.dunkl_columns(j, block, pos)
+            columns, den = alg.dunkl_columns(j, block, pos)
         else:
-            columns = [[(pos[b[:j - 1] + (b[j - 1] + 1,) + b[j:]], 2)] for b in block]
-        for col, h in zip(shell, H):
-            Q = [zero] * len(tblock)
+            columns, den = [[(pos[b[:j - 1] + (b[j - 1] + 1,) + b[j:]], 2)] for b in block], 1
+        for col, (h, h_den) in zip(shell, H):
+            Q = [0] * len(tblock)
             for column, hb in zip(columns, h):
                 if hb:
                     for c, v in column:
                         Q[c] += v * hb
-            for row, w in zip(rows, W):
-                # a zero pairing is the int 0 that constant_term() gives
-                yield row, col, sum((wc * qc for wc, qc in zip(w, Q) if qc), zero) or 0
+            for row, (w, w_den) in zip(rows, W):
+                S = sum(map(operator.mul, w, Q))
+                yield row, col, Fraction(S, w_den * den * h_den) if S else 0
 
 
 def _pairing_blocks(basis: HermiteBasis) -> list:
     """Per degree k: (positions of shell k, block monomials, W_k, H_k), with
-    W_k = Psi_k^T G_k by rows m and H_k by columns n; built once per basis."""
+    W_k = Psi_k^T G_k by rows m, as hermite's Gram-Schmidt left it, and H_k
+    by columns n, the top-shell coefficients of H_raw_n; both are integer
+    vectors over one denominator (qfield.over_one_denominator).  Built once
+    per basis."""
     if "pairing_blocks" not in basis._cache:
-        zero = get_algebra(basis.rs, True).scalar(0)
         shells: dict[int, list[int]] = {}
         for i, n in enumerate(basis.indices):
             shells.setdefault(sum(n), []).append(i)
         blocks = []
-        for k, G in enumerate(basis._cache["gram"]):
+        for k, W in enumerate(basis._cache["w"]):
             shell = shells[k]
             block = [basis.indices[i] for i in shell]
-            W = []
-            for m in shell:
-                psi = [basis.psi[m].terms.get(a, zero) for a in block]
-                W.append([sum((pa * G[a][c] for a, pa in enumerate(psi) if pa), zero)
-                          for c in range(len(block))])
-            H = [[basis.H_raw[n].terms.get(b, zero) for b in block] for n in shell]
+            H = [over_one_denominator([basis.H_raw[n].terms.get(b, 0) for b in block]) for n in shell]
             blocks.append((shell, block, W, H))
         basis._cache["pairing_blocks"] = blocks
     return basis._cache["pairing_blocks"]

@@ -997,8 +997,7 @@ def check_integral_representation(basis, cfg):
     worst = 0.0
     worst_at_basis_n = 0.0
     per_point = {}
-    for x in IO_POINTS:
-        hx = hermite_functions_1d(kap, IO_DEGREE, np.array([x]))[:, 0]
+    for x, hx in zip(IO_POINTS, hermite_functions_1d(kap, IO_DEGREE, np.array(IO_POINTS)).T):
         terms = Rf * hx[:-1]
         spectral = float(np.sum(terms))
         spectral_basis = float(np.sum(terms[: basis.N]))

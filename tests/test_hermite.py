@@ -272,6 +272,96 @@ def test_basis_representation_rule(a2_one):
                 assert val == pytest.approx(float(i == j), abs=1e-12)
 
 
+def _fraction_rows(G):
+    """A block of integer rows (numerators, denominator) as rows of Fractions."""
+    return [[Fraction(n, den) for n in row] for row, den in G]
+
+
+def gram_blocks_by_fractions(alg, N):
+    """The exact Gram blocks by rows over Fractions, R_a = R_{a - u_j} M_j^(k),
+    with M_j^(k) read from the cached T_j(x^b): the oracle of the integer rows
+    of _gram_blocks."""
+    d = alg.dim
+    zero = Fraction(0)
+    grams = [[[Fraction(1)]]]
+    prev = {(0,) * d: 0}
+    for k in range(1, N + 1):
+        block = _indices_of_degree(d, k)
+        columns = [[[(prev[c], v) for c, v in alg._dunkl_monomial(j, b).terms.items()] for b in block]
+                   for j in range(1, d + 1)]
+        G = []
+        for a in block:
+            j = next(i for i, ai in enumerate(a) if ai)
+            row = grams[-1][prev[a[:j] + (a[j] - 1,) + a[j + 1:]]]
+            G.append([sum((row[c] * v for c, v in col), zero) for col in columns[j]])
+        grams.append(G)
+        prev = {b: i for i, b in enumerate(block)}
+    return grams
+
+
+def gram_schmidt_by_fractions(G):
+    """Gram-Schmidt over Fractions on one Gram block: per i the coefficients
+    of psi_i and its norm as the quadratic form v^T G v."""
+    B = len(G)
+    vecs = []
+    for i in range(B):
+        v = [Fraction(0)] * B
+        v[i] = Fraction(1)
+        for k in range(i):
+            w, nw = vecs[k]
+            proj = sum((w[a] * G[i][a] for a in range(B) if w[a]), Fraction(0))
+            coef = proj / nw
+            if coef:
+                v = [va - coef * wa for va, wa in zip(v, w)]
+        nv = Fraction(0)
+        for a in range(B):
+            for b in range(B):
+                if v[a] and v[b]:
+                    nv = nv + v[a] * G[a][b] * v[b]
+        vecs.append((v, nv))
+    return vecs
+
+
+def exact_system_by_fractions(rs, N):
+    """psi, norms and H_raw of an exact build over Fractions, from the oracle
+    Gram blocks and Gram-Schmidt, each psi_n summed term by term."""
+    alg = get_algebra(rs, exact=True)
+    psi, norms = [], []
+    for deg, G in enumerate(gram_blocks_by_fractions(alg, N)):
+        block = _indices_of_degree(rs.dim, deg)
+        for v, nv in gram_schmidt_by_fractions(G):
+            poly = Polynomial.zero(rs.dim)
+            for a, idx in enumerate(block):
+                if v[a]:
+                    poly = poly + alg.monomial(idx, v[a])
+            psi.append(poly)
+            norms.append(nv)
+    H_raw = [alg.exp_laplacian(p, Fraction(-1, 4)).scale(Fraction(2 ** sum(n)))
+             for p, n in zip(psi, enumerate_indices(rs.dim, N))]
+    return psi, norms, H_raw
+
+
+@pytest.mark.parametrize("group,kappa,N", [
+    ("z2", Fraction(1, 2), 8), ("z2^2", [Fraction(1, 2), 2], 8), ("z2^3", [Fraction(1, 2), 1, 2], 6),
+    ("a2", 1, 8), ("b2", [1, 2], 8), ("i2(3)", Fraction(1, 2), 8), ("i2(4)", [Fraction(1, 2), 2], 8),
+    ("i2(6)", [1, 1], 8),
+])
+def test_integer_blocks_equal_fraction_route(group, kappa, N):
+    """An exact build's integer Gram rows and Gram-Schmidt give the Gram
+    blocks, psi_n (terms in the same order), norms and H_raw of the Fraction
+    route, all as Fractions."""
+    rs = root_system(group, multiplicity=kappa)
+    basis = build_basis(rs, N)
+    assert [_fraction_rows(G) for G in basis._cache["gram"]] == gram_blocks_by_fractions(
+        get_algebra(rs, exact=True), N)
+    psi, norms, H_raw = exact_system_by_fractions(rs, N)
+    for got, want in ((basis.psi, psi), (basis.H_raw, H_raw)):
+        assert [list(p.terms.items()) for p in got] == [list(p.terms.items()) for p in want]
+        assert all(type(c) is Fraction for p in got for c in p.terms.values())
+    assert basis.norms == norms
+    assert all(type(v) is Fraction for v in basis.norms)
+
+
 @pytest.mark.parametrize("group,kappa,N", [
     ("a2", 1, 6), ("b2", [1, 2], 6), ("i2(6)", [1, 1], 6), ("z2^2", [1, 1], 6),
     ("z2", Fraction(1, 2), 12),
@@ -279,15 +369,17 @@ def test_basis_representation_rule(a2_one):
 def test_gram_blocks_equal_t_power_chains(group, kappa, N):
     """The exact Gram blocks by rows, R_a = R_{a - u_j} M_j, equal those of
     the T-power chains of _gram_block entry for entry, and are the ones an
-    exact build keeps."""
+    exact build keeps.  Each row is read back as Fractions from its integer
+    numerators over one denominator."""
     rs = root_system(group, multiplicity=kappa)
     alg = get_algebra(rs, exact=True)
-    grams = _gram_blocks(alg, N)
+    rows = _gram_blocks(alg, N)
+    grams = [_fraction_rows(G) for G in rows]
     assert len(grams) == N + 1
     for k, G in enumerate(grams):
         assert G == _gram_block(alg, _indices_of_degree(rs.dim, k)), k
         assert all(type(v) is Fraction for row in G for v in row)
-    assert build_basis(rs, N)._cache["gram"] == grams
+    assert build_basis(rs, N)._cache["gram"] == rows
 
 
 def test_checksum_guard(z2_half_basis8):

@@ -63,3 +63,26 @@ def test_run_verification_exact_and_float_planar(tmp_path, spec):
     assert header[:3] == ["config", "eigen", "riesz_l2"] and header[-1] == "sha256"
     assert row[:3] == [spec, "pass", "pass"]
     assert re.fullmatch(r"[0-9a-f]{16}", row[-1])
+
+
+PLANAR_DIGESTS = {
+    "a2:1": "e86b352a0a0d821b",
+    "b2:1,2": "814279cb30c54bf9",
+    "i2(6):1,1": "f3ba852fa700cfb3",
+    "i2(5):1": "a2437f0cdaf18d8f",
+}
+
+
+def test_run_verification_planar_digests_pinned(tmp_path):
+    """The planar panel of scripts/run_verification.py at N = 8 (exact a2, b2
+    and i2(6), float i2(5)) keeps its report digests, so a bit moved on the
+    exact or the float planar route fails here."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(dunklriesz.__file__)))
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run(
+        [sys.executable, str(SCRIPTS / "run_verification.py"), "--configs", *PLANAR_DIGESTS,
+         "--degree", "8", "--out-dir", "out"],
+        cwd=tmp_path, env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    rows = [line.split() for line in done.stdout.splitlines() if line.strip()][1:]
+    assert {row[0]: row[-1] for row in rows} == PLANAR_DIGESTS

@@ -17,6 +17,7 @@ from dunklriesz.spectral import (
     OperatorMatrix,
     OrderTooSmall,
     SpectralVector,
+    _pairing_blocks,
     _pairings,
     analyze,
     delta_matrix,
@@ -209,8 +210,9 @@ def test_adjointness(z2_half_basis8):
 
 
 def test_exact_adjoint_mismatch_raises(z2_half):
+    """A doubled H_raw_0 doubles S_raise[(1,), (0,)] and no lowering entry."""
     b = build_basis(z2_half, 3)
-    b.psi[1] = b.psi[1].scale(Surd.of(2))
+    b.H_raw[0] = b.H_raw[0].scale(2)
     with pytest.raises(AdjointMismatch) as info:
         exact_adjoint_residual(b, 1)
     err = info.value
@@ -345,6 +347,75 @@ def test_block_pairings_equal_polynomial_pairings(group, kappa, N):
             got = list(_pairings(b, j, variant))
             assert got == list(_pairings_by_chains(b, j, variant)), (j, variant)
             assert all(type(S) in (Fraction, int) for *_, S in got)
+
+
+def _pairing_blocks_by_fractions(basis):
+    """Per degree k: (shell positions, block, W_k, H_k) over Fractions, with
+    W_k = Psi_k^T G_k summed from psi_m and the Gram rows read as Fractions."""
+    zero = Fraction(0)
+    shells = {}
+    for i, n in enumerate(basis.indices):
+        shells.setdefault(sum(n), []).append(i)
+    blocks = []
+    for k, rows in enumerate(basis._cache["gram"]):
+        G = [[Fraction(n, den) for n in row] for row, den in rows]
+        shell = shells[k]
+        block = [basis.indices[i] for i in shell]
+        W = []
+        for m in shell:
+            psi = [basis.psi[m].terms.get(a, zero) for a in block]
+            W.append([sum((pa * G[a][c] for a, pa in enumerate(psi) if pa), zero) for c in range(len(block))])
+        H = [[basis.H_raw[n].terms.get(b, zero) for b in block] for n in shell]
+        blocks.append((shell, block, W, H))
+    return blocks
+
+
+def _block_pairings_by_fractions(basis, j, variant):
+    """The block products W_{k-1} M_j H_k and W_{k+1} 2X_j H_k over
+    Fractions, column by column: the oracle of the integer block products."""
+    alg = get_algebra(basis.rs, True)
+    zero = Fraction(0)
+    blocks = _pairing_blocks_by_fractions(basis)
+    for k, (shell, block, _, H) in enumerate(blocks):
+        target = k - 1 if variant == "lower" else k + 1
+        if not 0 <= target < len(blocks):
+            continue
+        rows, tblock, W, _ = blocks[target]
+        pos = {c: i for i, c in enumerate(tblock)}
+        if variant == "lower":
+            columns = [[(pos[c], v) for c, v in alg._dunkl_monomial(j, b).terms.items()] for b in block]
+        else:
+            columns = [[(pos[b[:j - 1] + (b[j - 1] + 1,) + b[j:]], 2)] for b in block]
+        for col, h in zip(shell, H):
+            Q = [zero] * len(tblock)
+            for column, hb in zip(columns, h):
+                if hb:
+                    for c, v in column:
+                        Q[c] += v * hb
+            for row, w in zip(rows, W):
+                yield row, col, sum((wc * qc for wc, qc in zip(w, Q) if qc), zero) or 0
+
+
+@pytest.mark.parametrize("group,kappa,N", [
+    ("z2", Fraction(1, 2), 8), ("z2^2", [Fraction(1, 2), 2], 8), ("z2^3", [Fraction(1, 2), 1, 2], 6),
+    ("a2", 1, 8), ("b2", [1, 2], 8), ("i2(3)", Fraction(1, 2), 8), ("i2(4)", [Fraction(1, 2), 2], 8),
+    ("i2(6)", [1, 1], 8),
+])
+def test_integer_pairings_equal_fraction_pairings(group, kappa, N):
+    """The integer rows of W_k equal Psi_k^T G_k over Fractions, and the
+    integer block products give the pairings of the Fraction products, with
+    the same types (Fraction, or the int 0 of a zero pairing), for every axis
+    and both variants."""
+    b = build_basis(root_system(group, multiplicity=kappa), N)
+    want_blocks = _pairing_blocks_by_fractions(b)
+    for (_, _, W, _), (_, _, want, _) in zip(_pairing_blocks(b), want_blocks, strict=True):
+        assert [[Fraction(n, den) for n in row] for row, den in W] == want
+    for j in range(1, b.rs.dim + 1):
+        for variant in ("lower", "raise"):
+            got = list(_pairings(b, j, variant))
+            want = list(_block_pairings_by_fractions(b, j, variant))
+            assert got == want, (j, variant)
+            assert [type(S) for *_, S in got] == [type(S) for *_, S in want], (j, variant)
 
 
 @pytest.mark.parametrize("group,kappa,source", [
