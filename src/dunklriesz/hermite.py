@@ -7,15 +7,21 @@ degree block at a time on the monomials in graded-lexicographic order, with
 positive leading coefficients (the basis is not unique; this is the canonical
 deterministic choice).  An exact build takes each Gram block from the one
 below it, row by row: (T^a x^b)(0) over the block is R_a = R_{a - u_j} M_j^(k),
-with M_j^(k) the matrix of T_j from degree k to k - 1 (_gram_blocks), and
-orthogonalizes it in integers (_gram_schmidt_exact): every row of G_k, of
-W_k = Psi_k^T G_k and every psi_n is an integer vector over one denominator
-(qfield), and psi_n and the norms are turned back once into the same
-Fractions.  A float build keeps the T-power chains of _gram_block, the
+with M_j^(k) the matrix of T_j from degree k to k - 1 (_dunkl_blocks,
+_gram_blocks), and orthogonalizes it in integers (_gram_schmidt_exact): every
+row of G_k, of W_k = Psi_k^T G_k and every psi_n is an integer vector over one
+denominator (qfield), and psi_n and the norms are turned back once into the
+same Fractions.  A float build keeps the T-power chains of _gram_block, the
 Gram-Schmidt of _gram_schmidt_float and their float bits.  Then
 
     H_n = 2^|n| exp(-Laplacian/4) phi_n,
     h_n = 2^(-|n|/2) sqrt(m_kappa) e^(-|x|^2/2) H_n.
+
+An exact build applies exp(-Laplacian/4) to psi_n's integer vector through
+the per-degree Laplacian blocks Delta^(k) = sum_j M_j^(k-1) M_j^(k)
+(_laplacian_blocks, _hermite_raw_exact) and turns each coefficient once into
+the same Fraction as DunklAlgebra.exp_laplacian, which a float build applies
+and the tests keep as the oracle of the exact route.
 
 A basis holds one orthogonal system psi_n, the polynomials
 H_raw_n = 2^|n| e^(-Laplacian/4) psi_n and the norms [psi_n, psi_n], all in
@@ -25,9 +31,9 @@ Fractions and never needs the square root; it also keeps its integer Gram
 blocks, in _cache["gram"], and, for the delta_j pairings, the rows of W_k,
 in _cache["w"].  A float build, and a basis loaded from a file, keep the
 orthonormal psi_n = phi_n and H_raw_n = H_n, with norms 1.  Every basis also
-carries the normalized float H_n it evaluates with; an exact build lists
-their terms by (-|e|, e), so its float bits do not depend on the term order
-of the algebra.  A basis file holds phi_n and H_n; its `norms` entry is
+carries the normalized float H_n it evaluates with; an exact build lists the
+terms of H_raw_n, and so of H_n, by (-|e|, e), so its float bits do not
+depend on the term order of the algebra.  A basis file holds phi_n and H_n; its `norms` entry is
 informational (the exact norms as floats, 1.0 for a float build).
 """
 
@@ -44,7 +50,7 @@ from fractions import Fraction
 import numpy as np
 
 from .polyalg import DunklAlgebra, Polynomial, _is_zero, get_algebra
-from .qfield import reduced
+from .qfield import apply_columns, reduced
 from .reflection import RootSystem, gamma, root_system
 
 
@@ -123,33 +129,85 @@ def _gram_block(alg: DunklAlgebra, indices: list[tuple]):
     return G
 
 
-def _gram_blocks(alg: DunklAlgebra, N: int) -> list:
-    """Exact Gram blocks G_k[a][b] = (T^a x^b)(0), |a| = |b| = k, for k <= N,
-    each row an integer vector over one denominator: G_k is the list of rows
-    (numerators, denominator), reduced.
+def _dunkl_blocks(alg: DunklAlgebra, K: int) -> tuple[list, list]:
+    """The homogeneous blocks of degree k <= K, in the order of
+    _indices_of_degree, and per k >= 1 the matrices M_j^(k) of T_j from block
+    k to block k - 1 (exact mode): one (columns, denominator) per axis j, as
+    dunkl_columns gives them.  Entry 0 of the matrices is None."""
+    blocks = [_indices_of_degree(alg.dim, k) for k in range(K + 1)]
+    matrices = [None]
+    for k in range(1, K + 1):
+        prev = {b: i for i, b in enumerate(blocks[k - 1])}
+        matrices.append([alg.dunkl_columns(j, blocks[k], prev) for j in range(1, alg.dim + 1)])
+    return blocks, matrices
+
+
+def _gram_blocks(blocks: list, matrices: list) -> list:
+    """Exact Gram blocks G_k[a][b] = (T^a x^b)(0), |a| = |b| = k, for the
+    blocks and matrices of _dunkl_blocks, each row an integer vector over one
+    denominator: G_k is the list of rows (numerators, denominator), reduced.
 
     Row a of G_k is R_a = R_{a - u_j} M_j^(k), with j the first nonzero index
     of a (the order of _t_power) and R_{a - u_j} a row of G_{k-1}: T^a x^b =
-    T^(a - u_j) (T_j x^b), and the columns of M_j^(k) are the cached T_j(x^b)
-    (dunkl_columns, over one denominator).  One integer vector-matrix product
-    per index a replaces one T-power chain per column; the entries are the same
-    rationals.
+    T^(a - u_j) (T_j x^b), and the columns of M_j^(k) are the cached T_j(x^b).
+    One integer vector-matrix product per index a replaces one T-power chain
+    per column; the entries are the same rationals.
     """
-    d = alg.dim
     grams = [[([1], 1)]]
-    prev = {(0,) * d: 0}
-    for k in range(1, N + 1):
-        block = _indices_of_degree(d, k)
-        matrices = [alg.dunkl_columns(j, block, prev) for j in range(1, d + 1)]
+    for k in range(1, len(blocks)):
+        prev = {b: i for i, b in enumerate(blocks[k - 1])}
         G = []
-        for a in block:
+        for a in blocks[k]:
             j = next(i for i, ai in enumerate(a) if ai)
             row, row_den = grams[-1][prev[a[:j] + (a[j] - 1,) + a[j + 1:]]]
-            columns, den = matrices[j]
+            columns, den = matrices[k][j]
             G.append(reduced([sum(row[c] * v for c, v in col) for col in columns], row_den * den))
         grams.append(G)
-        prev = {b: i for i, b in enumerate(block)}
     return grams
+
+
+def _laplacian_blocks(matrices: list) -> list:
+    """The Dunkl Laplacian from block k to block k - 2, Delta^(k) =
+    sum_j M_j^(k-1) M_j^(k), for 2 <= k < len(matrices) (the matrices of
+    _dunkl_blocks), by columns over one denominator: (columns, den), each
+    column the pairs (position in block k - 2, numerator).  Entries 0 and 1
+    are None."""
+    out = [None, None]
+    for k in range(2, len(matrices)):
+        pairs = list(zip(matrices[k], matrices[k - 1]))
+        den = math.lcm(*(upper_den * lower_den for (_, upper_den), (_, lower_den) in pairs))
+        columns = []
+        for b in range(len(matrices[k][0][0])):
+            acc: dict = {}
+            for (upper, upper_den), (lower, lower_den) in pairs:
+                f = den // (upper_den * lower_den)
+                for c, v in upper[b]:
+                    for e, u in lower[c]:
+                        acc[e] = acc.get(e, 0) + f * v * u
+            columns.append([(e, v) for e, v in acc.items() if v])
+        out.append((columns, den))
+    return out
+
+
+def _hermite_raw_exact(v: list, v_den: int, k: int, blocks: list, laplacians: list) -> dict:
+    """The terms of H_raw = 2^k e^(-Laplacian/4) psi for psi = v / v_den on
+    block k (integers): the finite sum over m of (-1/4)^m / m! Delta^m psi,
+    whose term m lives on block k - 2m and is the integer vector
+    Delta^(k-2m+2) ... Delta^(k) v over v_den times the denominators of the
+    Delta^(i).  Each coefficient is turned once into a Fraction; the terms come
+    by (-|e|, e), the block order within a degree."""
+    terms = {}
+    num, den, m = 2 ** k, v_den, 0
+    while True:
+        terms.update((e, Fraction(num * c, den)) for e, c in zip(blocks[k], v) if c)
+        if k < 2:
+            return terms
+        columns, lap_den = laplacians[k]
+        k, m = k - 2, m + 1
+        v = apply_columns(columns, v, len(blocks[k]))
+        if not any(v):
+            return terms
+        den *= -4 * m * lap_den
 
 
 def _gram_schmidt_exact(G: list, deg: int) -> tuple[list, list]:
@@ -267,35 +325,32 @@ def build_basis(rs: RootSystem, N: int, exact: bool | None = None) -> HermiteBas
     indices = enumerate_indices(rs.dim, N)
     index_pos = {n: i for i, n in enumerate(indices)}
 
-    blocks = [_indices_of_degree(rs.dim, deg) for deg in range(N + 1)]
     psi: list[Polynomial] = []
     norms = []
     if exact:
-        grams = _gram_blocks(alg, N)
+        # H_raw = 2^|n| e^(-Lap/4) psi_n from psi_n's integer vector and the
+        # integer Laplacian blocks, its terms by (-|e|, e): the float sums of
+        # eval_float over H then do not depend on how the algebra fills T_j
+        blocks, matrices = _dunkl_blocks(alg, N)
+        grams = _gram_blocks(blocks, matrices)
+        laplacians = _laplacian_blocks(matrices)
         systems = [_gram_schmidt_exact(G, deg) for deg, G in enumerate(grams)]
-        for block, (Psi, W) in zip(blocks, systems):
+        H_raw = []
+        for deg, (block, (Psi, W)) in enumerate(zip(blocks, systems)):
             for i, ((v, v_den), (w, w_den)) in enumerate(zip(Psi, W)):
                 psi.append(Polynomial(rs.dim, {idx: Fraction(c, v_den) for idx, c in zip(block, v) if c}))
                 norms.append(Fraction(w[i], w_den))
+                H_raw.append(Polynomial(rs.dim, _hermite_raw_exact(v, v_den, deg, blocks, laplacians)))
+        H = _normalized(H_raw, norms)
     else:
-        for deg, block in enumerate(blocks):
+        for deg in range(N + 1):
+            block = _indices_of_degree(rs.dim, deg)
             for v, nv in _gram_schmidt_float(_gram_block(alg, block), deg):
                 psi.append(Polynomial(rs.dim, {idx: c for idx, c in zip(block, v) if not _is_zero(c)}))
                 norms.append(nv)
-
-    # H_raw = 2^|n| e^(-Lap/4) psi_n
-    quarter = Fraction(-1, 4) if exact else -0.25
-    H_raw = [
-        alg.exp_laplacian(p, quarter).scale(alg.scalar(2 ** sum(n)))
-        for p, n in zip(psi, indices)
-    ]
-    H = _normalized(H_raw, norms)
-    if exact:
-        # terms by (-|e|, e), the order of a Z2^d build: the float sums of
-        # eval_float then do not depend on how the algebra fills T_j
-        H = [Polynomial(rs.dim, dict(sorted(h.terms.items(), key=lambda t: (-sum(t[0]), t[0]))))
-             for h in H]
-    else:
+        # H_raw = 2^|n| e^(-Lap/4) psi_n
+        H = _normalized([alg.exp_laplacian(p, -0.25).scale(2.0 ** sum(n)) for p, n in zip(psi, indices)],
+                        norms)
         psi, H_raw, norms = _normalized(psi, norms), H, [1.0] * len(psi)
 
     g = gamma(rs)

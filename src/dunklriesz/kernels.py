@@ -713,10 +713,9 @@ def heat_kernel_series(kappas, t: float, x, y, tol: float = 1e-10, max_terms: in
         # adaptive 1-D series with geometric tail bound
         nmax = 40
         while True:
-            hx = hermite_functions_1d(k, nmax, np.array([x[j]]))[:, 0]
-            hy = hermite_functions_1d(k, nmax, np.array([y[j]]))[:, 0]
+            h = hermite_functions_1d(k, nmax, np.array([x[j], y[j]]))
             lam = 2.0 * np.arange(nmax + 1) + 2.0 * k + 1.0
-            vals = np.exp(-t * lam) * hx * hy
+            vals = np.exp(-t * lam) * h[:, 0] * h[:, 1]
             s = float(np.sum(vals))
             tail = float(np.max(np.abs(vals[-8:]))) / max(1.0 - math.exp(-2.0 * t), 1e-12)
             if tail <= tol * max(abs(s), 1e-300):

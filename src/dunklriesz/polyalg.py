@@ -40,9 +40,9 @@ degree 9), most likely because each root set is closed, up to sign, under
 the conjugations sqrt(2) -> -sqrt(2) and sqrt(3) -> -sqrt(3), which T_j then
 commutes with; so is each [T_j, x_m](x^b), the difference of two of them.
 Both caches store these coefficients as Fractions, so every exact scalar
-downstream of T_j (Gram blocks, psi, H, norms, delta_j pairings) is
-rational; dunkl_columns hands a block's M_j^(k) to the integer block products
-of hermite and spectral over one denominator.  A coefficient that is not
+downstream of T_j (Gram blocks, psi, H, norms, delta_j pairings, eigen
+residuals) is rational; dunkl_columns hands a block's M_j^(k) to the integer
+block products of hermite, spectral and verify over one denominator.  A coefficient that is not
 rational raises IrrationalDunklCoefficient, naming the T_j(x^e) being
 filled.
 
@@ -508,7 +508,10 @@ class DunklAlgebra:
     def exp_laplacian(self, p: Polynomial, s) -> Polynomial:
         """exp(s * Laplacian) p -- a finite sum since the Laplacian lowers degree.
 
-        In exact mode s must be rational (it is +-1/4 everywhere we use it).
+        A float build takes H_raw_n = 2^|n| exp_laplacian(psi_n, -1/4) here.
+        An exact build takes it from integer Laplacian blocks instead
+        (hermite._hermite_raw_exact), and this route, in exact mode, is the
+        oracle the tests hold it to.  In exact mode s must be rational.
         """
         s = self.scalar(s)
         out = p
@@ -532,6 +535,11 @@ class DunklAlgebra:
         satisfying L(e^{-|x|^2/2} p) = e^{-|x|^2/2} L~ p.  Degree preserving;
         generalized Hermite polynomials are its eigenvectors with eigenvalue
         2|n| + 2 gamma + d.
+
+        verify.check_eigen applies it to a float basis.  On an exact basis the
+        check takes the residuals from integer blocks, degree by degree
+        (verify._eigen_residuals_exact), and this route, in exact mode, is the
+        oracle the tests hold them to.
         """
         first = [self.dunkl(j, p) for j in range(1, self.dim + 1)]
         out = -self._laplacian(first)

@@ -17,13 +17,14 @@ the Hermite system, norms, delta_j pairings) is rational.
 
 The block linear algebra downstream of T_j (hermite, spectral) carries these
 rationals as integer vectors over one denominator: each column of the matrix
-M_j^(k) of T_j on a degree block (over one denominator for the matrix), each
-row of a Gram block G_k and of W_k = Psi_k^T G_k, each psi_n and each column
-of H_k.  Sums and products are then Python int arithmetic with no gcd per
-operation, as in fraction-free elimination (Bareiss, Math. Comp. 22, 1968).
-A vector's common factor is divided out once (reduced), and each value a
-caller sees (psi_n, the norms, the delta_j pairings) is turned back once into
-the same Fraction.
+M_j^(k) of T_j on a degree block (over one denominator for the matrix, as
+are the Laplacian and oscillator blocks built from them), each row of a Gram
+block G_k and of W_k = Psi_k^T G_k, each psi_n, each degree of H_raw_n and
+each column of H_k.  Sums and products are then Python int arithmetic with no
+gcd per operation, as in fraction-free elimination (Bareiss, Math. Comp. 22,
+1968).  A vector's common factor is divided out once (reduced), and each
+value a caller sees (psi_n, the norms, H_raw_n, the delta_j pairings, the
+eigen residuals) is turned back once into the same Fraction or float.
 """
 
 from __future__ import annotations
@@ -239,3 +240,14 @@ def reduced(nums: list[int], den: int) -> tuple[list[int], int]:
     if g == 1:
         return nums, den
     return [n // g for n in nums], den // g
+
+
+def apply_columns(columns: list, x: list[int], size: int) -> list[int]:
+    """The integer product A x, with the matrix A by sparse columns (each the
+    pairs (row, numerator)) and x an integer vector: a list of size entries."""
+    out = [0] * size
+    for column, xb in zip(columns, x):
+        if xb:
+            for r, v in column:
+                out[r] += v * xb
+    return out

@@ -52,7 +52,7 @@ import numpy as np
 
 from .hermite import HermiteBasis
 from .polyalg import Polynomial, get_algebra
-from .qfield import over_one_denominator
+from .qfield import apply_columns, over_one_denominator
 from .reflection import RootSystem, weight
 
 
@@ -300,11 +300,7 @@ def _block_pairings(basis: HermiteBasis, j: int, variant: str):
         else:
             columns, den = [[(pos[b[:j - 1] + (b[j - 1] + 1,) + b[j:]], 2)] for b in block], 1
         for col, (h, h_den) in zip(shell, H):
-            Q = [0] * len(tblock)
-            for column, hb in zip(columns, h):
-                if hb:
-                    for c, v in column:
-                        Q[c] += v * hb
+            Q = apply_columns(columns, h, len(tblock))
             for row, (w, w_den) in zip(rows, W):
                 S = sum(map(operator.mul, w, Q))
                 yield row, col, Fraction(S, w_den * den * h_den) if S else 0

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .hermite import HermiteBasis, build_basis, hermite_functions_1d
+from .hermite import HermiteBasis, _dunkl_blocks, _laplacian_blocks, build_basis, hermite_functions_1d
 from .kernels import (
     SEPARATION_FLOOR,
     OrbitTooClose,
@@ -44,6 +44,7 @@ from .kernels import (
     z2_evaluator,
 )
 from .polyalg import get_algebra
+from .qfield import apply_columns, over_one_denominator
 from .reflection import gamma_exact, orbit_distances, weight
 from .spectral import delta_matrix, operator_norm, riesz_matrix
 
@@ -219,20 +220,21 @@ EIGEN_TOL = 1e-10
 def check_eigen(basis, cfg):
     """Oscillator eigenvalue identity on every H_n up to truncation.
 
-    Exact bases: the residual polynomial must vanish identically (zero
-    residual in the surd field).  Float bases: coefficient residual below
+    Exact bases: the residual polynomial must vanish identically, taken
+    degree by degree in integers (_eigen_residuals_exact).  Float bases:
+    coefficient residual of conjugated_oscillator(H) - lambda H below
     EIGEN_TOL relative to the largest coefficient.
     """
-    alg = get_algebra(basis.rs, basis.exact)
-    two_gamma = alg.scalar(2) * alg.scalar(gamma_exact(basis.rs) if basis.exact else basis.gamma)
-    worst = 0.0
-    exact_failures = 0
-    for H, n in zip(basis.H_raw, basis.indices):
-        lam = alg.scalar(2 * sum(n) + basis.rs.dim) + two_gamma
-        resid = alg.conjugated_oscillator(H) - H.scale(lam)
-        scale = 1.0 if basis.exact else max((abs(c) for c in H.terms.values()), default=1.0)
-        worst = _worst(worst, *(abs(float(c)) / scale for c in resid.terms.values()))
-        exact_failures += basis.exact and not resid.is_zero()
+    if basis.exact:
+        worst, exact_failures = _eigen_residuals_exact(basis)
+    else:
+        alg = get_algebra(basis.rs, False)
+        worst, exact_failures = 0.0, 0
+        for H, n in zip(basis.H_raw, basis.indices):
+            lam = float(2 * sum(n) + basis.rs.dim) + 2.0 * basis.gamma
+            resid = alg.conjugated_oscillator(H) - H.scale(lam)
+            scale = max((abs(c) for c in H.terms.values()), default=1.0)
+            worst = _worst(worst, *(abs(float(c)) / scale for c in resid.terms.values()))
     ok = exact_failures == 0 if basis.exact else worst < EIGEN_TOL
     return CheckResult(
         status="pass" if ok else "fail",
@@ -241,6 +243,88 @@ def check_eigen(basis, cfg):
         samples=basis.size,
         notes="zero-residual in exact arithmetic" if basis.exact else "float basis",
     )
+
+
+def _eigen_residuals_exact(basis) -> tuple[float, int]:
+    """The largest |coefficient| of the residuals L~ H_n - lambda_n H_n and the
+    number of nonzero residuals, for an exact basis, in integers.
+
+    L~ = -Laplacian + sum_j (X_j T_j + T_j X_j), X_j the multiplication by
+    x_j, maps degree k to degrees k and k - 2.  So with p_k the degree-k terms
+    of H_raw_n as it is stored (one integer vector per degree, over the one
+    denominator of H_raw_n), the degree-k residual is
+
+        O_k p_k - Delta^(k+2) p_{k+2} - lambda_n p_k,
+        O_k = sum_j (X_j M_j^(k) + M_j^(k+1) X_j),
+
+    from blocks the check forms itself from the M_j^(k) columns, degree
+    N + 1 included; it reads nothing the build derived.  Each value is the
+    same rational as the coefficient of conjugated_oscillator(H_raw_n) -
+    lambda_n H_raw_n, and its float the same float.
+    """
+    alg = get_algebra(basis.rs, True)
+    two_gamma = 2 * gamma_exact(basis.rs)
+    top = max(sum(e) for H in basis.H_raw for e in H.terms)
+    blocks, matrices = _dunkl_blocks(alg, top + 1)
+    laplacians = _laplacian_blocks(matrices)
+    oscillators = _oscillator_blocks(blocks, matrices)
+    positions = [{b: i for i, b in enumerate(block)} for block in blocks]
+    worst, failures = 0.0, 0
+    for H, n in zip(basis.H_raw, basis.indices):
+        lam = 2 * sum(n) + basis.rs.dim + two_gamma
+        nums, den = over_one_denominator(list(H.terms.values()))
+        p = [[0] * len(block) for block in blocks]
+        for e, c in zip(H.terms, nums):
+            p[sum(e)][positions[sum(e)][e]] = c
+        failed = False
+        for k in range(top + 1):
+            lowered = k + 2 <= top and any(p[k + 2])
+            if not (lowered or any(p[k])):
+                continue
+            columns, o_den = oscillators[k]
+            scale = math.lcm(o_den, lam.denominator, laplacians[k + 2][1] if lowered else 1)
+            o_f, lam_f = scale // o_den, scale // lam.denominator * lam.numerator
+            r = [o_f * o - lam_f * c for o, c in zip(apply_columns(columns, p[k], len(p[k])), p[k])]
+            if lowered:
+                columns, l_den = laplacians[k + 2]
+                l_f = scale // l_den
+                r = [a - l_f * b for a, b in zip(r, apply_columns(columns, p[k + 2], len(p[k])))]
+            largest = max(map(abs, r))
+            if largest:
+                failed = True
+                worst = _worst(worst, largest / (scale * den))
+        failures += failed
+    return worst, failures
+
+
+def _oscillator_blocks(blocks: list, matrices: list) -> list:
+    """O_k = sum_j (X_j M_j^(k) + M_j^(k+1) X_j), the degree-preserving part of
+    the conjugated oscillator on block k, for k < len(blocks) - 1 (the blocks
+    and matrices of hermite._dunkl_blocks), by columns over one denominator:
+    (columns, den), each column the pairs (position in block k, numerator)."""
+    out = []
+    for k in range(len(blocks) - 1):
+        pos = {b: i for i, b in enumerate(blocks[k])}
+        up = {b: i for i, b in enumerate(blocks[k + 1])}
+        parts = matrices[k + 1] + (matrices[k] if k else [])
+        den = math.lcm(*(part_den for _, part_den in parts))
+        columns = []
+        for i, b in enumerate(blocks[k]):
+            acc: dict = {}
+            for j, (raised, raised_den) in enumerate(matrices[k + 1]):
+                f = den // raised_den
+                for c, v in raised[up[b[:j] + (b[j] + 1,) + b[j + 1:]]]:
+                    acc[c] = acc.get(c, 0) + f * v
+                if k:
+                    lowered, lowered_den = matrices[k][j]
+                    f = den // lowered_den
+                    for c, v in lowered[i]:
+                        e = blocks[k - 1][c]
+                        t = pos[e[:j] + (e[j] + 1,) + e[j + 1:]]
+                        acc[t] = acc.get(t, 0) + f * v
+            columns.append([(c, v) for c, v in acc.items() if v])
+        out.append((columns, den))
+    return out
 
 
 MEHLER_GRID_POINTS = 9

@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from dunklriesz.hermite import (
     BasisChecksum,
     IndexOutOfTruncation,
+    _dunkl_blocks,
     _gram_block,
     _gram_blocks,
     _indices_of_degree,
@@ -22,7 +24,8 @@ from dunklriesz.hermite import (
 )
 from dunklriesz.polyalg import Polynomial, _add_scaled, _rational, get_algebra
 from dunklriesz.qfield import Surd
-from dunklriesz.reflection import root_system, weight
+from dunklriesz.reflection import gamma_exact, root_system, weight
+from dunklriesz.verify import check_eigen
 
 
 def test_enumerate_indices_graded_lex():
@@ -355,11 +358,58 @@ def test_integer_blocks_equal_fraction_route(group, kappa, N):
     assert [_fraction_rows(G) for G in basis._cache["gram"]] == gram_blocks_by_fractions(
         get_algebra(rs, exact=True), N)
     psi, norms, H_raw = exact_system_by_fractions(rs, N)
-    for got, want in ((basis.psi, psi), (basis.H_raw, H_raw)):
-        assert [list(p.terms.items()) for p in got] == [list(p.terms.items()) for p in want]
-        assert all(type(c) is Fraction for p in got for c in p.terms.values())
+    assert [list(p.terms.items()) for p in basis.psi] == [list(p.terms.items()) for p in psi]
+    # H_raw comes by (-|e|, e), the Fraction route in the order of its sums
+    assert basis.H_raw == H_raw
+    assert all(list(h.terms) == sorted(h.terms, key=lambda e: (-sum(e), e)) for h in basis.H_raw)
+    assert all(type(c) is Fraction for p in basis.psi + basis.H_raw for c in p.terms.values())
     assert basis.norms == norms
     assert all(type(v) is Fraction for v in basis.norms)
+
+
+def eigen_residuals_by_polynomials(basis):
+    """check_eigen's (max_residual, exact_failures) from the polynomial
+    residuals conjugated_oscillator(H_raw_n) - lambda_n H_raw_n over Fractions:
+    the oracle of the exact block residuals."""
+    alg = get_algebra(basis.rs, exact=True)
+    worst, failures = 0.0, 0
+    for H, n in zip(basis.H_raw, basis.indices):
+        lam = Fraction(2 * sum(n) + basis.rs.dim) + 2 * gamma_exact(basis.rs)
+        resid = alg.conjugated_oscillator(H) - H.scale(lam)
+        worst = max([worst, *(abs(float(c)) for c in resid.terms.values())])
+        failures += not resid.is_zero()
+    return worst, failures
+
+
+@pytest.mark.parametrize("group,kappa,N", [
+    ("z2", Fraction(1, 2), 24), ("z2^2", [Fraction(1, 2), 2], 6), ("z2^3", [Fraction(1, 2), 1, 2], 6),
+    ("a2", 1, 8), ("b2", [1, 2], 8), ("i2(3)", Fraction(1, 2), 8), ("i2(4)", [Fraction(1, 2), 2], 8),
+    ("i2(6)", [1, 1], 8),
+])
+def test_exact_blocks_equal_polynomial_routes(group, kappa, N):
+    """An exact build's H_raw_n, from the integer Laplacian blocks, is
+    2^|n| exp_laplacian(psi_n, -1/4) term for term, all Fractions; and the
+    exact check_eigen, from integer oscillator blocks, gives the
+    exact_failures and max_residual of the polynomial residuals, also on a
+    copy whose H_raw has one coefficient moved (the top-degree term of the
+    last H_n, which enters the residual at its own degree and, through the
+    Laplacian, two degrees below)."""
+    rs = root_system(group, multiplicity=kappa)
+    basis = build_basis(rs, N)
+    alg = get_algebra(rs, exact=True)
+    for p, n, h in zip(basis.psi, basis.indices, basis.H_raw):
+        want = alg.exp_laplacian(p, Fraction(-1, 4)).scale(Fraction(2 ** sum(n)))
+        assert h.terms == want.terms, n
+        assert all(type(c) is type(want.terms[e]) is Fraction for e, c in h.terms.items())
+    last = dict(basis.H_raw[-1].terms)
+    e = next(iter(last))
+    last[e] += Fraction(1, 7)
+    moved = replace(basis, H_raw=basis.H_raw[:-1] + [Polynomial(rs.dim, last)])
+    for b, failures in ((basis, 0), (moved, 1)):
+        got = check_eigen(b).residuals
+        worst, want_failures = eigen_residuals_by_polynomials(b)
+        assert want_failures == failures
+        assert (got["exact_failures"], got["max_residual"].hex()) == (failures, worst.hex())
 
 
 @pytest.mark.parametrize("group,kappa,N", [
@@ -373,7 +423,7 @@ def test_gram_blocks_equal_t_power_chains(group, kappa, N):
     numerators over one denominator."""
     rs = root_system(group, multiplicity=kappa)
     alg = get_algebra(rs, exact=True)
-    rows = _gram_blocks(alg, N)
+    rows = _gram_blocks(*_dunkl_blocks(alg, N))
     grams = [_fraction_rows(G) for G in rows]
     assert len(grams) == N + 1
     for k, G in enumerate(grams):
@@ -455,6 +505,7 @@ def test_exact_h_bits_do_not_depend_on_the_dunkl_fill():
             assert alg._dunkl_mono[j - 1][e] == want
             reordered += list(alg._dunkl_mono[j - 1][e].terms) != list(want.terms)
     divided = build_basis(rs, N, exact=True)
-    assert reordered and any(list(p.terms) != list(q.terms) for p, q in zip(commuted.H_raw, divided.H_raw))
+    assert reordered
+    assert [list(p.terms.items()) for p in commuted.H_raw] == [list(q.terms.items()) for q in divided.H_raw]
     x = np.random.default_rng(7).uniform(-1.5, 1.5, (60, 2))
     assert commuted.hermite_function_matrix(x).tobytes() == divided.hermite_function_matrix(x).tobytes()

@@ -9,6 +9,7 @@ from dunklriesz import polyalg
 from dunklriesz.hermite import build_basis
 from dunklriesz.polyalg import (
     DimensionMismatch,
+    DunklAlgebra,
     IrrationalDunklCoefficient,
     NonzeroRemainder,
     Polynomial,
@@ -411,3 +412,24 @@ def test_exact_build_and_eigen_check_make_no_division(monkeypatch):
     assert not calls
     build_basis(root_system("i2(5)", multiplicity=1), 4, exact=False)
     assert calls
+
+
+def test_exact_build_and_eigen_check_apply_no_polynomial_operator(monkeypatch):
+    """An exact build takes H_raw, and its eigen check the residuals, from
+    integer blocks: neither calls exp_laplacian or conjugated_oscillator.  A
+    float build and its check still call both."""
+    calls = {"exp_laplacian": 0, "conjugated_oscillator": 0}
+    for name in calls:
+        real = getattr(DunklAlgebra, name)
+
+        def counted(self, *args, _name=name, _real=real):
+            calls[_name] += 1
+            return _real(self, *args)
+
+        monkeypatch.setattr(DunklAlgebra, name, counted)
+    basis = build_basis(root_system("a2", multiplicity=1), 8, exact=True)
+    assert check_eigen(basis).status == "pass"
+    assert calls == {"exp_laplacian": 0, "conjugated_oscillator": 0}
+    basis = build_basis(root_system("i2(5)", multiplicity=1), 4, exact=False)
+    assert check_eigen(basis).status == "pass"
+    assert calls == {"exp_laplacian": basis.size, "conjugated_oscillator": basis.size}

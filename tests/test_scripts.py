@@ -86,3 +86,17 @@ def test_run_verification_planar_digests_pinned(tmp_path):
     assert done.returncode == 0, done.stderr
     rows = [line.split() for line in done.stdout.splitlines() if line.strip()][1:]
     assert {row[0]: row[-1] for row in rows} == PLANAR_DIGESTS
+
+
+def test_run_verification_z2_digest_pinned(tmp_path):
+    """z2 kappa = 1/2 at the default N = 24 (exact basis, every check) keeps
+    its report digest, so a bit moved on the exact z2 build, its eigen check
+    or the heat series fails here."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(dunklriesz.__file__)))
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run(
+        [sys.executable, str(SCRIPTS / "run_verification.py"), "--configs", "z2:0.5", "--out-dir", "out"],
+        cwd=tmp_path, env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    rows = [line.split() for line in done.stdout.splitlines() if line.strip()][1:]
+    assert {row[0]: row[-1] for row in rows} == {"z2:0.5": "5c500d36d7d6a011"}
